@@ -20,8 +20,6 @@ from .clustering import ClusteringResult, brute_force_kmeans, fit_dpmeans, fit_k
 from .geometry import (
     TopicPolytope,
     ProjectionResult,
-    barycentric_coordinates,
-    cluster_objective,
     geometric_objective,
     project_point,
     project_rows,

@@ -106,29 +106,22 @@ def _cmd_simulate(args, argv):
 
 
 def _fit_config(args, parser):
-    if args.algo in ("gdm", "tgdm"):
-        if args.K is None:
-            parser.error(f"--algo {args.algo} requires --K")
-        if getattr(args, "lam", None) is not None:
-            parser.error(f"--algo {args.algo} does not accept --lambda")
-        return GdmConfig(
-            K=args.K,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            weighted_center=not args.unweighted_center,
-            tune=(args.algo == "tgdm"),
-            seed=args.seed,
-        )
-    if args.K is not None:
-        parser.error("--algo ngdm does not accept --K")
-    if args.lam is None:
-        parser.error("--algo ngdm requires --lambda")
+    if args.algo == "ngdm":
+        if args.K is not None:
+            parser.error("--algo ngdm does not accept --K")
+        if args.lam is None:
+            parser.error("--algo ngdm requires --lambda")
+    elif args.K is None:
+        parser.error(f"--algo {args.algo} requires --K")
+    elif args.lam is not None:
+        parser.error(f"--algo {args.algo} does not accept --lambda")
     return GdmConfig(
+        K=args.K,
         lam=args.lam,
         restarts=args.restarts,
         max_iters=args.max_iters,
         weighted_center=not args.unweighted_center,
-        tune=args.tune,
+        tune=args.algo == "tgdm" or (args.algo == "ngdm" and args.tune),
         seed=args.seed,
     )
 
@@ -215,13 +208,7 @@ def _cmd_lambda_sweep(args, argv):
     lambdas = [float(x) for x in args.lambdas.split(",")]
     rows = ["lambda,seed,n_topics,objective"]
     for lam in lambdas:
-        config = GdmConfig(
-            lam=lam,
-            restarts=args.restarts,
-            max_iters=args.max_iters,
-            seed=args.seed,
-        )
-        model = fit_ngdm(data, config)
+        model = fit_ngdm(data, GdmConfig(lam=lam, max_iters=args.max_iters, seed=args.seed))
         rows.append(f"{lam},{args.seed},{model.K},{model.objective:.8g}")
         print(rows[-1])
     if args.out:
@@ -263,7 +250,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unweighted-center", action="store_true")
     p.add_argument("--tune", action="store_true", help="tune extensions after ngdm")
-    p.add_argument("--threads", type=int, default=None, help="cap worker threads (no effect on results)")
     p.add_argument("--in", dest="inp", required=True, help="corpus directory (docword.txt [+ vocab.txt])")
     p.add_argument("--out", required=True, help="model JSON path")
 
@@ -281,7 +267,6 @@ def _build_parser():
     p = sub.add_parser("lambda-sweep", help="fit ngdm across a lambda grid, emit CSV")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
-    p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-iters", type=int, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV path")
@@ -296,8 +281,6 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         if args.command == "simulate":
             return _cmd_simulate(args, argv)
@@ -311,7 +294,7 @@ def main(argv=None) -> int:
             return _cmd_lambda_sweep(args, argv)
         if args.command == "rerun":
             return _cmd_rerun(args, argv)
-    except (CorpusError, ValueError, OSError, KeyError) as exc:
+    except (CorpusError, ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

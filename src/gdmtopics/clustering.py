@@ -109,9 +109,8 @@ def _lloyd(rows, weights, seeds, max_iters):
         assignments = new_assign
         centroids = _weighted_means(rows, weights, assignments, k)
         obj = _weighted_objective(rows, weights, centroids, assignments)
-        assert obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0), (
-            "weighted Lloyd objective increased"
-        )
+        if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
+            raise RuntimeError("weighted Lloyd objective increased")
         if np.isfinite(prev_obj) and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-300):
             prev_obj = obj
             break
@@ -193,15 +192,13 @@ def fit_dpmeans(
     lam: float,
     max_iters: int = 1500,
     rng: np.random.Generator | None = None,
-    weighted_rule: bool = True,
 ) -> ClusteringResult:
     """Weighted DP-means: a document opens a new cluster when its assignment
     cost exceeds the penalty.
 
-    With ``weighted_rule`` the opening test is ``N_m * d^2 > lam`` so lambda
-    shares units with the penalized objective; otherwise the unweighted test
-    ``d^2 > lam / mean(N)`` is used. The penalized objective
-    (within-cluster sum + lam * K') is nonincreasing across iterations.
+    The opening test is ``N_m * d^2 > lam``, so lambda shares units with the
+    penalized objective (within-cluster sum + lam * K'), which is
+    nonincreasing across iterations.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
@@ -210,7 +207,6 @@ def fit_dpmeans(
     if rng is None:
         rng = np.random.default_rng(0)
     order = rng.permutation(M)
-    mean_w = weights.mean()
 
     centroids = [np.average(rows, axis=0, weights=weights)]
     assignments = np.zeros(M, dtype=np.int64)
@@ -220,7 +216,7 @@ def fit_dpmeans(
         for m in order:
             C = np.asarray(centroids)
             d2 = _sq_dists(rows[m : m + 1], C).ravel()
-            cost = weights[m] * d2 if weighted_rule else d2 * mean_w
+            cost = weights[m] * d2
             best = int(np.argmin(d2))
             if cost[best] > lam:
                 centroids.append(rows[m].copy())
@@ -237,9 +233,8 @@ def fit_dpmeans(
         means = _weighted_means(rows, weights, assignments, occupied.size)
         centroids = [means[j] for j in range(occupied.size)]
         pen = _weighted_objective(rows, weights, means, assignments) + lam * occupied.size
-        assert pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)), (
-            "penalized DP-means objective increased"
-        )
+        if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
+            raise RuntimeError("penalized DP-means objective increased")
         if not changed or prev_pen - pen <= _REL_TOL * max(abs(prev_pen), 1e-300):
             prev_pen = pen
             break

@@ -246,19 +246,6 @@ def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
             f.close()
 
 
-def save_vocab(corpus: Corpus, stream_or_path) -> None:
-    if corpus.vocab is None:
-        raise CorpusValidationError("corpus carries no vocabulary")
-    close_me = isinstance(stream_or_path, (str, os.PathLike))
-    f = open(stream_or_path, "w", encoding="utf-8") if close_me else stream_or_path
-    try:
-        for word in corpus.vocab:
-            f.write(word + "\n")
-    finally:
-        if close_me:
-            f.close()
-
-
 def split_holdout(corpus: Corpus, n_holdout: int, seed: int):
     """Deterministically partition a corpus into (train, heldout).
 

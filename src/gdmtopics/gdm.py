@@ -10,12 +10,12 @@ extended vertex leaves the vocabulary simplex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .clustering import ClusteringResult, fit_dpmeans, fit_kmeans
+from .clustering import fit_dpmeans, fit_kmeans
 from .corpus import NormalizedCorpus
 from .geometry import TopicPolytope, geometric_objective
 
@@ -37,7 +37,6 @@ class GdmConfig:
     tune: bool = False
     lam: float | None = None
     seed: int = 0
-    weighted_dpmeans_rule: bool = True
 
     def __post_init__(self):
         if (self.K is None) == (self.lam is None):
@@ -95,7 +94,7 @@ def extend_and_threshold(center, centroid, m: float) -> np.ndarray:
     clipped = np.where(raw > 0.0, raw, 0.0)
     total = clipped.sum()
     if total <= 0.0:
-        raise AssertionError("extended vertex lost all mass; inputs were not on the simplex")
+        raise ValueError("extended vertex lost all mass; inputs were not on the simplex")
     return clipped / total
 
 
@@ -128,112 +127,95 @@ def _cluster_radii(data: NormalizedCorpus, center, assignments, k) -> np.ndarray
     return radii
 
 
-def _correct(data: NormalizedCorpus, clustering: ClusteringResult, config: GdmConfig):
-    """Geometric correction shared by GDM and nGDM."""
+def _penalty(config: GdmConfig, k: int) -> float:
+    return 0.0 if config.lam is None else config.lam * k
+
+
+def _fit(data: NormalizedCorpus, config: GdmConfig, cluster) -> GdmModel:
+    """Cluster in canonical order, then extend each centroid to its covering radius.
+
+    ``cluster(ordered_data, rng)`` returns the ClusteringResult of the
+    reordered documents. The reported objective is G plus the nGDM penalty
+    lam * K' (zero for GDM).
+    """
+    order = _canonical_order(data)
+    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
+    clustering = cluster(ordered, np.random.default_rng(config.seed))
+    assignments = np.empty(data.M, dtype=np.int64)
+    assignments[order] = clustering.assignments
     k = clustering.n_clusters
     center = _data_center(data, config.weighted_center)
-    radii = _cluster_radii(data, center, clustering.assignments, k)
+    radii = _cluster_radii(data, center, assignments, k)
     if k == 1:
         # a single topic minimizing G is the weighted mean itself
-        polytope = TopicPolytope(center[None, :] / center.sum())
-        return GdmModel(
-            polytope=polytope,
-            center=center,
-            centroids=clustering.centroids,
-            extensions=np.ones(1),
-            radii=radii,
-            objective=geometric_objective(data, polytope),
-            config=config,
-            assignments=clustering.assignments,
+        extensions = np.ones(1)
+        vertices = center[None, :]
+    else:
+        extensions = default_extensions(center, clustering.centroids, radii)
+        vertices = np.stack(
+            [extend_and_threshold(center, c, m) for c, m in zip(clustering.centroids, extensions)]
         )
-    extensions = default_extensions(center, clustering.centroids, radii)
-    vertices = np.stack(
-        [
-            extend_and_threshold(center, clustering.centroids[j], extensions[j])
-            for j in range(k)
-        ]
-    )
     polytope = TopicPolytope(vertices / vertices.sum(axis=1, keepdims=True))
-    return GdmModel(
+    model = GdmModel(
         polytope=polytope,
         center=center,
         centroids=clustering.centroids,
         extensions=extensions,
         radii=radii,
-        objective=geometric_objective(data, polytope),
+        objective=geometric_objective(data, polytope) + _penalty(config, k),
         config=config,
-        assignments=clustering.assignments,
+        assignments=assignments,
     )
-
-
-def fit_gdm(data: NormalizedCorpus, config: GdmConfig, rng=None) -> GdmModel:
-    """Geometric Dirichlet Means: weighted k-means plus vertex extension."""
-    if config.K is None:
-        raise ValueError("fit_gdm needs config.K; use fit_ngdm for the penalized variant")
-    if config.K > data.M:
-        raise ValueError(f"K={config.K} exceeds the number of documents M={data.M}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    order = _canonical_order(data)
-    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
-    clustering = fit_kmeans(ordered, config.K, config.restarts, config.max_iters, rng)
-    clustering = _reorder_assignments(clustering, order, data.M)
-    model = _correct(data, clustering, config)
     if config.tune:
         model = tune_extensions(model, data)
     return model
 
 
-def fit_ngdm(data: NormalizedCorpus, config: GdmConfig, rng=None) -> GdmModel:
+def fit_gdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
+    """Geometric Dirichlet Means: weighted k-means plus vertex extension."""
+    if config.K is None:
+        raise ValueError("fit_gdm needs config.K; use fit_ngdm for the penalized variant")
+    if config.K > data.M:
+        raise ValueError(f"K={config.K} exceeds the number of documents M={data.M}")
+    return _fit(
+        data,
+        config,
+        lambda ordered, rng: fit_kmeans(ordered, config.K, config.restarts, config.max_iters, rng),
+    )
+
+
+def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     """Nonparametric GDM: DP-means picks the topic count, correction as in GDM.
 
     The reported objective includes the lam * K' penalty.
     """
     if config.lam is None:
         raise ValueError("fit_ngdm needs config.lam")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    order = _canonical_order(data)
-    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
-    clustering = fit_dpmeans(
-        ordered, config.lam, config.max_iters, rng, weighted_rule=config.weighted_dpmeans_rule
-    )
-    clustering = _reorder_assignments(clustering, order, data.M)
-    model = _correct(data, clustering, config)
-    model = replace(model, objective=model.objective + config.lam * model.K)
-    if config.tune:
-        model = tune_extensions(model, data)
-    return model
-
-
-def _reorder_assignments(clustering: ClusteringResult, order, M) -> ClusteringResult:
-    assignments = np.empty(M, dtype=np.int64)
-    assignments[order] = clustering.assignments
-    return ClusteringResult(
-        centroids=clustering.centroids,
-        assignments=assignments,
-        objective=clustering.objective,
+    return _fit(
+        data, config, lambda ordered, rng: fit_dpmeans(ordered, config.lam, config.max_iters, rng)
     )
 
 
-def tune_extensions(model: GdmModel, data: NormalizedCorpus, assignments=None) -> GdmModel:
+def tune_extensions(model: GdmModel, data: NormalizedCorpus) -> GdmModel:
     """Line-search each extension scalar over [1, default m_k].
 
     Clusters are visited in ascending index order; cluster k's per-cluster
     geometric objective is minimized by bounded scalar search while the other
     topics stay at their current vertices. If the joint objective somehow
     ends up worse than the input model's, the input model is returned.
+    Needs the fit's per-document assignments, which a loaded model lacks.
     """
-    if assignments is None:
-        assignments = model.assignments
-    assignments = np.asarray(assignments)
+    if model.assignments.shape != (data.M,):
+        raise ValueError(
+            "tuning needs the fit's assignment of every document; refit with tune=True"
+        )
     k_total = model.K
     if k_total == 1:
         return model
     vertices = model.polytope.vertices.copy()
     extensions = model.extensions.copy()
     for k in range(k_total):
-        members = np.flatnonzero(assignments == k)
+        members = np.flatnonzero(model.assignments == k)
         if members.size == 0:
             continue
         sub = NormalizedCorpus(
@@ -258,10 +240,9 @@ def tune_extensions(model: GdmModel, data: NormalizedCorpus, assignments=None) -
         vertices[k] = v / v.sum()
     tuned_polytope = TopicPolytope(vertices)
     tuned_obj = geometric_objective(data, tuned_polytope)
-    base_obj = geometric_objective(data, model.polytope)
-    if tuned_obj > base_obj + 1e-9:
+    penalty = _penalty(model.config, k_total)
+    if tuned_obj > model.objective - penalty + 1e-9:
         return model
-    penalty = model.objective - base_obj  # carries lam * K' for nGDM, ~0 otherwise
     return replace(
         model,
         polytope=tuned_polytope,
@@ -271,7 +252,6 @@ def tune_extensions(model: GdmModel, data: NormalizedCorpus, assignments=None) -
 
 
 def model_to_dict(model: GdmModel) -> dict:
-    cfg = model.config
     return {
         "beta": model.polytope.vertices.tolist(),
         "center": model.center.tolist(),
@@ -279,16 +259,7 @@ def model_to_dict(model: GdmModel) -> dict:
         "extensions": model.extensions.tolist(),
         "radii": model.radii.tolist(),
         "objective": model.objective,
-        "config": {
-            "K": cfg.K,
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "weighted_center": cfg.weighted_center,
-            "tune": cfg.tune,
-            "lambda": cfg.lam,
-            "seed": cfg.seed,
-            "weighted_dpmeans_rule": cfg.weighted_dpmeans_rule,
-        },
+        "config": asdict(model.config),
     }
 
 
@@ -299,19 +270,13 @@ def save_model(model: GdmModel, path) -> None:
 
 
 def load_model(path) -> GdmModel:
+    """Read a model file; its assignments are not stored, so it cannot be tuned."""
     with open(path, "r", encoding="utf-8") as f:
         d = json.load(f)
-    cfg = d["config"]
-    config = GdmConfig(
-        K=cfg["K"],
-        restarts=cfg["restarts"],
-        max_iters=cfg["max_iters"],
-        weighted_center=cfg["weighted_center"],
-        tune=cfg["tune"],
-        lam=cfg["lambda"],
-        seed=cfg["seed"],
-        weighted_dpmeans_rule=cfg.get("weighted_dpmeans_rule", True),
-    )
+    try:
+        config = GdmConfig(**d["config"])
+    except TypeError as exc:
+        raise ValueError(f"model config does not match GdmConfig ({exc}); refit the model") from exc
     beta = np.asarray(d["beta"], dtype=np.float64)
     return GdmModel(
         polytope=TopicPolytope(beta),

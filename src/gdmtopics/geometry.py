@@ -1,4 +1,4 @@
-"""Convex-polytope primitives: projection, barycentric coordinates, objectives.
+"""Convex-polytope primitives: projection and the geometric objective.
 
 Projection onto the convex hull of the topic rows uses a min-norm-point
 active-set scheme (Wolfe-style) run in the K x K Gram geometry, so per-point
@@ -9,7 +9,6 @@ Optimality is certified by the variational inequality
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,13 +151,6 @@ def project_point(query, polytope: TopicPolytope, tol: float = 1e-10) -> Project
     )
 
 
-def barycentric_coordinates(result: ProjectionResult) -> np.ndarray:
-    """Convex-combination weights of the projected point over the vertices."""
-    if not result.theta_unique:
-        warnings.warn("barycentric coordinates are not unique: active vertices are affinely dependent")
-    return result.theta
-
-
 def project_rows(rows, polytope: TopicPolytope, tol: float = 1e-10):
     """Project many rows at once; returns (theta matrix, squared distances).
 
@@ -187,19 +179,3 @@ def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> floa
         raise ValueError("vocabulary sizes disagree")
     _, sq = project_rows(data.rows, polytope)
     return float(np.sum(data.weights * sq))
-
-
-def cluster_objective(
-    data: NormalizedCorpus, polytope: TopicPolytope, assignments, k: int
-) -> float:
-    """Geometric objective restricted to the documents of cluster k."""
-    assignments = np.asarray(assignments)
-    if assignments.shape != (data.M,):
-        raise ValueError("assignments must have one entry per document")
-    if not 0 <= k <= assignments.max(initial=0):
-        raise ValueError(f"invalid cluster index {k}")
-    members = np.flatnonzero(assignments == k)
-    if members.size == 0:
-        return 0.0
-    _, sq = project_rows(data.rows[members], polytope)
-    return float(np.sum(data.weights[members] * sq))

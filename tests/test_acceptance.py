@@ -50,7 +50,7 @@ def test_criterion_01_vertex_recovery_median():
 
 
 def test_criterion_02_vanishing_alpha_trend():
-    started = time.time()
+    started = time.perf_counter()
     medians = []
     for alpha in (1.0, 0.1, 0.01, 0.001):
         dists = []
@@ -65,7 +65,7 @@ def test_criterion_02_vanishing_alpha_trend():
             dists.append(min_matching_distance(model.polytope, TopicPolytope(truth.beta)))
         medians.append(float(np.median(dists)))
     nonincreasing = all(a >= b for a, b in zip(medians, medians[1:]))
-    ok = nonincreasing and medians[-1] < 0.02 and time.time() - started < 120
+    ok = nonincreasing and medians[-1] < 0.02 and time.perf_counter() - started < 120
     _report(2, f"vanishing-alpha trend (medians {np.round(medians, 4).tolist()})", ok)
 
 
@@ -124,7 +124,7 @@ def test_criterion_04_tuned_extension_dominance():
 
 
 def test_criterion_05_likelihood_sandwich():
-    started = time.time()
+    started = time.perf_counter()
     holds = 0
     for seed in range(1000):
         params = LdaParams(
@@ -133,12 +133,12 @@ def test_criterion_05_likelihood_sandwich():
         corpus, truth = generate_corpus(params)
         rep = check_likelihood_bounds(truth.theta, truth.beta, corpus)
         holds += rep.upper_slack >= -1e-9 and rep.lower_slack >= -1e-9
-    ok = holds == 1000 and time.time() - started < 30
+    ok = holds == 1000 and time.perf_counter() - started < 30
     _report(5, f"likelihood sandwich ({holds}/1000 instances)", ok)
 
 
 def test_criterion_06_centroid_span_equality():
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
@@ -152,7 +152,7 @@ def test_criterion_06_centroid_span_equality():
             rows=theta @ beta, weights=rng.integers(1, 6, size=M).astype(float)
         )
         worst = max(worst, spectral_span_check(data, 2))
-    ok = worst < 1e-8 and time.time() - started < 60
+    ok = worst < 1e-8 and time.perf_counter() - started < 60
     _report(6, f"centroid span equality (max angle {worst:.2e})", ok)
 
 
@@ -215,9 +215,9 @@ def test_criterion_09_nips_perplexity():
     data = normalize(train)
     perps = {}
     for K in (5, 10, 15, 20):
-        started = time.time()
+        started = time.perf_counter()
         model = fit_gdm(data, GdmConfig(K=K, restarts=5, seed=0))
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         if K == 10:
             assert elapsed <= 60.0
         theta = infer_theta(model.polytope, heldout)

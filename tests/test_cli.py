@@ -7,7 +7,7 @@ import pytest
 from gdmtopics.cli import main
 from gdmtopics.corpus import load_uci_bag_of_words
 from gdmtopics.gdm import GdmConfig, GdmModel, load_model, save_model
-from gdmtopics.geometry import TopicPolytope
+from gdmtopics.geometry import ProjectionFailure, TopicPolytope
 
 
 def _simulate(tmp_path, name="corpus", seed=0, K=3, V=8, M=40, Nm="60"):
@@ -125,6 +125,33 @@ def test_eval_vocab_mismatch_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", model_path, "--heldout", other])
     assert rc == 1
     assert "V=" in capsys.readouterr().err
+
+
+def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
+    out = _simulate(tmp_path)
+
+    def failing_fit(data, config):
+        raise ProjectionFailure("projection certificate gap 1e-3 exceeds tolerance")
+
+    monkeypatch.setattr("gdmtopics.cli.fit_gdm", failing_fit)
+    rc = main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", str(tmp_path / "m.json")])
+    assert rc == 1
+    assert "error: projection certificate gap" in capsys.readouterr().err
+
+
+def test_eval_rejects_old_config_key(tmp_path, capsys):
+    # model files written before the config was stored by field name used "lambda"
+    heldout = _simulate(tmp_path, name="held", V=6, K=2, seed=7)
+    model_path = str(tmp_path / "old.json")
+    _write_model(model_path, np.full((1, 6), 1.0 / 6))
+    with open(model_path) as f:
+        d = json.load(f)
+    d["config"]["lambda"] = d["config"].pop("lam")
+    with open(model_path, "w") as f:
+        json.dump(d, f)
+    rc = main(["eval", "--model", model_path, "--heldout", heldout])
+    assert rc == 1
+    assert "refit" in capsys.readouterr().err
 
 
 def _write_model(path, vertices):

@@ -249,3 +249,12 @@ def test_ngdm_model_roundtrip(tmp_path):
     assert loaded.config.lam == 0.4
     assert loaded.K == model.K
     assert np.allclose(loaded.polytope.vertices, model.polytope.vertices, atol=1e-15)
+
+
+def test_tuning_a_loaded_model_raises(tmp_path):
+    # a model file carries no assignments, so tuning it cannot see the clusters
+    data = _lda_data(19)
+    path = tmp_path / "model.json"
+    save_model(fit_gdm(data, GdmConfig(K=3, seed=1)), path)
+    with pytest.raises(ValueError, match="assignment"):
+        tune_extensions(load_model(path), data)

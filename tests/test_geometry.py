@@ -4,8 +4,7 @@ import pytest
 from gdmtopics.corpus import NormalizedCorpus
 from gdmtopics.geometry import (
     TopicPolytope,
-    barycentric_coordinates,
-    cluster_objective,
+    _theta_unique,
     geometric_objective,
     project_point,
     project_rows,
@@ -85,9 +84,9 @@ def test_projection_vertex_permutation():
 def test_barycentric_midpoint_and_vertex():
     poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
     r = project_point(np.array([0.5, 0.5]), poly)
-    assert np.allclose(barycentric_coordinates(r), [0.5, 0.5])
+    assert np.allclose(r.theta, [0.5, 0.5])
     r = project_point(np.array([0.0, 1.0]), poly)
-    assert np.allclose(barycentric_coordinates(r), [0.0, 1.0], atol=1e-9)
+    assert np.allclose(r.theta, [0.0, 1.0], atol=1e-9)
 
 
 def test_barycentric_degenerate_hull_flagged():
@@ -95,13 +94,12 @@ def test_barycentric_degenerate_hull_flagged():
     r = project_point(np.array([0.4, 0.6]), poly)
     # projection itself is still unique
     assert np.allclose(r.point, [0.4, 0.6], atol=1e-9)
-    if not r.theta_unique:
-        with pytest.warns(UserWarning, match="not unique"):
-            barycentric_coordinates(r)
-    else:
-        # the solver picked a single vertex; force the duplicate pair active
-        r_mid = project_point(np.array([0.6, 0.4]), poly)
-        assert r_mid.sq_distance < 1e-18
+    # the active set stays affinely independent: one of the duplicates only
+    assert r.theta_unique
+    assert min(r.theta[0], r.theta[1]) < 1e-12
+    assert np.allclose(r.theta @ poly.vertices, r.point, atol=1e-12)
+    # weight spread over both duplicates is flagged as not unique
+    assert not _theta_unique(poly.vertices, np.array([1 / 3, 1 / 3, 1 / 3]))
 
 
 def test_project_point_rejects_bad_input():
@@ -145,6 +143,7 @@ def test_geometric_objective_matches_grid_oracle():
 
 
 def test_cluster_objective_additivity():
+    # the per-cluster objective tuning minimizes is G on the member sub-corpus
     rng = np.random.default_rng(41)
     poly = _random_polytope(rng, 3, 5)
     g = rng.gamma(1.0, size=(12, 5))
@@ -152,19 +151,14 @@ def test_cluster_objective_additivity():
     data = NormalizedCorpus(rows=rows, weights=rng.integers(1, 4, size=12).astype(float))
     assignments = rng.integers(0, 3, size=12)
     total = geometric_objective(data, poly)
-    parts = sum(cluster_objective(data, poly, assignments, k) for k in range(3))
-    assert np.isclose(parts, total, rtol=1e-9)
-    # single-cluster restriction equals the full objective
-    assert np.isclose(
-        cluster_objective(data, poly, np.zeros(12, dtype=int), 0), total, rtol=1e-12
+    parts = sum(
+        geometric_objective(
+            NormalizedCorpus(rows=rows[assignments == k], weights=data.weights[assignments == k]),
+            poly,
+        )
+        for k in range(3)
     )
-
-
-def test_cluster_objective_invalid_k():
-    poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    data = NormalizedCorpus(rows=np.array([[0.5, 0.5]]), weights=np.array([1.0]))
-    with pytest.raises(ValueError):
-        cluster_objective(data, poly, np.array([0]), 5)
+    assert np.isclose(parts, total, rtol=1e-9)
 
 
 def test_project_rows_consistent_with_project_point():
