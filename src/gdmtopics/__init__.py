@@ -16,7 +16,7 @@ from .corpus import (
     split_holdout,
 )
 from .synth import LdaParams, GroundTruth, generate_corpus, sample_dirichlet
-from .clustering import ClusteringResult, brute_force_kmeans, fit_dpmeans, fit_kmeans, kmeanspp_init
+from .clustering import ClusteringResult, fit_dpmeans, fit_kmeans, kmeanspp_init
 from .geometry import (
     TopicPolytope,
     ProjectionResult,
@@ -31,5 +31,4 @@ from .metrics import (
     infer_theta,
     min_matching_distance,
     perplexity,
-    spectral_span_check,
 )

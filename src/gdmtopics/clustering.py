@@ -1,9 +1,8 @@
-"""Weighted clustering: k-means (fixed K), DP-means (penalized K), brute force.
+"""Weighted clustering: k-means (fixed K) and DP-means (penalized K).
 
-All routines minimize the weighted within-cluster sum of squares
+Both routines minimize the weighted within-cluster sum of squares
 ``sum_k sum_{m in C_k} N_m ||w_m - mu_k||^2`` with centroids at the weighted
-means of their clusters. ``brute_force_kmeans`` is an exact enumeration
-oracle intended for tests on tiny instances.
+means of their clusters.
 """
 
 from __future__ import annotations
@@ -140,51 +139,6 @@ def fit_kmeans(
         if best is None or result.objective < best.objective:
             best = result
     return best
-
-
-def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
-    """Exact weighted k-means by enumerating all K^M assignments.
-
-    Only assignments using all K labels are considered. Instances with
-    K^M > 10^7 are rejected.
-    """
-    rows, weights = data.rows, data.weights
-    M = rows.shape[0]
-    if K < 1 or K > M:
-        raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
-    if K**M > 10**7:
-        raise ValueError(f"instance too large: K^M = {K}^{M} > 1e7")
-    # objective identity: sum_m N_m||x_m||^2 - sum_k ||S_k||^2 / W_k
-    base = float(np.sum(weights * np.einsum("ij,ij->i", rows, rows)))
-    wx = rows * weights[:, None]
-    best_obj = np.inf
-    best_assign = None
-    chunk = 8192
-    total = K**M
-    codes = np.arange(M, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        # decode base-K digits -> assignment matrix (n, M)
-        A = (idx[:, None] // K**codes[None, :]) % K
-        onehot = A[:, :, None] == np.arange(K)[None, None, :]
-        wsum = np.einsum("nmk,m->nk", onehot, weights)
-        valid = (wsum > 0).all(axis=1)
-        if not valid.any():
-            continue
-        S = np.einsum("nmk,mv->nkv", onehot.astype(np.float64), wx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            red = np.einsum("nkv,nkv->nk", S, S) / wsum
-        obj = base - np.where(valid, red.sum(axis=1), -np.inf)
-        obj[~valid] = np.inf
-        i = int(np.argmin(obj))
-        if obj[i] < best_obj:
-            best_obj = float(obj[i])
-            best_assign = A[i].copy()
-    if best_assign is None:
-        raise ValueError("no assignment uses all K clusters")
-    centroids = _weighted_means(rows, weights, best_assign, K)
-    obj = _weighted_objective(rows, weights, centroids, best_assign)
-    return ClusteringResult(centroids=centroids, assignments=best_assign, objective=obj)
 
 
 def fit_dpmeans(

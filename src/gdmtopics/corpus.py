@@ -11,10 +11,14 @@ from __future__ import annotations
 import io
 import os
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class CorpusError(ValueError):
@@ -148,9 +152,10 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     """Parse a UCI bag-of-words file (and optional vocabulary) into a Corpus.
 
     Duplicate (doc, word) triples are summed. Documents declared in the
-    header but carrying no tokens are dropped with a warning and M reduced.
+    header but carrying no tokens are dropped with a warning and M reduced;
+    the header values bound the indices but size no allocation.
     Raises CorpusParseError for malformed lines (with line number) and
-    CorpusValidationError for out-of-range indices or an NNZ mismatch.
+    CorpusValidationError for out-of-range values or an NNZ mismatch.
     """
     close_me = isinstance(docword_stream, (str, os.PathLike))
     f = _line_source(docword_stream)
@@ -172,11 +177,9 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
             except ValueError:
                 raise CorpusParseError(f"line {lineno}: expected integer header, got {text!r}")
         D, W, NNZ = header
-        if D < 1 or W < 1 or NNZ < 0:
+        if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
-        docs = np.empty(NNZ, dtype=np.int64)
-        words = np.empty(NNZ, dtype=np.int64)
-        vals = np.empty(NNZ, dtype=np.int64)
+        docs, words, vals = array("q"), array("q"), array("q")
         n = 0
         for line in it:
             lineno += 1
@@ -194,11 +197,13 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
                 raise CorpusValidationError(f"line {lineno}: document index {d} outside 1..{D}")
             if not 1 <= w <= W:
                 raise CorpusValidationError(f"line {lineno}: word index {w} outside 1..{W}")
-            if c < 1:
-                raise CorpusValidationError(f"line {lineno}: count {c} must be >= 1")
+            if not 1 <= c <= _INT64_MAX:
+                raise CorpusValidationError(f"line {lineno}: count {c} outside 1..{_INT64_MAX}")
             if n >= NNZ:
                 raise CorpusValidationError(f"line {lineno}: more than NNZ={NNZ} triples")
-            docs[n], words[n], vals[n] = d - 1, w - 1, c
+            docs.append(d - 1)
+            words.append(w - 1)
+            vals.append(c)
             n += 1
         if n != NNZ:
             raise CorpusValidationError(f"header declares NNZ={NNZ} but found {n} triples")
@@ -206,14 +211,13 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
         if close_me:
             f.close()
 
-    counts = sp.coo_matrix((vals, (docs, words)), shape=(D, W), dtype=np.int64).tocsr()
-    counts.sum_duplicates()
-    row_totals = np.asarray(counts.sum(axis=1)).ravel()
-    keep = row_totals > 0
-    dropped = int(D - keep.sum())
+    # rows are the documents that appear, in index order; every count is >= 1
+    docs, words, vals = (np.frombuffer(a, dtype=np.int64) for a in (docs, words, vals))
+    present, rows = np.unique(docs, return_inverse=True)
+    counts = sp.coo_matrix((vals, (rows, words)), shape=(present.size, W), dtype=np.int64).tocsr()
+    dropped = D - present.size
     if dropped:
         warnings.warn(f"dropped {dropped} empty document(s) out of {D}", stacklevel=2)
-        counts = counts[keep]
 
     vocab = None
     if vocab_stream is not None:

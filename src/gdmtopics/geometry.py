@@ -3,8 +3,9 @@
 Projection onto the convex hull of the topic rows uses a min-norm-point
 active-set scheme (Wolfe-style) run in the K x K Gram geometry, so per-point
 cost is independent of the vocabulary size once the Gram matrix is formed.
-Optimality is certified by the variational inequality
-``(query - point) . (vertex_k - point) <= tol * scale`` for every vertex.
+Every projected row, whether from ``project_point`` or ``project_rows``, is
+certified in word space by the variational inequality
+``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every vertex.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import numpy as np
 from .corpus import NormalizedCorpus
 
 _DROP_EPS = 1e-12
+_TOL = 1e-10  # optimality tolerance of the min-norm-point solve
 
 
 class ProjectionFailure(RuntimeError):
-    """Raised when the active-set iteration hits its cap before certifying."""
+    """Raised when a projected row fails its optimality certificate."""
 
 
 @dataclass(frozen=True)
@@ -52,19 +54,17 @@ class TopicPolytope:
 class ProjectionResult:
     """Euclidean projection of a query onto the polytope.
 
-    ``theta`` holds the convex-combination weights over vertices,
-    ``certificate_gap`` the worst violation of the optimality inequality and
-    ``theta_unique`` whether the active vertices are affinely independent.
+    ``theta`` holds the convex-combination weights over vertices and
+    ``certificate_gap`` the worst violation of the optimality inequality.
     """
 
     point: np.ndarray
     theta: np.ndarray
     sq_distance: float
     certificate_gap: float
-    theta_unique: bool
 
 
-def _min_norm_weights(G, tol, scale, max_iter):
+def _min_norm_weights(G, scale, max_iter):
     """Weights of the min-norm point of the hull of points with Gram matrix G."""
     K = G.shape[0]
     S = [int(np.argmin(np.diag(G)))]
@@ -73,7 +73,7 @@ def _min_norm_weights(G, tol, scale, max_iter):
         g = lam @ G[S]            # x . p_j for every candidate j
         xx = float(lam @ G[np.ix_(S, S)] @ lam)
         j = int(np.argmin(g))
-        if g[j] >= xx - tol * scale or j in S:
+        if g[j] >= xx - _TOL * scale or j in S:
             break
         S.append(j)
         lam = np.append(lam, 0.0)
@@ -114,62 +114,59 @@ def _min_norm_weights(G, tol, scale, max_iter):
     return theta
 
 
-def _theta_unique(vertices, theta, atol=1e-9):
-    active = np.flatnonzero(theta > atol)
-    if active.size <= 1:
-        return True
-    diffs = vertices[active[1:]] - vertices[active[0]]
-    rank = np.linalg.matrix_rank(diffs, tol=1e-9)
-    return rank == active.size - 1
+def _project(X, B):
+    """Project the rows of X onto conv(rows of B) and certify every row.
+
+    Returns (thetas, points, squared distances, certificate gaps). Raises
+    ProjectionFailure naming the first row whose gap is not within
+    ``10 * _TOL * scale``, with scale = max(1, max_k ||b_k - x||^2).
+    """
+    K = B.shape[0]
+    BBt = B @ B.T
+    BX = X @ B.T                      # (M, K) cross terms
+    xx = np.einsum("ij,ij->i", X, X)
+    thetas = np.empty((X.shape[0], K))
+    scales = np.empty(X.shape[0])
+    for m in range(X.shape[0]):
+        G = BBt - BX[m][:, None] - BX[m][None, :] + xx[m]
+        scales[m] = scale = max(1.0, float(np.diag(G).max()))
+        thetas[m] = _min_norm_weights(G, scale, max_iter=100 * K)
+    points = thetas @ B
+    diff = X - points
+    sq = np.einsum("ij,ij->i", diff, diff)
+    # word-space certificate: max_k (b_k - p) . (x - p)
+    gaps = (diff @ B.T).max(axis=1) - np.einsum("ij,ij->i", points, diff)
+    bound = 10.0 * _TOL * scales
+    bad = np.flatnonzero(~(gaps <= bound))   # a NaN gap fails too
+    if bad.size:
+        m = int(bad[0])
+        raise ProjectionFailure(
+            f"row {m}: projection certificate gap {gaps[m]:.3e} exceeds tolerance {bound[m]:.3e}"
+        )
+    return thetas, points, sq, gaps
 
 
-def project_point(query, polytope: TopicPolytope, tol: float = 1e-10) -> ProjectionResult:
+def project_point(query, polytope: TopicPolytope) -> ProjectionResult:
     """Euclidean projection of ``query`` onto the convex hull of the topic rows."""
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (polytope.V,):
         raise ValueError(f"query must have length {polytope.V}")
     if not np.isfinite(q).all():
         raise ValueError("query contains non-finite entries")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    P = polytope.vertices - q
-    G = P @ P.T
-    scale = max(1.0, float(np.diag(G).max()))
-    theta = _min_norm_weights(G, tol, scale, max_iter=100 * polytope.K)
-    point = theta @ polytope.vertices
-    r = q - point
-    gaps = (polytope.vertices - point) @ r
-    cert = float(gaps.max())
-    if cert > 10.0 * tol * scale:
-        raise ProjectionFailure(f"projection certificate gap {cert:.3e} exceeds tolerance")
+    thetas, points, sq, gaps = _project(q[None, :], polytope.vertices)
     return ProjectionResult(
-        point=point,
-        theta=theta,
-        sq_distance=float(r @ r),
-        certificate_gap=cert,
-        theta_unique=_theta_unique(polytope.vertices, theta),
+        point=points[0], theta=thetas[0], sq_distance=float(sq[0]), certificate_gap=float(gaps[0])
     )
 
 
-def project_rows(rows, polytope: TopicPolytope, tol: float = 1e-10):
+def project_rows(rows, polytope: TopicPolytope):
     """Project many rows at once; returns (theta matrix, squared distances).
 
     Shares the vertex Gram matrix across queries, so each projection costs
-    O(K V) to form the cross terms plus the small active-set solve.
+    O(K V) to form the cross terms plus the small active-set solve. Every
+    row is certified; a failing row raises ProjectionFailure.
     """
-    X = np.asarray(rows, dtype=np.float64)
-    B = polytope.vertices
-    BBt = B @ B.T
-    BX = X @ B.T                      # (M, K) cross terms
-    xx = np.einsum("ij,ij->i", X, X)
-    thetas = np.empty((X.shape[0], polytope.K))
-    for m in range(X.shape[0]):
-        G = BBt - BX[m][:, None] - BX[m][None, :] + xx[m]
-        scale = max(1.0, float(np.diag(G).max()))
-        thetas[m] = _min_norm_weights(G, tol, scale, max_iter=100 * polytope.K)
-    points = thetas @ B
-    diff = X - points
-    sq = np.einsum("ij,ij->i", diff, diff)
+    thetas, _, sq, _ = _project(np.asarray(rows, dtype=np.float64), polytope.vertices)
     return thetas, sq
 
 

@@ -1,8 +1,8 @@
 """Evaluation metrics and model diagnostics.
 
 Held-out perplexity with projection-based topic proportions, the symmetric
-max-min distance between topic vertex sets, a numerical check of the
-likelihood sandwich bounds, and the centroid-span / singular-span diagnostic.
+max-min distance between topic vertex sets, and a numerical check of the
+likelihood sandwich bounds.
 """
 
 from __future__ import annotations
@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .clustering import brute_force_kmeans
-from .corpus import Corpus, NormalizedCorpus, normalize
+from .corpus import Corpus, normalize
 from .geometry import TopicPolytope, project_rows
 
 PROB_FLOOR = 1e-12
@@ -41,25 +39,19 @@ class BoundReport:
         return self.upper_slack >= -1e-9 and self.lower_slack >= -1e-9
 
 
-def infer_theta(polytope: TopicPolytope, heldout: Corpus, tol: float = 1e-10) -> np.ndarray:
+def infer_theta(polytope: TopicPolytope, heldout: Corpus) -> np.ndarray:
     """Topic proportions of held-out documents by projection onto the polytope."""
     if heldout.V != polytope.V:
         raise ValueError("vocabulary sizes disagree")
     data = normalize(heldout)
-    thetas, _ = project_rows(data.rows, polytope, tol=tol)
+    thetas, _ = project_rows(data.rows, polytope)
     return thetas
 
 
-def perplexity(
-    polytope: TopicPolytope,
-    theta: np.ndarray,
-    heldout: Corpus,
-    per_document: bool = False,
-) -> PerplexityReport:
+def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> PerplexityReport:
     """Held-out perplexity of the mixture model theta . beta.
 
-    Corpus-level by default: exp(-total log-likelihood / total tokens).
-    ``per_document`` switches to the mean of per-document perplexities.
+    Corpus-level: exp(-total log-likelihood / total tokens).
     Zero word probabilities at observed words are floored at PROB_FLOOR (with
     the row renormalized); interventions are counted in ``floored_entries``.
     """
@@ -75,25 +67,17 @@ def perplexity(
     doc_ll = np.sum(np.where(needed, counts * np.log(p_hat), 0.0), axis=1)
     total_ll = float(doc_ll.sum())
     total_tokens = int(heldout.lengths.sum())
-    if per_document:
-        perp = float(np.mean(np.exp(-doc_ll / heldout.lengths)))
-    else:
-        perp = float(np.exp(-total_ll / total_tokens))
     return PerplexityReport(
-        perplexity=perp,
+        perplexity=float(np.exp(-total_ll / total_tokens)),
         total_log_likelihood=total_ll,
         total_tokens=total_tokens,
         floored_entries=floored,
     )
 
 
-def min_matching_distance(
-    estimated: TopicPolytope, truth: TopicPolytope, method: str = "bottleneck"
-) -> float:
-    """Distance between two topic vertex sets.
+def min_matching_distance(estimated: TopicPolytope, truth: TopicPolytope) -> float:
+    """Symmetric max-min Euclidean distance between two topic vertex sets.
 
-    ``bottleneck`` (default) is the symmetric max-min Euclidean distance;
-    ``hungarian`` averages the optimally matched pairwise distances instead.
     Topic counts may differ.
     """
     if estimated.V != truth.V:
@@ -101,14 +85,7 @@ def min_matching_distance(
     from scipy.spatial.distance import cdist
 
     d = cdist(estimated.vertices, truth.vertices)
-    if method == "bottleneck":
-        return float(max(d.min(axis=0).max(), d.min(axis=1).max()))
-    if method == "hungarian":
-        from scipy.optimize import linear_sum_assignment
-
-        r, c = linear_sum_assignment(d)
-        return float(d[r, c].mean())
-    raise ValueError(f"unknown method {method!r}")
+    return float(max(d.min(axis=0).max(), d.min(axis=1).max()))
 
 
 def check_likelihood_bounds(theta, beta, corpus: Corpus) -> BoundReport:
@@ -151,17 +128,3 @@ def check_likelihood_bounds(theta, beta, corpus: Corpus) -> BoundReport:
         lower_slack=lower_slack,
     )
 
-
-def spectral_span_check(data: NormalizedCorpus, K: int) -> float:
-    """Largest principal angle between the optimal weighted-k-means centroid
-    span and the span of the top-K right singular vectors of Q^{1/2} W.
-
-    Exact (brute-force) clustering is used, so the instance must be tiny.
-    """
-    result = brute_force_kmeans(data, K)   # enforces the size cap
-    weighted = np.sqrt(data.weights)[:, None] * data.rows
-    _, _, vt = np.linalg.svd(weighted, full_matrices=False)
-    v_top = vt[:K].T
-    mu_span = result.centroids.T
-    angles = scipy.linalg.subspace_angles(mu_span, v_top)
-    return float(angles.max()) if angles.size else 0.0

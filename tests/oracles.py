@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's own solution paths: the projection
 oracle is a coarse-to-fine grid search over barycentric weights, relying only
-on convexity of the squared distance in theta.
+on convexity of the squared distance in theta, and the k-means oracle
+enumerates every assignment instead of running Lloyd iterations.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
+
+from gdmtopics.clustering import ClusteringResult, _weighted_means, _weighted_objective
+from gdmtopics.corpus import NormalizedCorpus
 
 
 def simplex_grid(K, resolution):
@@ -66,3 +71,63 @@ def grid_tune_extension(center, centroid, other_vertices, rows, weights, m_max, 
         if val < best[0]:
             best = (val, m)
     return best
+
+
+def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
+    """Exact weighted k-means by enumerating all K^M assignments.
+
+    Only assignments using all K labels are considered. Instances with
+    K^M > 10^7 are rejected.
+    """
+    rows, weights = data.rows, data.weights
+    M = rows.shape[0]
+    if K < 1 or K > M:
+        raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
+    if K**M > 10**7:
+        raise ValueError(f"instance too large: K^M = {K}^{M} > 1e7")
+    # objective identity: sum_m N_m||x_m||^2 - sum_k ||S_k||^2 / W_k
+    base = float(np.sum(weights * np.einsum("ij,ij->i", rows, rows)))
+    wx = rows * weights[:, None]
+    best_obj = np.inf
+    best_assign = None
+    chunk = 8192
+    total = K**M
+    codes = np.arange(M, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        # decode base-K digits -> assignment matrix (n, M)
+        A = (idx[:, None] // K**codes[None, :]) % K
+        onehot = A[:, :, None] == np.arange(K)[None, None, :]
+        wsum = np.einsum("nmk,m->nk", onehot, weights)
+        valid = (wsum > 0).all(axis=1)
+        if not valid.any():
+            continue
+        S = np.einsum("nmk,mv->nkv", onehot.astype(np.float64), wx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            red = np.einsum("nkv,nkv->nk", S, S) / wsum
+        obj = base - np.where(valid, red.sum(axis=1), -np.inf)
+        obj[~valid] = np.inf
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:
+            best_obj = float(obj[i])
+            best_assign = A[i].copy()
+    if best_assign is None:
+        raise ValueError("no assignment uses all K clusters")
+    centroids = _weighted_means(rows, weights, best_assign, K)
+    obj = _weighted_objective(rows, weights, centroids, best_assign)
+    return ClusteringResult(centroids=centroids, assignments=best_assign, objective=obj)
+
+
+def spectral_span_check(data: NormalizedCorpus, K: int) -> float:
+    """Largest principal angle between the optimal weighted-k-means centroid
+    span and the span of the top-K right singular vectors of Q^{1/2} W.
+
+    Exact (brute-force) clustering is used, so the instance must be tiny.
+    """
+    result = brute_force_kmeans(data, K)   # enforces the size cap
+    weighted = np.sqrt(data.weights)[:, None] * data.rows
+    _, _, vt = np.linalg.svd(weighted, full_matrices=False)
+    v_top = vt[:K].T
+    mu_span = result.centroids.T
+    angles = scipy.linalg.subspace_angles(mu_span, v_top)
+    return float(angles.max()) if angles.size else 0.0

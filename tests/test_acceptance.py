@@ -25,10 +25,9 @@ from gdmtopics.metrics import (
     infer_theta,
     min_matching_distance,
     perplexity,
-    spectral_span_check,
 )
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import grid_project
+from oracles import grid_project, spectral_span_check
 
 
 def _report(n, label, ok):

@@ -133,10 +133,22 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     def failing_fit(data, config):
         raise ProjectionFailure("projection certificate gap 1e-3 exceeds tolerance")
 
-    monkeypatch.setattr("gdmtopics.cli.fit_gdm", failing_fit)
-    rc = main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", str(tmp_path / "m.json")])
-    assert rc == 1
+    args = ["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", str(tmp_path / "m.json")]
+    with monkeypatch.context() as m:
+        m.setattr("gdmtopics.cli.fit_gdm", failing_fit)
+        assert main(args) == 1
     assert "error: projection certificate gap" in capsys.readouterr().err
+
+    # the real path: a solver returning the farthest vertex fails the certificate
+    def farthest_vertex(G, scale, max_iter):
+        theta = np.zeros(G.shape[0])
+        theta[np.argmax(np.diag(G))] = 1.0
+        return theta
+
+    monkeypatch.setattr("gdmtopics.geometry._min_norm_weights", farthest_vertex)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error: row " in err and "projection certificate gap" in err
 
 
 def test_eval_rejects_old_config_key(tmp_path, capsys):

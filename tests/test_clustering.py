@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from gdmtopics.clustering import (
-    brute_force_kmeans,
     fit_dpmeans,
     fit_kmeans,
     kmeanspp_init,
 )
 from gdmtopics.corpus import NormalizedCorpus
+from oracles import brute_force_kmeans
 
 
 def _data(rows, weights=None):

@@ -44,6 +44,16 @@ def test_load_nnz_mismatch():
         load_uci_bag_of_words(io.StringIO("2\n3\n5\n1 1 2\n2 2 4\n"))
 
 
+def test_load_header_sizes_no_allocation():
+    # huge header values with one triple: a typed error or a warning, not a
+    # multi-terabyte allocation
+    with pytest.raises(CorpusValidationError, match="NNZ=1000000000000 but found 1"):
+        load_uci_bag_of_words(io.StringIO("3\n4\n1000000000000\n1 1 2\n"))
+    with pytest.warns(UserWarning, match="dropped 999999999999 empty"):
+        c = load_uci_bag_of_words(io.StringIO("1000000000000\n4\n1\n1 1 2\n"))
+    assert c.dense().tolist() == [[2, 0, 0, 0]]
+
+
 def test_load_malformed_triple_reports_line():
     with pytest.raises(CorpusParseError, match="line 4"):
         load_uci_bag_of_words(io.StringIO("2\n3\n2\nnot a triple\n2 2 4\n"))

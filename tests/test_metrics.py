@@ -8,9 +8,9 @@ from gdmtopics.metrics import (
     infer_theta,
     min_matching_distance,
     perplexity,
-    spectral_span_check,
 )
 from gdmtopics.synth import LdaParams, generate_corpus
+from oracles import spectral_span_check
 
 
 def test_perplexity_uniform_model_equals_vocab_size():
@@ -34,15 +34,13 @@ def test_perplexity_perfect_model_is_one():
 
 def test_perplexity_two_doc_arithmetic():
     # doc 1 sees a word with probability 1/2, doc 2 a word with 1/4:
-    # corpus-level exp(-(ln .5 + ln .25)/2) = sqrt(8); per-document mean (2+4)/2
+    # corpus-level exp(-(ln .5 + ln .25)/2) = sqrt(8)
     poly = TopicPolytope(np.array([[0.5, 0.25, 0.25]]))
     heldout = Corpus(np.array([[1, 0, 0], [0, 1, 0]]))
     theta = np.ones((2, 1))
     rep = perplexity(poly, theta, heldout)
     assert np.isclose(rep.perplexity, np.sqrt(8.0), rtol=1e-12)
     assert np.isclose(rep.total_log_likelihood, np.log(0.5) + np.log(0.25))
-    rep_doc = perplexity(poly, theta, heldout, per_document=True)
-    assert np.isclose(rep_doc.perplexity, 3.0, rtol=1e-12)
 
 
 def test_perplexity_floors_only_observed_zeros():
@@ -69,7 +67,6 @@ def test_mm_distance_identical_and_permuted():
     permuted = TopicPolytope(poly.vertices[[3, 1, 0, 2]])
     assert min_matching_distance(poly, poly) == 0.0
     assert min_matching_distance(poly, permuted) == 0.0
-    assert min_matching_distance(poly, permuted, method="hungarian") == 0.0
 
 
 def test_mm_distance_single_pair_arithmetic():
@@ -85,8 +82,6 @@ def test_mm_distance_extra_topic_penalized_by_bottleneck():
     est = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
     # every truth vertex is matched, but the spurious midpoint is not
     assert np.isclose(min_matching_distance(est, truth), np.sqrt(0.5))
-    # the matched-pairs average ignores the unmatched extra topic
-    assert min_matching_distance(est, truth, method="hungarian") == 0.0
 
 
 def test_mm_distance_symmetric():
@@ -103,8 +98,6 @@ def test_mm_distance_validates():
     pb = TopicPolytope(np.array([[0.5, 0.25, 0.25]]))
     with pytest.raises(ValueError):
         min_matching_distance(pa, pb)
-    with pytest.raises(ValueError, match="method"):
-        min_matching_distance(pa, pa, method="nope")
 
 
 def test_infer_theta_recovers_exact_mixture():

@@ -1,15 +1,18 @@
-"""Property-based tests: model serialization and document-order invariance."""
+"""Property-based tests: model serialization, document-order invariance,
+projection certificates and UCI parsing."""
 
+import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdmtopics.corpus import NormalizedCorpus, normalize
-from gdmtopics.gdm import GdmConfig, GdmModel, fit_ngdm, load_model, save_model
-from gdmtopics.geometry import TopicPolytope
+from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
+from gdmtopics.gdm import GdmConfig, GdmModel, fit_gdm, fit_ngdm, load_model, save_model
+from gdmtopics.geometry import TopicPolytope, project_point, project_rows
 from gdmtopics.synth import LdaParams, generate_corpus
 
 _common = dict(
@@ -68,3 +71,97 @@ def test_ngdm_invariant_to_document_order(corpus_seed, perm_seed, lam):
         sorted(map(tuple, m2.polytope.vertices)),
         atol=1e-12,
     )
+
+
+@settings(max_examples=6, deadline=None)
+@given(corpus_seed=st.integers(0, 10**6), perm_seed=st.integers(0, 10**6), K=st.integers(1, 4))
+def test_gdm_invariant_to_document_order(corpus_seed, perm_seed, K):
+    params = LdaParams(K=3, V=10, M=40, doc_lengths=(20, 60), alpha=0.3, eta=0.3, seed=corpus_seed)
+    data = normalize(generate_corpus(params)[0])
+    perm = np.random.default_rng(perm_seed).permutation(data.M)
+    shuffled = NormalizedCorpus(rows=data.rows[perm], weights=data.weights[perm])
+    m1 = fit_gdm(data, GdmConfig(K=K, restarts=2, seed=3))
+    m2 = fit_gdm(shuffled, GdmConfig(K=K, restarts=2, seed=3))
+    assert np.allclose(
+        sorted(map(tuple, m1.polytope.vertices)),
+        sorted(map(tuple, m2.polytope.vertices)),
+        atol=1e-12,
+    )
+    assert np.isclose(m1.objective, m2.objective, rtol=1e-12)
+
+
+@st.composite
+def polytopes_and_rows(draw):
+    """A random polytope, optionally made degenerate, and query rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    K, V, M = draw(st.integers(1, 5)), draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    g = rng.gamma(0.5, size=(K, V)) + 1e-12
+    B = g / g.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(["random", "duplicate", "midpoint"]))
+    if kind == "duplicate":
+        B = np.vstack([B, B[-1]])
+    elif kind == "midpoint" and K >= 2:
+        B = np.vstack([B, 0.5 * (B[0] + B[1])])
+    # queries on and off the vocabulary simplex
+    X = np.vstack([rng.dirichlet(np.full(V, 0.5), size=M), rng.random((M, V)) * 2.0 - 0.5])
+    return TopicPolytope(B), X
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=polytopes_and_rows())
+def test_projection_certified_on_random_and_degenerate_polytopes(case):
+    poly, X = case
+    B = poly.vertices
+    thetas, sq = project_rows(X, poly)
+    assert (thetas >= 0).all()
+    assert np.allclose(thetas.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    # word-space certificate recomputed here: max_k (b_k - p) . (x - p)
+    P = thetas @ B
+    gaps = ((B[None, :, :] - P[:, None, :]) * (X - P)[:, None, :]).sum(axis=2).max(axis=1)
+    scale = np.maximum(1.0, ((B[None, :, :] - X[:, None, :]) ** 2).sum(axis=2).max(axis=1))
+    assert (gaps <= 10 * 1e-10 * scale).all()
+    for m, x in enumerate(X):
+        # project_point is the same body on one row; against a row of the
+        # batch it agrees to rounding only, since BLAS takes a different
+        # kernel for a single row (and a duplicated vertex may swap weight)
+        r = project_point(x, poly)
+        theta1, sq1 = project_rows(x[None, :], poly)
+        assert np.array_equal(r.theta, theta1[0]) and r.sq_distance == sq1[0]
+        assert np.isclose(r.sq_distance, sq[m], rtol=0.0, atol=1e-10)
+        assert np.allclose(r.point, P[m], rtol=0.0, atol=1e-7)
+
+
+_uci_ints = st.one_of(st.integers(-2, 6), st.integers(-2, 10**22))
+_uci_lines = st.one_of(
+    st.lists(_uci_ints, min_size=3, max_size=3).map(lambda v: " ".join(map(str, v))),
+    _uci_ints.map(str),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def uci_texts(draw):
+    """A valid UCI file with up to three lines replaced by arbitrary ones."""
+    D, W = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(1, D), st.integers(1, W), st.integers(1, 9))
+    triples = draw(st.lists(cell, max_size=6))
+    lines = [str(D), str(W), str(len(triples))] + [f"{d} {w} {c}" for d, w, c in triples]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = [draw(_uci_lines)]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=uci_texts())
+def test_uci_parser_loads_or_raises_value_error(text):
+    # CorpusError is a ValueError, and cli.main maps both to exit 1; anything
+    # else (MemoryError, IndexError, OverflowError) fails here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            corpus = load_uci_bag_of_words(io.StringIO(text))
+        except ValueError:
+            return
+    assert corpus.M >= 1 and (corpus.lengths >= 1).all()
