@@ -24,7 +24,7 @@ from .geometry import (
     project_point,
     project_rows,
 )
-from .gdm import GdmConfig, GdmModel, default_extensions, extend_and_threshold, fit_gdm, fit_ngdm, tune_extensions
+from .gdm import GdmConfig, GdmModel, default_extensions, extend_and_threshold, fit_gdm, fit_ngdm
 from .metrics import (
     PerplexityReport,
     check_likelihood_bounds,

@@ -294,7 +294,7 @@ def main(argv=None) -> int:
             return _cmd_lambda_sweep(args, argv)
         if args.command == "rerun":
             return _cmd_rerun(args, argv)
-    except (CorpusError, ValueError, OSError, KeyError, RuntimeError) as exc:
+    except (CorpusError, ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

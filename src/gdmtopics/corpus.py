@@ -42,15 +42,20 @@ class Corpus:
     """
 
     def __init__(self, counts, vocab=None):
-        counts = sp.csr_matrix(counts, dtype=np.int64)
-        counts.sum_duplicates()
+        # COO keeps duplicate entries apart until the document totals are checked
+        counts = sp.coo_matrix(counts, dtype=np.int64)
         counts.eliminate_zeros()
-        counts.sort_indices()
         if counts.nnz and counts.data.min() < 1:
             raise CorpusValidationError("word counts must be positive")
-        lengths = np.asarray(counts.sum(axis=1)).ravel().astype(np.int64)
         if counts.shape[0] == 0:
             raise CorpusValidationError("corpus has no documents")
+        # int64 sums wrap silently, so totals near the limit are redone in Python ints
+        approx = np.bincount(counts.row, weights=counts.data, minlength=counts.shape[0])
+        for m in np.flatnonzero(approx >= 2.0**62):
+            if sum(counts.data[counts.row == m].tolist()) > _INT64_MAX:
+                raise CorpusValidationError(f"document {m} has more than {_INT64_MAX} tokens")
+        counts = counts.tocsr()  # sums duplicates; indices come out sorted
+        lengths = np.asarray(counts.sum(axis=1)).ravel().astype(np.int64)
         if (lengths < 1).any():
             bad = int(np.flatnonzero(lengths < 1)[0])
             raise CorpusValidationError(f"document {bad} has zero total count")
@@ -214,7 +219,7 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     # rows are the documents that appear, in index order; every count is >= 1
     docs, words, vals = (np.frombuffer(a, dtype=np.int64) for a in (docs, words, vals))
     present, rows = np.unique(docs, return_inverse=True)
-    counts = sp.coo_matrix((vals, (rows, words)), shape=(present.size, W), dtype=np.int64).tocsr()
+    counts = sp.coo_matrix((vals, (rows, words)), shape=(present.size, W), dtype=np.int64)
     dropped = D - present.size
     if dropped:
         warnings.warn(f"dropped {dropped} empty document(s) out of {D}", stacklevel=2)

@@ -10,7 +10,7 @@ extended vertex leaves the vocabulary simplex.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -51,14 +51,13 @@ class GdmConfig:
 
 @dataclass(frozen=True)
 class GdmModel:
+    """A fitted topic polytope: exactly what a model file stores."""
+
     polytope: TopicPolytope
-    center: np.ndarray
-    centroids: np.ndarray
     extensions: np.ndarray
     radii: np.ndarray
     objective: float
     config: GdmConfig
-    assignments: np.ndarray
 
     @property
     def K(self) -> int:
@@ -127,16 +126,13 @@ def _cluster_radii(data: NormalizedCorpus, center, assignments, k) -> np.ndarray
     return radii
 
 
-def _penalty(config: GdmConfig, k: int) -> float:
-    return 0.0 if config.lam is None else config.lam * k
-
-
 def _fit(data: NormalizedCorpus, config: GdmConfig, cluster) -> GdmModel:
-    """Cluster in canonical order, then extend each centroid to its covering radius.
+    """Cluster in canonical order, extend each centroid to its covering radius, then tune.
 
     ``cluster(ordered_data, rng)`` returns the ClusteringResult of the
-    reordered documents. The reported objective is G plus the nGDM penalty
-    lam * K' (zero for GDM).
+    reordered documents. The data center, centroids and assignments are
+    working state of this fit and are not kept on the model. The reported
+    objective is G plus the nGDM penalty lam * K' (zero for GDM).
     """
     order = _canonical_order(data)
     ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
@@ -147,28 +143,30 @@ def _fit(data: NormalizedCorpus, config: GdmConfig, cluster) -> GdmModel:
     center = _data_center(data, config.weighted_center)
     radii = _cluster_radii(data, center, assignments, k)
     if k == 1:
-        # a single topic minimizing G is the weighted mean itself
+        # a single topic minimizing G is the weighted mean, whatever the center
         extensions = np.ones(1)
-        vertices = center[None, :]
+        vertices = _data_center(data, True)[None, :]
     else:
         extensions = default_extensions(center, clustering.centroids, radii)
         vertices = np.stack(
             [extend_and_threshold(center, c, m) for c, m in zip(clustering.centroids, extensions)]
         )
     polytope = TopicPolytope(vertices / vertices.sum(axis=1, keepdims=True))
-    model = GdmModel(
+    objective = geometric_objective(data, polytope)
+    if config.tune and k > 1:
+        tuned, tuned_extensions, tuned_objective = tune_extensions(
+            data, center, clustering.centroids, assignments, polytope, extensions
+        )
+        # keep the default extensions if the line searches somehow made G worse
+        if tuned_objective <= objective + 1e-9:
+            polytope, extensions, objective = tuned, tuned_extensions, tuned_objective
+    return GdmModel(
         polytope=polytope,
-        center=center,
-        centroids=clustering.centroids,
         extensions=extensions,
         radii=radii,
-        objective=geometric_objective(data, polytope) + _penalty(config, k),
+        objective=objective + (0.0 if config.lam is None else config.lam * k),
         config=config,
-        assignments=assignments,
     )
-    if config.tune:
-        model = tune_extensions(model, data)
-    return model
 
 
 def fit_gdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
@@ -196,36 +194,27 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     )
 
 
-def tune_extensions(model: GdmModel, data: NormalizedCorpus) -> GdmModel:
+def tune_extensions(
+    data: NormalizedCorpus, center, centroids, assignments, polytope: TopicPolytope, extensions
+):
     """Line-search each extension scalar over [1, default m_k].
 
     Clusters are visited in ascending index order; cluster k's per-cluster
     geometric objective is minimized by bounded scalar search while the other
-    topics stay at their current vertices. If the joint objective somehow
-    ends up worse than the input model's, the input model is returned.
-    Needs the fit's per-document assignments, which a loaded model lacks.
+    topics stay at their current vertices. Returns the tuned polytope, its
+    extensions and its objective G over all of ``data``.
     """
-    if model.assignments.shape != (data.M,):
-        raise ValueError(
-            "tuning needs the fit's assignment of every document; refit with tune=True"
-        )
-    k_total = model.K
-    if k_total == 1:
-        return model
-    vertices = model.polytope.vertices.copy()
-    extensions = model.extensions.copy()
-    for k in range(k_total):
-        members = np.flatnonzero(model.assignments == k)
+    vertices = polytope.vertices.copy()
+    extensions = extensions.copy()
+    for k in range(polytope.K):
+        members = np.flatnonzero(assignments == k)
         if members.size == 0:
             continue
-        sub = NormalizedCorpus(
-            rows=data.rows[members],
-            weights=data.weights[members],
-        )
+        sub = NormalizedCorpus(rows=data.rows[members], weights=data.weights[members])
 
         def g_k(m, _k=k, _sub=sub):
             cand = vertices.copy()
-            v = extend_and_threshold(model.center, model.centroids[_k], m)
+            v = extend_and_threshold(center, centroids[_k], m)
             cand[_k] = v / v.sum()
             return geometric_objective(_sub, TopicPolytope(cand))
 
@@ -234,28 +223,17 @@ def tune_extensions(model: GdmModel, data: NormalizedCorpus) -> GdmModel:
             continue
         res = minimize_scalar(g_k, bounds=(1.0, hi), method="bounded", options={"xatol": 1e-4})
         candidates = [(g_k(hi), hi), (float(res.fun), float(res.x)), (g_k(1.0), 1.0)]
-        best_val, best_m = min(candidates, key=lambda t: t[0])
+        best_m = min(candidates, key=lambda t: t[0])[1]
         extensions[k] = best_m
-        v = extend_and_threshold(model.center, model.centroids[k], best_m)
+        v = extend_and_threshold(center, centroids[k], best_m)
         vertices[k] = v / v.sum()
-    tuned_polytope = TopicPolytope(vertices)
-    tuned_obj = geometric_objective(data, tuned_polytope)
-    penalty = _penalty(model.config, k_total)
-    if tuned_obj > model.objective - penalty + 1e-9:
-        return model
-    return replace(
-        model,
-        polytope=tuned_polytope,
-        extensions=extensions,
-        objective=tuned_obj + penalty,
-    )
+    tuned = TopicPolytope(vertices)
+    return tuned, extensions, geometric_objective(data, tuned)
 
 
 def model_to_dict(model: GdmModel) -> dict:
     return {
         "beta": model.polytope.vertices.tolist(),
-        "center": model.center.tolist(),
-        "centroids": model.centroids.tolist(),
         "extensions": model.extensions.tolist(),
         "radii": model.radii.tolist(),
         "objective": model.objective,
@@ -270,7 +248,7 @@ def save_model(model: GdmModel, path) -> None:
 
 
 def load_model(path) -> GdmModel:
-    """Read a model file; its assignments are not stored, so it cannot be tuned."""
+    """Read a model file; keys of older files that are not GdmModel fields are ignored."""
     with open(path, "r", encoding="utf-8") as f:
         d = json.load(f)
     try:
@@ -280,11 +258,8 @@ def load_model(path) -> GdmModel:
     beta = np.asarray(d["beta"], dtype=np.float64)
     return GdmModel(
         polytope=TopicPolytope(beta),
-        center=np.asarray(d["center"]),
-        centroids=np.asarray(d["centroids"]),
         extensions=np.asarray(d["extensions"]),
         radii=np.asarray(d["radii"]),
         objective=float(d["objective"]),
         config=config,
-        assignments=np.zeros(0, dtype=np.int64),
     )

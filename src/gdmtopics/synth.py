@@ -26,9 +26,8 @@ _DOC_STREAM = 3
 class LdaParams:
     """Hyperparameters of the symmetric-Dirichlet LDA generator.
 
-    ``doc_lengths`` is either a single int (constant length), a tuple
-    ``(lo, hi)`` for i.i.d. uniform integer lengths, or a sequence of M
-    per-document lengths.
+    ``doc_lengths`` is either a single int (constant length) or a tuple
+    ``(lo, hi)`` for i.i.d. uniform integer lengths.
     """
 
     K: int
@@ -54,22 +53,17 @@ class LdaParams:
         if isinstance(lengths, tuple):
             if len(lengths) != 2 or lengths[0] < 1 or lengths[1] < lengths[0]:
                 raise ValueError(f"invalid length range {lengths}")
-        elif np.isscalar(lengths):
-            if int(lengths) < 1:
-                raise ValueError("document length must be >= 1")
-        else:
-            arr = np.asarray(lengths, dtype=np.int64)
-            if arr.shape != (self.M,) or (arr < 1).any():
-                raise ValueError("per-document lengths must be M positive integers")
+        elif not np.isscalar(lengths):
+            raise ValueError("doc_lengths must be an int or a (lo, hi) pair")
+        elif int(lengths) < 1:
+            raise ValueError("document length must be >= 1")
 
     def resolve_lengths(self) -> np.ndarray:
         if isinstance(self.doc_lengths, tuple):
             lo, hi = self.doc_lengths
             rng = np.random.default_rng([self.seed, _LENGTH_STREAM])
             return rng.integers(lo, hi + 1, size=self.M, dtype=np.int64)
-        if np.isscalar(self.doc_lengths):
-            return np.full(self.M, int(self.doc_lengths), dtype=np.int64)
-        return np.asarray(self.doc_lengths, dtype=np.int64)
+        return np.full(self.M, int(self.doc_lengths), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,36 +106,17 @@ def _sample_stochastic_matrix(n_rows, dim, concentration, rng):
     return np.stack([sample_dirichlet(dim, concentration, rng) for _ in range(n_rows)])
 
 
-def generate_corpus(params: LdaParams, beta=None, theta=None):
+def generate_corpus(params: LdaParams):
     """Draw a corpus and its ground truth from the LDA model.
-
-    ``beta`` and ``theta`` are test-only injection hooks: passing a
-    row-stochastic matrix fixes that factor instead of sampling it, so the
-    mixing arithmetic can be exercised deterministically.
 
     Returns (Corpus, GroundTruth).
     """
-    if beta is None:
-        beta = _sample_stochastic_matrix(
-            params.K, params.V, params.eta, np.random.default_rng([params.seed, _BETA_STREAM])
-        )
-    else:
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != (params.K, params.V):
-            raise ValueError(f"injected beta must be {params.K}x{params.V}")
-        if not np.allclose(beta.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("injected beta rows must sum to 1")
-    if theta is None:
-        theta = _sample_stochastic_matrix(
-            params.M, params.K, params.alpha, np.random.default_rng([params.seed, _THETA_STREAM])
-        )
-    else:
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (params.M, params.K):
-            raise ValueError(f"injected theta must be {params.M}x{params.K}")
-        if not np.allclose(theta.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("injected theta rows must sum to 1")
-
+    beta = _sample_stochastic_matrix(
+        params.K, params.V, params.eta, np.random.default_rng([params.seed, _BETA_STREAM])
+    )
+    theta = _sample_stochastic_matrix(
+        params.M, params.K, params.alpha, np.random.default_rng([params.seed, _THETA_STREAM])
+    )
     p = theta @ beta
     lengths = params.resolve_lengths()
     counts = np.empty((params.M, params.V), dtype=np.int64)

@@ -151,6 +151,22 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: row " in err and "projection certificate gap" in err
 
 
+def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):
+    # a header may declare a vocabulary whose dense copy cannot be allocated;
+    # normalize is replaced so that no such allocation is attempted here
+    corpus = tmp_path / "huge"
+    corpus.mkdir()
+    (corpus / "docword.txt").write_text("2\n1000000000000\n2\n1 1 2\n2 5 3\n")
+
+    def out_of_memory(corpus):
+        raise MemoryError(f"Unable to allocate a {corpus.M} x {corpus.V} array")
+
+    monkeypatch.setattr("gdmtopics.cli.normalize", out_of_memory)
+    args = ["fit", "--algo", "gdm", "--K", "1", "--in", str(corpus), "--out", str(tmp_path / "m.json")]
+    assert main(args) == 1
+    assert "error: Unable to allocate a 2 x 1000000000000 array" in capsys.readouterr().err
+
+
 def test_eval_rejects_old_config_key(tmp_path, capsys):
     # model files written before the config was stored by field name used "lambda"
     heldout = _simulate(tmp_path, name="held", V=6, K=2, seed=7)
@@ -168,16 +184,13 @@ def test_eval_rejects_old_config_key(tmp_path, capsys):
 
 def _write_model(path, vertices):
     vertices = np.asarray(vertices, dtype=np.float64)
-    K, V = vertices.shape
+    K = vertices.shape[0]
     model = GdmModel(
         polytope=TopicPolytope(vertices),
-        center=np.full(V, 1.0 / V),
-        centroids=vertices.copy(),
         extensions=np.ones(K),
         radii=np.zeros(K),
         objective=0.0,
         config=GdmConfig(K=K),
-        assignments=np.zeros(0, dtype=np.int64),
     )
     save_model(model, path)
 

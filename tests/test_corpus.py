@@ -54,6 +54,21 @@ def test_load_header_sizes_no_allocation():
     assert c.dense().tolist() == [[2, 0, 0, 0]]
 
 
+def test_token_totals_past_int64_rejected():
+    # each total is 5 * 2**62; int64 sums would wrap it silently to 2**62
+    big = 2**62
+    distinct = "1\n5\n5\n" + "".join(f"1 {w} {big}\n" for w in range(1, 6))
+    duplicates = "1\n5\n5\n" + f"1 1 {big}\n" * 5
+    for text in (distinct, duplicates):
+        with pytest.raises(CorpusValidationError, match="document 0 has more than"):
+            load_uci_bag_of_words(io.StringIO(text))
+    with pytest.raises(CorpusValidationError, match="document 1 has more than"):
+        Corpus(np.array([[1] * 5, [big] * 5]))
+    # the largest representable total still loads exactly
+    c = Corpus(np.array([[1, 2], [2**63 - 4, 3]]))
+    assert c.lengths.tolist() == [3, 2**63 - 1]
+
+
 def test_load_malformed_triple_reports_line():
     with pytest.raises(CorpusParseError, match="line 4"):
         load_uci_bag_of_words(io.StringIO("2\n3\n2\nnot a triple\n2 2 4\n"))

@@ -1,17 +1,21 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from gdmtopics import gdm
 from gdmtopics.corpus import NormalizedCorpus, normalize
 from gdmtopics.gdm import (
     DegenerateClusterError,
     GdmConfig,
+    GdmModel,
     default_extensions,
     extend_and_threshold,
     fit_gdm,
     fit_ngdm,
     load_model,
     save_model,
-    tune_extensions,
 )
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.synth import LdaParams, generate_corpus
@@ -75,12 +79,19 @@ def test_fit_recovers_point_clusters_exactly():
     assert np.allclose(model.extensions, 1.0)
 
 
-def test_fit_single_topic_is_weighted_mean():
+@pytest.mark.parametrize("weighted_center", [True, False])
+def test_fit_single_topic_is_weighted_mean(weighted_center):
     data = _data([[1.0, 0.0], [0.0, 1.0]], weights=[3.0, 1.0])
-    model = fit_gdm(data, GdmConfig(K=1))
-    assert np.allclose(model.polytope.vertices[0], [0.75, 0.25])
-    assert np.allclose(model.extensions, 1.0)
-    assert np.isclose(model.objective, geometric_objective(data, model.polytope))
+    fits = [
+        (fit_gdm(data, GdmConfig(K=1, weighted_center=weighted_center)), 0.0),
+        (fit_ngdm(data, GdmConfig(lam=1e6, weighted_center=weighted_center)), 1e6),
+    ]
+    for model, penalty in fits:
+        assert model.K == 1
+        assert np.allclose(model.polytope.vertices[0], [0.75, 0.25])
+        assert np.allclose(model.extensions, 1.0)
+        assert np.isclose(geometric_objective(data, model.polytope), 1.5)
+        assert np.isclose(model.objective, 1.5 + penalty)
 
 
 def test_fit_deterministic():
@@ -89,7 +100,8 @@ def test_fit_deterministic():
     m2 = fit_gdm(data, GdmConfig(K=3, seed=11))
     assert np.array_equal(m1.polytope.vertices, m2.polytope.vertices)
     assert m1.objective == m2.objective
-    assert np.array_equal(m1.assignments, m2.assignments)
+    assert np.array_equal(m1.extensions, m2.extensions)
+    assert np.array_equal(m1.radii, m2.radii)
 
 
 def test_fit_invariant_to_document_order():
@@ -150,7 +162,7 @@ def test_tuned_never_worse():
         assert (tuned.extensions >= 1.0 - 1e-12).all()
 
 
-def test_tuning_shrinks_extension_for_outlier_cluster():
+def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     # an outlier far off the extension ray inflates the covering radius, so
     # the default extension pivots the hull away from the cluster mass and
     # the line search must pull the vertex back in
@@ -161,23 +173,36 @@ def test_tuning_shrinks_extension_for_outlier_cluster():
     )
     data = _data(rows)
     base = fit_gdm(data, GdmConfig(K=2, seed=0))
-    tuned = tune_extensions(base, data)
+
+    # the fit hands its center, centroids and assignments to the line search
+    calls = []
+    real_tune = gdm.tune_extensions
+
+    def spy(*args):
+        calls.append(args)
+        return real_tune(*args)
+
+    monkeypatch.setattr(gdm, "tune_extensions", spy)
+    tuned = fit_gdm(data, GdmConfig(K=2, seed=0, tune=True))
     assert tuned.objective < base.objective - 1e-4
     shrunk = base.extensions - tuned.extensions
     assert shrunk.max() > 0.5
+    (_, center, centroids, assignments, polytope, extensions), = calls
+    assert np.array_equal(polytope.vertices, base.polytope.vertices)
+    assert np.array_equal(extensions, base.extensions)
 
     # dense-grid oracle over each extension scalar, replayed in the same
     # sequential order the line search uses
     vertices = base.polytope.vertices.copy()
     for k in range(2):
-        members = base.assignments == k
+        members = assignments == k
         hi = float(base.extensions[k])
         if hi <= 1.0 + 1e-12:
             continue
         other = np.delete(vertices, k, axis=0)
         val, m = grid_tune_extension(
-            base.center,
-            base.centroids[k],
+            center,
+            centroids[k],
             other,
             data.rows[members],
             data.weights[members],
@@ -185,7 +210,7 @@ def test_tuning_shrinks_extension_for_outlier_cluster():
             n=4000,
         )
         assert abs(tuned.extensions[k] - m) < 2e-3
-        v = extend_and_threshold(base.center, base.centroids[k], tuned.extensions[k])
+        v = extend_and_threshold(center, centroids[k], tuned.extensions[k])
         vertices[k] = v / v.sum()
 
 
@@ -226,18 +251,45 @@ def test_ngdm_order_invariant():
     )
 
 
+def _assert_same_model(loaded, model):
+    assert np.array_equal(loaded.polytope.vertices, model.polytope.vertices)
+    assert np.array_equal(loaded.extensions, model.extensions)
+    assert np.array_equal(loaded.radii, model.radii)
+    assert loaded.objective == model.objective
+    assert loaded.config == model.config
+
+
 def test_model_roundtrip(tmp_path):
-    data = _lda_data(13)
-    model = fit_gdm(data, GdmConfig(K=3, seed=4, tune=True))
+    fits = [
+        fit_gdm(_lda_data(13), GdmConfig(K=3, seed=4, tune=True)),
+        fit_ngdm(_lda_data(17), GdmConfig(lam=0.4, seed=6)),
+    ]
+    assert [f.name for f in dataclasses.fields(GdmModel)] == [
+        "polytope",
+        "extensions",
+        "radii",
+        "objective",
+        "config",
+    ]
+    for model in fits:
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        _assert_same_model(load_model(path), model)
+
+
+def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
+    # older files also stored the data center and the cluster centroids
+    model = fit_gdm(_lda_data(19), GdmConfig(K=3, seed=1))
     path = tmp_path / "model.json"
     save_model(model, path)
-    loaded = load_model(path)
-    assert np.allclose(loaded.polytope.vertices, model.polytope.vertices, atol=1e-15)
-    assert np.allclose(loaded.center, model.center)
-    assert np.allclose(loaded.extensions, model.extensions)
-    assert np.allclose(loaded.radii, model.radii)
-    assert np.isclose(loaded.objective, model.objective)
-    assert loaded.config == model.config
+    with open(path) as f:
+        d = json.load(f)
+    assert sorted(d) == ["beta", "config", "extensions", "objective", "radii"]
+    d["center"] = [0.125] * 8
+    d["centroids"] = d["beta"]
+    with open(path, "w") as f:
+        json.dump(d, f)
+    _assert_same_model(load_model(path), model)
 
 
 def test_ngdm_model_roundtrip(tmp_path):
@@ -249,12 +301,3 @@ def test_ngdm_model_roundtrip(tmp_path):
     assert loaded.config.lam == 0.4
     assert loaded.K == model.K
     assert np.allclose(loaded.polytope.vertices, model.polytope.vertices, atol=1e-15)
-
-
-def test_tuning_a_loaded_model_raises(tmp_path):
-    # a model file carries no assignments, so tuning it cannot see the clusters
-    data = _lda_data(19)
-    path = tmp_path / "model.json"
-    save_model(fit_gdm(data, GdmConfig(K=3, seed=1)), path)
-    with pytest.raises(ValueError, match="assignment"):
-        tune_extensions(load_model(path), data)

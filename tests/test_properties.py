@@ -38,13 +38,10 @@ def test_model_file_roundtrips_config(config):
     vertices = np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]])
     model = GdmModel(
         polytope=TopicPolytope(vertices),
-        center=vertices.mean(axis=0),
-        centroids=vertices.copy(),
         extensions=np.ones(2),
         radii=np.zeros(2),
         objective=0.0,
         config=config,
-        assignments=np.zeros(0, dtype=np.int64),
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")

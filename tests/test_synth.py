@@ -48,16 +48,6 @@ def test_dirichlet_tiny_concentration_no_underflow():
         assert np.isfinite(x).all()
 
 
-def test_generate_mixing_arithmetic_with_injection():
-    K, V, M = 2, 4, 3
-    beta = np.zeros((K, V))
-    beta[0, 0] = beta[1, 1] = 1.0
-    theta = np.full((M, K), 0.5)
-    params = LdaParams(K=K, V=V, M=M, doc_lengths=8, alpha=1.0, eta=1.0, seed=0)
-    _, truth = generate_corpus(params, beta=beta, theta=theta)
-    assert np.allclose(truth.p, [[0.5, 0.5, 0, 0]] * M)
-
-
 def test_generate_row_totals_match_lengths():
     params = LdaParams(K=3, V=7, M=25, doc_lengths=(2, 9), alpha=0.5, eta=0.5, seed=4)
     corpus, _ = generate_corpus(params)
@@ -74,6 +64,7 @@ def test_generate_deterministic():
     assert c1 == c2
     assert np.array_equal(t1.beta, t2.beta)
     assert np.array_equal(t1.theta, t2.theta)
+    assert np.array_equal(t1.p, t1.theta @ t1.beta)
 
 
 def test_generate_law_of_large_numbers():
