@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gdmtopics import synth
 from gdmtopics.corpus import normalize
 from gdmtopics.geometry import TopicPolytope, project_point
 from gdmtopics.synth import LdaParams, generate_corpus, sample_dirichlet
@@ -46,6 +47,22 @@ def test_dirichlet_tiny_concentration_no_underflow():
         x = sample_dirichlet(4, 0.001, rng)
         assert abs(x.sum() - 1.0) < 1e-12
         assert np.isfinite(x).all()
+
+
+def test_generate_mixing_arithmetic_with_injection(monkeypatch):
+    # inject known beta and theta through the sampler and check p = theta . beta
+    K, V, M = 2, 4, 3
+    beta = np.zeros((K, V))
+    beta[0, 0] = beta[1, 1] = 1.0
+    theta = np.full((M, K), 0.5)
+    monkeypatch.setattr(
+        synth, "_sample_stochastic_matrix",
+        lambda n_rows, dim, concentration, rng: beta if n_rows == K else theta,
+    )
+    params = LdaParams(K=K, V=V, M=M, doc_lengths=8, alpha=1.0, eta=1.0, seed=0)
+    corpus, truth = generate_corpus(params)
+    assert np.allclose(truth.p, [[0.5, 0.5, 0, 0]] * M)
+    assert corpus.dense()[:, 2:].sum() == 0
 
 
 def test_generate_row_totals_match_lengths():
