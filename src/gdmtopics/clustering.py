@@ -52,8 +52,14 @@ def _weighted_means(rows, weights, assignments, k):
     return acc / wsum[:, None]
 
 
-def _n_distinct_rows(rows):
-    return np.unique(rows, axis=0).shape[0]
+def _has_distinct_rows(rows, k):
+    """Whether ``rows`` holds at least ``k`` distinct rows; stops at the k-th."""
+    seen = set()
+    for row in rows:
+        seen.add((row + 0.0).tobytes())  # -0.0 and 0.0 are one value, as in np.unique
+        if len(seen) >= k:
+            return True
+    return False
 
 
 def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,7 +73,7 @@ def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> n
     rows, weights = data.rows, data.weights
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K > _n_distinct_rows(rows):
+    if not _has_distinct_rows(rows, K):
         raise ValueError(f"K={K} exceeds the number of distinct rows")
     seeds = np.empty((K, rows.shape[1]))
     first = rng.choice(rows.shape[0], p=weights / weights.sum())

@@ -60,6 +60,10 @@ def test_kmeanspp_too_many_clusters():
     data = _data(np.tile([[0.5, 0.5]], (5, 1)))
     with pytest.raises(ValueError, match="distinct"):
         kmeanspp_init(data, 2, np.random.default_rng(0))
+    # rows that differ only in the sign of a zero are one row
+    data = _data([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="distinct"):
+        kmeanspp_init(data, 2, np.random.default_rng(0))
 
 
 def test_kmeans_weighted_mean_single_cluster():

@@ -164,20 +164,45 @@ def test_cluster_objective_additivity():
     "wrong", [lambda t: np.roll(t, 1), lambda t: np.full_like(t, np.nan)], ids=["rolled", "nan"]
 )
 def test_uncertified_row_raises(monkeypatch, wrong):
-    # a solver that returns a wrong (or NaN) theta for one row must not pass silently
+    # a wrong (or NaN) theta for one row must not pass silently: the batched
+    # candidate is wrong on row 1, and so is the exact solve that repairs it
     poly = TopicPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     rows = np.array([[0.6, 0.3, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]])
-    solve = geometry._min_norm_weights
-    calls = []
+    candidate, solve = geometry._candidate, geometry._min_norm_weights
 
-    def wrong_on_second_row(G, scale, max_iter):
-        calls.append(None)
-        theta = solve(G, scale, max_iter)
-        return wrong(theta) if len(calls) % 3 == 2 else theta
+    def wrong_on_second_row(BBt, BX, nearest):
+        theta = candidate(BBt, BX, nearest)
+        theta[1] = wrong(theta[1])
+        return theta
 
-    monkeypatch.setattr(geometry, "_min_norm_weights", wrong_on_second_row)
+    monkeypatch.setattr(geometry, "_candidate", wrong_on_second_row)
+    monkeypatch.setattr(
+        geometry, "_min_norm_weights", lambda G, scale, max_iter: wrong(solve(G, scale, max_iter))
+    )
     with pytest.raises(ProjectionFailure, match="row 1:"):
         project_rows(rows, poly)
     data = NormalizedCorpus(rows=rows, weights=np.ones(3))
     with pytest.raises(ProjectionFailure, match="row 1:"):
         geometric_objective(data, poly)
+
+
+def test_off_simplex_candidate_is_repaired(monkeypatch):
+    # weights (1.5, -0.5, 0) reproduce the off-simplex query exactly, so the
+    # gap is zero; only the simplex condition of the certificate rejects them
+    poly = TopicPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    rows = np.array([[0.6, 0.3, 0.1], [1.5, -0.5, 0.0], [0.2, 0.5, 0.3]])
+    candidate, solve = geometry._candidate, geometry._min_norm_weights
+    off = np.array([1.5, -0.5, 0.0])
+
+    def off_simplex_second_row(BBt, BX, nearest):
+        theta = candidate(BBt, BX, nearest)
+        theta[1] = off
+        return theta
+
+    monkeypatch.setattr(geometry, "_candidate", off_simplex_second_row)
+    thetas, sq = project_rows(rows, poly)
+    assert np.allclose(thetas, [[0.6, 0.3, 0.1], [1.0, 0.0, 0.0], [0.2, 0.5, 0.3]], atol=1e-12)
+    assert np.isclose(sq[1], 0.5, atol=1e-12)
+    monkeypatch.setattr(geometry, "_min_norm_weights", lambda G, scale, max_iter: off.copy())
+    with pytest.raises(ProjectionFailure, match="row 1:"):
+        project_rows(rows, poly)

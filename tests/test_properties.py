@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
 from gdmtopics.gdm import GdmConfig, GdmModel, fit_gdm, fit_ngdm, load_model, save_model
-from gdmtopics.geometry import TopicPolytope, project_point, project_rows
+from gdmtopics.geometry import (
+    _FISTA_MAX_K,
+    TopicPolytope,
+    _min_norm_weights,
+    project_point,
+    project_rows,
+)
 from gdmtopics.synth import LdaParams, generate_corpus
 
 _common = dict(
@@ -89,9 +95,16 @@ def test_gdm_invariant_to_document_order(corpus_seed, perm_seed, K):
 
 @st.composite
 def polytopes_and_rows(draw):
-    """A random polytope, optionally made degenerate, and query rows."""
+    """A random polytope, optionally made degenerate, and query rows.
+
+    K falls on either side of the cutoff where the batched candidate turns
+    from accelerated projected gradient to the nearest vertex; V exceeds K
+    half of the time, so both full-dimensional and flat hulls occur.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
-    K, V, M = draw(st.integers(1, 5)), draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    K = draw(st.one_of(st.integers(1, 5), st.integers(_FISTA_MAX_K - 2, _FISTA_MAX_K + 3)))
+    V = draw(st.integers(2, 8)) + (K if draw(st.booleans()) else 0)
+    M = draw(st.integers(1, 6))
     rng = np.random.default_rng(seed)
     g = rng.gamma(0.5, size=(K, V)) + 1e-12
     B = g / g.sum(axis=1, keepdims=True)
@@ -100,8 +113,14 @@ def polytopes_and_rows(draw):
         B = np.vstack([B, B[-1]])
     elif kind == "midpoint" and K >= 2:
         B = np.vstack([B, 0.5 * (B[0] + B[1])])
-    # queries on and off the vocabulary simplex
-    X = np.vstack([rng.dirichlet(np.full(V, 0.5), size=M), rng.random((M, V)) * 2.0 - 0.5])
+    # queries on and off the vocabulary simplex, and queries at a vertex
+    X = np.vstack(
+        [
+            rng.dirichlet(np.full(V, 0.5), size=M),
+            rng.random((M, V)) * 2.0 - 0.5,
+            B[rng.integers(B.shape[0], size=2)],
+        ]
+    )
     return TopicPolytope(B), X
 
 
@@ -127,6 +146,28 @@ def test_projection_certified_on_random_and_degenerate_polytopes(case):
         assert np.array_equal(r.theta, theta1[0]) and r.sq_distance == sq1[0]
         assert np.isclose(r.sq_distance, sq[m], rtol=0.0, atol=1e-10)
         assert np.allclose(r.point, P[m], rtol=0.0, atol=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=polytopes_and_rows())
+def test_batched_projection_matches_per_row_exact_solve(case):
+    poly, X = case
+    B = poly.vertices
+    K = B.shape[0]
+    thetas, sq = project_rows(X, poly)
+    affine_rank = np.linalg.matrix_rank(B[1:] - B[0], tol=1e-9) if K > 1 else 0
+    for m, x in enumerate(X):
+        # the min-norm-point active set on this row alone is the reference
+        G = (B - x) @ (B - x).T
+        ref = _min_norm_weights(G, max(1.0, float(np.diag(G).max())), max_iter=100 * K)
+        ref_sq = float(np.sum((x - ref @ B) ** 2))
+        assert abs(sq[m] - ref_sq) <= 1e-12
+        if affine_rank == K - 1:  # a simplex: the weights are unique
+            assert np.allclose(thetas[m], ref, rtol=0.0, atol=1e-7)
+        # the returned active set is affinely independent
+        active = np.flatnonzero(thetas[m] > 1e-9)
+        diffs = B[active[1:]] - B[active[0]]
+        assert np.linalg.matrix_rank(diffs, tol=1e-9) == active.size - 1
 
 
 _uci_ints = st.one_of(st.integers(-2, 6), st.integers(-2, 10**22))
