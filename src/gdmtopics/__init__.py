@@ -17,18 +17,6 @@ from .corpus import (
 )
 from .synth import LdaParams, GroundTruth, generate_corpus, sample_dirichlet
 from .clustering import ClusteringResult, fit_dpmeans, fit_kmeans, kmeanspp_init
-from .geometry import (
-    TopicPolytope,
-    ProjectionResult,
-    geometric_objective,
-    project_point,
-    project_rows,
-)
+from .geometry import TopicPolytope, geometric_objective, project_rows
 from .gdm import GdmConfig, GdmModel, default_extensions, extend_and_threshold, fit_gdm, fit_ngdm
-from .metrics import (
-    PerplexityReport,
-    check_likelihood_bounds,
-    infer_theta,
-    min_matching_distance,
-    perplexity,
-)
+from .metrics import PerplexityReport, infer_theta, min_matching_distance, perplexity

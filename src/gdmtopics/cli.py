@@ -20,6 +20,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     load_uci_bag_of_words,
+    load_vocab,
     normalize,
     save_uci_bag_of_words,
 )
@@ -29,11 +30,23 @@ from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
 
 
-def _parse_doc_lengths(text):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (int(lo), int(hi))
-    return int(text)
+def _doc_lengths(text):
+    """``--Nm``: one document length or a 'min:max' range; a bad value is a usage error."""
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return (int(lo), int(hi))
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer or 'min:max', got {text!r}")
+
+
+def _float_list(text):
+    """``--lambdas``: comma-separated numbers; a bad value is a usage error."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _write_manifest(path, command, argv, inputs, outputs, started):
@@ -64,7 +77,7 @@ def _cmd_simulate(args, argv):
         K=args.K,
         V=args.V,
         M=args.M,
-        doc_lengths=_parse_doc_lengths(args.Nm),
+        doc_lengths=args.Nm,
         alpha=args.alpha,
         eta=args.eta,
         seed=args.seed,
@@ -83,7 +96,8 @@ def _cmd_simulate(args, argv):
                     "K": params.K,
                     "V": params.V,
                     "M": params.M,
-                    "Nm": args.Nm,
+                    # as typed: "60" or "200:1800"
+                    "Nm": ":".join(str(n) for n in np.atleast_1d(args.Nm)),
                     "alpha": params.alpha,
                     "eta": params.eta,
                     "seed": params.seed,
@@ -182,10 +196,7 @@ def _cmd_eval(args, argv):
 
 def _cmd_topics(args, argv):
     model = load_model(args.model)
-    with open(args.vocab, "r", encoding="utf-8") as f:
-        vocab = [line.rstrip("\n") for line in f]
-    while vocab and vocab[-1] == "":
-        vocab.pop()
+    vocab = load_vocab(args.vocab)
     if len(vocab) != model.polytope.V:
         print(
             f"error: vocabulary has {len(vocab)} words, model expects {model.polytope.V}",
@@ -205,9 +216,8 @@ def _cmd_lambda_sweep(args, argv):
     started = time.time()
     corpus = _load_corpus_dir(args.inp)
     data = normalize(corpus)
-    lambdas = [float(x) for x in args.lambdas.split(",")]
     rows = ["lambda,seed,n_topics,objective"]
-    for lam in lambdas:
+    for lam in args.lambdas:
         model = fit_ngdm(data, GdmConfig(lam=lam, max_iters=args.max_iters, seed=args.seed))
         rows.append(f"{lam},{args.seed},{model.K},{model.objective:.8g}")
         print(rows[-1])
@@ -235,7 +245,7 @@ def _build_parser():
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--V", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--Nm", required=True, help="document length: int or 'min:max'")
+    p.add_argument("--Nm", type=_doc_lengths, required=True, help="document length: int or 'min:max'")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -266,7 +276,7 @@ def _build_parser():
 
     p = sub.add_parser("lambda-sweep", help="fit ngdm across a lambda grid, emit CSV")
     p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--lambdas", required=True, help="comma-separated lambda values")
+    p.add_argument("--lambdas", type=_float_list, required=True, help="comma-separated lambda values")
     p.add_argument("--max-iters", type=int, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV path")

@@ -168,37 +168,34 @@ def fit_dpmeans(
         rng = np.random.default_rng(0)
     order = rng.permutation(M)
 
-    centroids = [np.average(rows, axis=0, weights=weights)]
+    centroids = np.average(rows, axis=0, weights=weights)[None, :]
     assignments = np.zeros(M, dtype=np.int64)
     prev_pen = np.inf
     for _ in range(max(1, max_iters)):
         changed = False
         for m in order:
-            C = np.asarray(centroids)
-            d2 = _sq_dists(rows[m : m + 1], C).ravel()
+            d2 = _sq_dists(rows[m : m + 1], centroids).ravel()
             cost = weights[m] * d2
             best = int(np.argmin(d2))
             if cost[best] > lam:
-                centroids.append(rows[m].copy())
-                best = len(centroids) - 1
+                centroids = np.vstack([centroids, rows[m]])
+                best = centroids.shape[0] - 1
             if assignments[m] != best:
                 changed = True
             assignments[m] = best
         # recompute weighted means, dropping emptied clusters
-        k = len(centroids)
+        k = centroids.shape[0]
         occupied = np.flatnonzero(np.bincount(assignments, minlength=k) > 0)
         remap = -np.ones(k, dtype=np.int64)
         remap[occupied] = np.arange(occupied.size)
         assignments = remap[assignments]
-        means = _weighted_means(rows, weights, assignments, occupied.size)
-        centroids = [means[j] for j in range(occupied.size)]
-        pen = _weighted_objective(rows, weights, means, assignments) + lam * occupied.size
+        centroids = _weighted_means(rows, weights, assignments, occupied.size)
+        pen = _weighted_objective(rows, weights, centroids, assignments) + lam * occupied.size
         if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
             raise RuntimeError("penalized DP-means objective increased")
         if not changed or prev_pen - pen <= _REL_TOL * max(abs(prev_pen), 1e-300):
             prev_pen = pen
             break
         prev_pen = pen
-    means = np.asarray(centroids)
-    obj = _weighted_objective(rows, weights, means, assignments)
-    return ClusteringResult(centroids=means, assignments=assignments, objective=obj)
+    obj = _weighted_objective(rows, weights, centroids, assignments)
+    return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)

@@ -8,7 +8,6 @@ lines of ``docID wordID count`` with 1-based indices. Indices are converted to
 
 from __future__ import annotations
 
-import io
 import os
 import warnings
 from array import array
@@ -78,9 +77,6 @@ class Corpus:
     def V(self):
         return self.counts.shape[1]
 
-    def dense(self):
-        return np.asarray(self.counts.todense(), dtype=np.int64)
-
     def subset(self, doc_indices):
         """New corpus restricted to the given document rows (vocab shared)."""
         idx = np.asarray(doc_indices, dtype=np.int64)
@@ -139,7 +135,7 @@ class NormalizedCorpus:
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
     """Divide each count row by its document length."""
-    rows = corpus.dense().astype(np.float64) / corpus.lengths[:, None]
+    rows = corpus.counts.toarray() / corpus.lengths[:, None]
     # kill rounding residue so row sums hit 1.0 within 1e-12
     rows /= rows.sum(axis=1, keepdims=True)
     return NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
@@ -151,6 +147,20 @@ def _line_source(stream_or_path):
     if isinstance(stream_or_path, (bytes, bytearray)):
         raise TypeError("expected text stream or path")
     return stream_or_path
+
+
+def load_vocab(stream_or_path) -> list:
+    """Read a vocabulary file, one word per line; trailing blank lines are dropped."""
+    close_me = isinstance(stream_or_path, (str, os.PathLike))
+    f = _line_source(stream_or_path)
+    try:
+        vocab = [line.rstrip("\n") for line in f]
+    finally:
+        if close_me:
+            f.close()
+    while vocab and vocab[-1] == "":
+        vocab.pop()
+    return vocab
 
 
 def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
@@ -226,15 +236,7 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
 
     vocab = None
     if vocab_stream is not None:
-        vclose = isinstance(vocab_stream, (str, os.PathLike))
-        vf = _line_source(vocab_stream)
-        try:
-            vocab = [line.rstrip("\n") for line in vf]
-        finally:
-            if vclose:
-                vf.close()
-        while vocab and vocab[-1] == "":
-            vocab.pop()
+        vocab = load_vocab(vocab_stream)
         if len(vocab) != W:
             raise CorpusValidationError(f"vocabulary has {len(vocab)} words, header declares {W}")
     return Corpus(counts, vocab=vocab)

@@ -118,11 +118,8 @@ def _data_center(data: NormalizedCorpus, weighted: bool) -> np.ndarray:
 
 def _cluster_radii(data: NormalizedCorpus, center, assignments, k) -> np.ndarray:
     d = np.linalg.norm(data.rows - center, axis=1)
-    radii = np.zeros(k)
-    for j in range(k):
-        members = assignments == j
-        if members.any():
-            radii[j] = d[members].max()
+    radii = np.zeros(k)             # an empty cluster keeps radius 0
+    np.maximum.at(radii, assignments, d)
     return radii
 
 

@@ -1,8 +1,10 @@
 """Convex-polytope primitives: projection and the geometric objective.
 
-Projection onto the convex hull of the topic rows works in the K x K Gram
-geometry, so per-row cost is independent of the vocabulary size once the
-cross terms are formed, and runs in three steps over all rows at once:
+``project_rows`` is the one projection onto the convex hull of the topic
+rows; the geometric objective and held-out inference both call it. It works
+in the K x K Gram geometry, so per-row cost is independent of the vocabulary
+size once the cross terms are formed, and runs in three steps over all rows
+at once:
 
 1. candidate: every row gets weights from one vectorized solve. Up to
    ``_FISTA_MAX_K`` vertices that is ``_FISTA_STEPS`` steps of accelerated
@@ -66,20 +68,6 @@ class TopicPolytope:
     @property
     def V(self) -> int:
         return self.vertices.shape[1]
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Euclidean projection of a query onto the polytope.
-
-    ``theta`` holds the convex-combination weights over vertices and
-    ``certificate_gap`` the worst violation of the optimality inequality.
-    """
-
-    point: np.ndarray
-    theta: np.ndarray
-    sq_distance: float
-    certificate_gap: float
 
 
 def _min_norm_weights(G, scale, max_iter):
@@ -204,7 +192,7 @@ def _candidate(BBt, BX, nearest):
 
 
 def _certify(X, B, thetas, scales):
-    """Word-space certificate of every row: (points, squared distances, gaps, pass flags).
+    """Word-space certificate of every row: (squared distances, gaps, pass flags).
 
     A row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` for
     p = theta . B, and theta lies on the simplex: no entry below -1e-12 and
@@ -219,18 +207,24 @@ def _certify(X, B, thetas, scales):
         & (thetas.min(axis=1) >= -1e-12)
         & (np.abs(thetas.sum(axis=1) - 1.0) <= 1e-9)
     )
-    return points, sq, gaps, ok
+    return sq, gaps, ok
 
 
-def _project(X, B):
-    """Project the rows of X onto conv(rows of B) and certify every row.
+def project_rows(rows, polytope: TopicPolytope):
+    """Project the rows onto the convex hull of the topic rows, certifying every row.
 
-    Every row gets a vectorized candidate, the certificate runs once over all
-    rows, and only the rows it rejects are solved again by the min-norm-point
-    active set and re-certified. Returns (thetas, points, squared distances,
-    certificate gaps). Raises ProjectionFailure naming the first repaired row
-    that still fails, with scale = max(1, max_k ||b_k - x||^2) in the bound.
+    Returns (theta matrix, squared distances). Every row gets a vectorized
+    candidate in the K x K Gram geometry, the word-space certificate runs
+    once over all rows, and only the rows it rejects are solved again, one
+    by one, by the min-norm-point active set and certified again. Raises
+    ValueError unless ``rows`` is an M x V matrix, and ProjectionFailure
+    naming the first repaired row that still fails (a non-finite row
+    among them), with scale = max(1, max_k ||b_k - x||^2) in the bound.
     """
+    X = np.asarray(rows, dtype=np.float64)
+    B = polytope.vertices
+    if X.ndim != 2 or X.shape[1] != polytope.V:
+        raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}")
     K = B.shape[0]
     BBt = B @ B.T
     BX = X @ B.T                      # (M, K) cross terms
@@ -240,15 +234,15 @@ def _project(X, B):
     nearest = np.argmin(d2, axis=1)
     del d2  # freed before theta is allocated, to keep the peak down at large K
     thetas = _candidate(BBt, BX, nearest)
-    points, sq, gaps, ok = _certify(X, B, thetas, scales)
+    sq, _, ok = _certify(X, B, thetas, scales)
     rejected = np.flatnonzero(~ok)
     if rejected.size == 0:
-        return thetas, points, sq, gaps
+        return thetas, sq
     for m in rejected:
         G = BBt - BX[m][:, None] - BX[m][None, :] + xx[m]
         thetas[m] = _min_norm_weights(G, scales[m], max_iter=100 * K)
-    p, s, g, ok = _certify(X[rejected], B, thetas[rejected], scales[rejected])
-    points[rejected], sq[rejected], gaps[rejected] = p, s, g
+    s, g, ok = _certify(X[rejected], B, thetas[rejected], scales[rejected])
+    sq[rejected] = s
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         m, bound = int(rejected[i]), 10.0 * _TOL * scales[rejected[i]]
@@ -258,31 +252,6 @@ def _project(X, B):
             )
         lo, total = thetas[m].min(), thetas[m].sum()
         raise ProjectionFailure(f"row {m}: weights leave the simplex (min {lo:.3e}, sum {total:.17g})")
-    return thetas, points, sq, gaps
-
-
-def project_point(query, polytope: TopicPolytope) -> ProjectionResult:
-    """Euclidean projection of ``query`` onto the convex hull of the topic rows."""
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (polytope.V,):
-        raise ValueError(f"query must have length {polytope.V}")
-    if not np.isfinite(q).all():
-        raise ValueError("query contains non-finite entries")
-    thetas, points, sq, gaps = _project(q[None, :], polytope.vertices)
-    return ProjectionResult(
-        point=points[0], theta=thetas[0], sq_distance=float(sq[0]), certificate_gap=float(gaps[0])
-    )
-
-
-def project_rows(rows, polytope: TopicPolytope):
-    """Project many rows at once; returns (theta matrix, squared distances).
-
-    All rows share one vectorized candidate solve in the K x K Gram geometry
-    and one word-space certificate pass; only the rows it rejects are solved
-    again, one by one, by the exact active set. A row that still fails
-    raises ProjectionFailure.
-    """
-    thetas, _, sq, _ = _project(np.asarray(rows, dtype=np.float64), polytope.vertices)
     return thetas, sq
 
 

@@ -3,16 +3,38 @@
 These deliberately avoid the library's own solution paths: the projection
 oracle is a coarse-to-fine grid search over barycentric weights, relying only
 on convexity of the squared distance in theta, and the k-means oracle
-enumerates every assignment instead of running Lloyd iterations.
+enumerates every assignment instead of running Lloyd iterations. The
+single-row projection helper recomputes the point, distance and certificate
+gap from the weights the library returns, and the likelihood-sandwich check
+evaluates both bounds of the LDA log-likelihood for a fixed (theta, beta).
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from gdmtopics.clustering import ClusteringResult, _weighted_means, _weighted_objective
-from gdmtopics.corpus import NormalizedCorpus
+from gdmtopics.corpus import Corpus, NormalizedCorpus
+from gdmtopics.geometry import TopicPolytope, project_rows
+
+
+def project_one(query, polytope: TopicPolytope):
+    """Project one query with ``project_rows``; returns (theta, point, squared
+    distance, gap).
+
+    Only theta comes from the library. The point p = theta . B, the squared
+    distance ||x - p||^2 and the word-space certificate gap
+    max_k (b_k - p) . (x - p) are recomputed here.
+    """
+    x = np.asarray(query, dtype=np.float64)
+    thetas, _ = project_rows(x[None, :], polytope)
+    theta = thetas[0]
+    B = polytope.vertices
+    point = theta @ B
+    r = x - point
+    return theta, point, float(r @ r), float(((B - point) @ r).max())
 
 
 def simplex_grid(K, resolution):
@@ -131,3 +153,58 @@ def spectral_span_check(data: NormalizedCorpus, K: int) -> float:
     mu_span = result.centroids.T
     angles = scipy.linalg.subspace_angles(mu_span, v_top)
     return float(angles.max()) if angles.size else 0.0
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Slacks of the two likelihood sandwich inequalities (>= 0 when they hold)."""
+
+    log_likelihood: float
+    normalized_log_likelihood: float
+    upper_slack: float
+    lower_slack: float
+
+    @property
+    def ok(self) -> bool:
+        return self.upper_slack >= -1e-9 and self.lower_slack >= -1e-9
+
+
+def check_likelihood_bounds(theta, beta, corpus: Corpus) -> BoundReport:
+    """Numerically verify the likelihood sandwich for fixed (theta, beta).
+
+    Requires the mixture to give positive probability to every observed word;
+    violations raise with the offending (document, word) pairs listed.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    beta = np.asarray(beta, dtype=np.float64)
+    counts = corpus.counts.toarray().astype(np.float64)
+    if theta.shape[0] != corpus.M or beta.shape[1] != corpus.V:
+        raise ValueError("dimension mismatch between (theta, beta) and corpus")
+    p = theta @ beta
+    support = counts > 0
+    bad = support & (p <= 0)
+    if bad.any():
+        pairs = list(zip(*np.nonzero(bad)))[:10]
+        raise ValueError(f"mixture gives zero probability at observed words {pairs}")
+
+    lengths = corpus.lengths.astype(np.float64)
+    wbar = counts / lengths[:, None]
+    log_p = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
+    log_w = np.where(support, np.log(np.where(support, wbar, 1.0)), 0.0)
+    L_tb = float(np.sum(counts * log_p))
+    L_w = float(np.sum(counts * log_w))
+
+    diff_sq = np.where(support, (wbar - p) ** 2, 0.0)
+    half_term = 0.5 * float(np.sum(lengths[:, None] * diff_sq))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi_sq = np.where(support, diff_sq / np.where(support, p, 1.0), 0.0)
+    chi_term = float(np.sum(lengths[:, None] * chi_sq))
+
+    upper_slack = (L_w - half_term) - L_tb        # upper bound minus likelihood
+    lower_slack = L_tb - (L_w - chi_term)         # likelihood minus lower bound
+    return BoundReport(
+        log_likelihood=L_tb,
+        normalized_log_likelihood=L_w,
+        upper_slack=upper_slack,
+        lower_slack=lower_slack,
+    )

@@ -107,6 +107,37 @@ def test_fit_usage_errors_exit_2(tmp_path):
         assert exc.value.code == 2
 
 
+def _simulate_argv(out, Nm):
+    return [
+        "simulate", "--K", "2", "--V", "5", "--M", "3", "--Nm", Nm,
+        "--alpha", "0.5", "--eta", "0.5", "--seed", "0", "--out", out,
+    ]
+
+
+def test_malformed_numbers_exit_2(tmp_path, capsys):
+    # argparse rejects them before any file is read or written
+    out = str(tmp_path / "none")
+    for argv, flag in (
+        (_simulate_argv(out, "abc"), "--Nm"),
+        (_simulate_argv(out, "5:"), "--Nm"),
+        (["lambda-sweep", "--in", out, "--lambdas", "2,x"], "--lambdas"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_out_of_range_numbers_exit_1(tmp_path, capsys):
+    # values that parse but that the model rejects are data errors
+    assert main(_simulate_argv(str(tmp_path / "zero"), "0")) == 1
+    assert "document length" in capsys.readouterr().err
+    corpus = _simulate(tmp_path)
+    assert main(["lambda-sweep", "--in", corpus, "--lambdas", "-1"]) == 1
+    assert "must be positive" in capsys.readouterr().err
+
+
 def test_missing_corpus_exits_1(tmp_path, capsys):
     rc = main(
         ["fit", "--algo", "gdm", "--K", "2", "--in", str(tmp_path / "nowhere"),

@@ -8,6 +8,7 @@ from gdmtopics.corpus import (
     CorpusParseError,
     CorpusValidationError,
     load_uci_bag_of_words,
+    load_vocab,
     normalize,
     save_uci_bag_of_words,
     split_holdout,
@@ -19,14 +20,14 @@ UCI_SMALL = "2\n3\n3\n1 1 2\n1 3 1\n2 2 4\n"
 def test_load_small():
     c = load_uci_bag_of_words(io.StringIO(UCI_SMALL))
     assert c.M == 2 and c.V == 3
-    assert c.dense().tolist() == [[2, 0, 1], [0, 4, 0]]
+    assert c.counts.toarray().tolist() == [[2, 0, 1], [0, 4, 0]]
     assert c.lengths.tolist() == [3, 4]
 
 
 def test_load_sums_duplicates():
     text = "2\n3\n4\n1 1 2\n1 3 1\n2 2 4\n2 2 1\n"
     c = load_uci_bag_of_words(io.StringIO(text))
-    assert c.dense().tolist() == [[2, 0, 1], [0, 5, 0]]
+    assert c.counts.toarray().tolist() == [[2, 0, 1], [0, 5, 0]]
 
 
 def test_load_word_index_out_of_range():
@@ -51,7 +52,7 @@ def test_load_header_sizes_no_allocation():
         load_uci_bag_of_words(io.StringIO("3\n4\n1000000000000\n1 1 2\n"))
     with pytest.warns(UserWarning, match="dropped 999999999999 empty"):
         c = load_uci_bag_of_words(io.StringIO("1000000000000\n4\n1\n1 1 2\n"))
-    assert c.dense().tolist() == [[2, 0, 0, 0]]
+    assert c.counts.toarray().tolist() == [[2, 0, 0, 0]]
 
 
 def test_token_totals_past_int64_rejected():
@@ -84,7 +85,7 @@ def test_load_drops_empty_documents_with_warning():
     with pytest.warns(UserWarning, match="dropped 1 empty"):
         c = load_uci_bag_of_words(io.StringIO(text))
     assert c.M == 2
-    assert c.dense().tolist() == [[3, 0], [0, 1]]
+    assert c.counts.toarray().tolist() == [[3, 0], [0, 1]]
 
 
 def test_load_vocab_length_checked():
@@ -92,6 +93,10 @@ def test_load_vocab_length_checked():
         load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\nb\n"))
     c = load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\nb\nc\n"))
     assert c.vocab == ["a", "b", "c"]
+    # trailing blank lines are dropped, inner ones are words
+    assert load_vocab(io.StringIO("a\n\nc\n\n\n")) == ["a", "", "c"]
+    c = load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\n\nc\n\n"))
+    assert c.vocab == ["a", "", "c"]
 
 
 def test_roundtrip_uci():
@@ -136,7 +141,7 @@ def test_normalize_integer_recovery():
     c = Corpus(counts)
     n = normalize(c)
     recovered = np.rint(n.rows * n.weights[:, None]).astype(int)
-    assert np.array_equal(recovered, c.dense())
+    assert np.array_equal(recovered, c.counts.toarray())
 
 
 def test_split_partition_and_determinism():
@@ -145,9 +150,9 @@ def test_split_partition_and_determinism():
     train, held = split_holdout(c, 3, seed=7)
     assert train.M == 7 and held.M == 3
     assert train.V == held.V == c.V
-    combined = np.vstack([train.dense(), held.dense()])
+    combined = np.vstack([train.counts.toarray(), held.counts.toarray()])
     # partition: every original row appears exactly once across the two parts
-    orig = c.dense()
+    orig = c.counts.toarray()
     assert sorted(map(tuple, combined)) == sorted(map(tuple, orig))
     train2, held2 = split_holdout(c, 3, seed=7)
     assert train == train2 and held == held2

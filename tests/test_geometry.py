@@ -7,10 +7,9 @@ from gdmtopics.geometry import (
     ProjectionFailure,
     TopicPolytope,
     geometric_objective,
-    project_point,
     project_rows,
 )
-from oracles import grid_project
+from oracles import grid_project, project_one
 
 
 def _random_polytope(rng, K, V):
@@ -20,22 +19,22 @@ def _random_polytope(rng, K, V):
 
 def test_project_vertex_is_fixed_point():
     poly = TopicPolytope(np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
-    r = project_point(poly.vertices[1], poly)
-    assert np.allclose(r.point, poly.vertices[1], atol=1e-12)
-    assert r.sq_distance < 1e-20
-    assert np.allclose(r.theta, [0, 1], atol=1e-9)
+    theta, point, sq, _ = project_one(poly.vertices[1], poly)
+    assert np.allclose(point, poly.vertices[1], atol=1e-12)
+    assert sq < 1e-20
+    assert np.allclose(theta, [0, 1], atol=1e-9)
 
 
 def test_project_onto_segment():
     poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    r = project_point(np.array([0.5, 0.5]), poly)
-    assert np.allclose(r.theta, [0.5, 0.5])
-    assert r.sq_distance < 1e-20
+    theta, _, sq, _ = project_one(np.array([0.5, 0.5]), poly)
+    assert np.allclose(theta, [0.5, 0.5])
+    assert sq < 1e-20
     # off-simplex query lands at the segment midpoint orthogonally
     seg = TopicPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
-    r = project_point(np.array([0.5, 1.0, 0.5]), seg)
-    assert np.allclose(r.point, [0.5, 0.0, 0.5])
-    assert np.isclose(r.sq_distance, 1.0)
+    _, point, sq, _ = project_one(np.array([0.5, 1.0, 0.5]), seg)
+    assert np.allclose(point, [0.5, 0.0, 0.5])
+    assert np.isclose(sq, 1.0)
 
 
 def test_project_matches_grid_oracle():
@@ -43,21 +42,21 @@ def test_project_matches_grid_oracle():
     for _ in range(60):
         poly = _random_polytope(rng, 3, 4)
         q = rng.random(4)
-        r = project_point(q, poly)
+        _, point, sq, gap = project_one(q, poly)
         _, pt, d2 = grid_project(q, poly.vertices, final_step=5e-4)
-        assert np.linalg.norm(r.point - pt) < 2e-3
-        assert r.sq_distance <= d2 + 1e-5
-        assert r.certificate_gap < 1e-8
+        assert np.linalg.norm(point - pt) < 2e-3
+        assert sq <= d2 + 1e-5
+        assert gap < 1e-8
 
 
 def test_projection_idempotent():
     rng = np.random.default_rng(23)
     for _ in range(30):
         poly = _random_polytope(rng, 4, 5)
-        r = project_point(rng.random(5) * 2 - 0.5, poly)
-        r2 = project_point(r.point, poly)
-        assert np.allclose(r2.point, r.point, atol=1e-7)
-        assert r2.sq_distance < 1e-14
+        _, point, _, _ = project_one(rng.random(5) * 2 - 0.5, poly)
+        _, point2, sq2, _ = project_one(point, poly)
+        assert np.allclose(point2, point, atol=1e-7)
+        assert sq2 < 1e-14
 
 
 def test_projection_nonexpansive():
@@ -65,8 +64,8 @@ def test_projection_nonexpansive():
     for _ in range(50):
         poly = _random_polytope(rng, 3, 5)
         a, b = rng.random(5), rng.random(5)
-        ra, rb = project_point(a, poly), project_point(b, poly)
-        assert np.linalg.norm(ra.point - rb.point) <= np.linalg.norm(a - b) + 1e-9
+        pa, pb = project_one(a, poly)[1], project_one(b, poly)[1]
+        assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
 
 
 def test_projection_vertex_permutation():
@@ -75,40 +74,45 @@ def test_projection_vertex_permutation():
     q = rng.random(6)
     perm = np.array([2, 0, 3, 1])
     permuted = TopicPolytope(poly.vertices[perm])
-    r1 = project_point(q, poly)
-    r2 = project_point(q, permuted)
-    assert np.allclose(r1.point, r2.point, atol=1e-8)
-    assert np.isclose(r1.sq_distance, r2.sq_distance, atol=1e-10)
-    assert np.allclose(r1.theta[perm], r2.theta, atol=1e-7)
+    theta1, point1, sq1, _ = project_one(q, poly)
+    theta2, point2, sq2, _ = project_one(q, permuted)
+    assert np.allclose(point1, point2, atol=1e-8)
+    assert np.isclose(sq1, sq2, atol=1e-10)
+    assert np.allclose(theta1[perm], theta2, atol=1e-7)
 
 
 def test_barycentric_midpoint_and_vertex():
     poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    r = project_point(np.array([0.5, 0.5]), poly)
-    assert np.allclose(r.theta, [0.5, 0.5])
-    r = project_point(np.array([0.0, 1.0]), poly)
-    assert np.allclose(r.theta, [0.0, 1.0], atol=1e-9)
+    theta, _, _, _ = project_one(np.array([0.5, 0.5]), poly)
+    assert np.allclose(theta, [0.5, 0.5])
+    theta, _, _, _ = project_one(np.array([0.0, 1.0]), poly)
+    assert np.allclose(theta, [0.0, 1.0], atol=1e-9)
 
 
 def test_barycentric_degenerate_hull_flagged():
     poly = TopicPolytope(np.array([[0.6, 0.4], [0.6, 0.4], [0.0, 1.0]]))
-    r = project_point(np.array([0.4, 0.6]), poly)
+    theta, point, _, _ = project_one(np.array([0.4, 0.6]), poly)
     # projection itself is still unique
-    assert np.allclose(r.point, [0.4, 0.6], atol=1e-9)
+    assert np.allclose(point, [0.4, 0.6], atol=1e-9)
     # the active set stays affinely independent: one of the duplicates only
-    active = np.flatnonzero(r.theta > 1e-9)
+    active = np.flatnonzero(theta > 1e-9)
     diffs = poly.vertices[active[1:]] - poly.vertices[active[0]]
     assert np.linalg.matrix_rank(diffs, tol=1e-9) == active.size - 1
-    assert min(r.theta[0], r.theta[1]) < 1e-12
-    assert np.allclose(r.theta @ poly.vertices, r.point, atol=1e-12)
+    assert min(theta[0], theta[1]) < 1e-12
+    assert np.allclose(theta @ poly.vertices, point, atol=1e-12)
 
 
-def test_project_point_rejects_bad_input():
+def test_project_rows_rejects_bad_input():
     poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        project_point(np.array([np.nan, 0.0]), poly)
-    with pytest.raises(ValueError):
-        project_point(np.array([0.1, 0.2, 0.7]), poly)
+    with pytest.raises(ValueError, match="rows must be an M x V matrix"):
+        project_rows(np.array([[0.1, 0.2, 0.7]]), poly)
+    with pytest.raises(ValueError, match="rows must be an M x V matrix"):
+        project_rows(np.array([0.5, 0.5]), poly)
+    # a non-finite row fails its certificate like any other row
+    for bad in (np.nan, np.inf):
+        rows = np.array([[0.3, 0.7], [bad, 0.0], [0.5, 0.5]])
+        with np.errstate(invalid="ignore"), pytest.raises(ProjectionFailure, match="row 1:"):
+            project_rows(rows, poly)
 
 
 def test_geometric_objective_zero_at_vertices():

@@ -3,14 +3,9 @@ import pytest
 
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.geometry import TopicPolytope
-from gdmtopics.metrics import (
-    check_likelihood_bounds,
-    infer_theta,
-    min_matching_distance,
-    perplexity,
-)
+from gdmtopics.metrics import infer_theta, min_matching_distance, perplexity
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import spectral_span_check
+from oracles import check_likelihood_bounds, spectral_span_check
 
 
 def test_perplexity_uniform_model_equals_vocab_size():
