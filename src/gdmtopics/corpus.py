@@ -41,19 +41,29 @@ class Corpus:
     """
 
     def __init__(self, counts, vocab=None):
-        # COO keeps duplicate entries apart until the document totals are checked
-        counts = sp.coo_matrix(counts, dtype=np.int64)
+        # duplicate entries stay apart until the document totals are checked:
+        # dense and CSR input convert as they are, other sparse input is
+        # ordered by row here
+        if sp.issparse(counts) and counts.format != "csr":
+            coo = counts.tocoo()
+            order = np.argsort(coo.row, kind="stable")
+            indptr = np.searchsorted(coo.row[order], np.arange(coo.shape[0] + 1))
+            counts = sp.csr_matrix((coo.data[order], coo.col[order], indptr), shape=coo.shape)
+        counts = sp.csr_matrix(counts, dtype=np.int64, copy=True)
         counts.eliminate_zeros()
         if counts.nnz and counts.data.min() < 1:
             raise CorpusValidationError("word counts must be positive")
         if counts.shape[0] == 0:
             raise CorpusValidationError("corpus has no documents")
-        # int64 sums wrap silently, so totals near the limit are redone in Python ints
-        approx = np.bincount(counts.row, weights=counts.data, minlength=counts.shape[0])
-        for m in np.flatnonzero(approx >= 2.0**62):
-            if sum(counts.data[counts.row == m].tolist()) > _INT64_MAX:
-                raise CorpusValidationError(f"document {m} has more than {_INT64_MAX} tokens")
-        counts = counts.tocsr()  # sums duplicates; indices come out sorted
+        # int64 sums wrap silently, so a document whose entry count times the
+        # largest count reaches 2**62 has its total redone in Python ints
+        if counts.nnz:
+            reach = np.diff(counts.indptr) * float(counts.data.max())
+            for m in np.flatnonzero(reach >= 2.0**62):
+                row = counts.data[counts.indptr[m] : counts.indptr[m + 1]]
+                if sum(row.tolist()) > _INT64_MAX:
+                    raise CorpusValidationError(f"document {m} has more than {_INT64_MAX} tokens")
+        counts.sum_duplicates()  # indices come out sorted
         lengths = np.asarray(counts.sum(axis=1)).ravel().astype(np.int64)
         if (lengths < 1).any():
             bad = int(np.flatnonzero(lengths < 1)[0])

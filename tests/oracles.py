@@ -5,8 +5,10 @@ oracle is a coarse-to-fine grid search over barycentric weights, relying only
 on convexity of the squared distance in theta, and the k-means oracle
 enumerates every assignment instead of running Lloyd iterations. The
 single-row projection helper recomputes the point, distance and certificate
-gap from the weights the library returns, and the likelihood-sandwich check
-evaluates both bounds of the LDA log-likelihood for a fixed (theta, beta).
+gap from the weights the library returns, the per-row min-norm-point active
+set is the reference the batched projection is compared with, and the
+likelihood-sandwich check evaluates both bounds of the LDA log-likelihood for
+a fixed (theta, beta).
 """
 
 import itertools
@@ -17,7 +19,7 @@ import scipy.linalg
 
 from gdmtopics.clustering import ClusteringResult, _weighted_means, _weighted_objective
 from gdmtopics.corpus import Corpus, NormalizedCorpus
-from gdmtopics.geometry import TopicPolytope, project_rows
+from gdmtopics.geometry import _DROP_EPS, _TOL, TopicPolytope, project_rows
 
 
 def project_one(query, polytope: TopicPolytope):
@@ -35,6 +37,56 @@ def project_one(query, polytope: TopicPolytope):
     point = theta @ B
     r = x - point
     return theta, point, float(r @ r), float(((B - point) @ r).max())
+
+
+def _min_norm_weights(G, scale, max_iter):
+    """Weights of the min-norm point of the hull of points with Gram matrix G."""
+    K = G.shape[0]
+    S = [int(np.argmin(np.diag(G)))]
+    lam = np.array([1.0])
+    for _ in range(max_iter):
+        g = lam @ G[S]            # x . p_j for every candidate j
+        xx = float(lam @ G[np.ix_(S, S)] @ lam)
+        j = int(np.argmin(g))
+        if g[j] >= xx - _TOL * scale or j in S:
+            break
+        S.append(j)
+        lam = np.append(lam, 0.0)
+        # minor cycle: move to the affine minimizer, dropping negative weights
+        while True:
+            n = len(S)
+            Gs = G[np.ix_(S, S)]
+            A = np.ones((n, n)) + Gs
+            try:
+                alpha = np.linalg.solve(A, np.ones(n))
+            except np.linalg.LinAlgError:
+                alpha = np.linalg.lstsq(A, np.ones(n), rcond=None)[0]
+            s = alpha.sum()
+            if s == 0:
+                alpha = np.full(n, 1.0 / n)
+            else:
+                alpha = alpha / s
+            if alpha.min() > _DROP_EPS:
+                lam = alpha
+                break
+            neg = alpha <= _DROP_EPS
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = lam[neg] / (lam[neg] - alpha[neg])
+            steps = steps[np.isfinite(steps)]
+            t = float(min(steps.min(initial=1.0), 1.0)) if steps.size else 1.0
+            lam = lam + t * (alpha - lam)
+            lam[lam < _DROP_EPS] = 0.0
+            keep = lam > 0
+            if keep.all():  # numerical stall: force-drop the smallest weight
+                keep[int(np.argmin(lam))] = False
+            S = [S[i] for i in range(n) if keep[i]]
+            lam = lam[keep]
+            lam = lam / lam.sum()
+            if len(S) == 1:
+                break
+    theta = np.zeros(K)
+    theta[S] = lam
+    return theta
 
 
 def simplex_grid(K, resolution):

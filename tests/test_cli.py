@@ -170,20 +170,13 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
         assert main(args) == 1
     assert "error: projection certificate gap" in capsys.readouterr().err
 
-    # the real path: a batched candidate and a repair that both return the
-    # farthest vertex fail the certificate
-    def farthest_vertex(G, scale, max_iter):
-        theta = np.zeros(G.shape[0])
-        theta[np.argmax(np.diag(G))] = 1.0
-        return theta
-
-    def farthest_candidate(BBt, BX, nearest):
+    # the real path: weights at the farthest vertex fail the certificate
+    def farthest_vertex(BBt, BX, xx, nearest, scales):
         theta = np.zeros(BX.shape)
         theta[np.arange(BX.shape[0]), np.argmax(np.diag(BBt) - 2.0 * BX, axis=1)] = 1.0
         return theta
 
-    monkeypatch.setattr("gdmtopics.geometry._candidate", farthest_candidate)
-    monkeypatch.setattr("gdmtopics.geometry._min_norm_weights", farthest_vertex)
+    monkeypatch.setattr("gdmtopics.geometry._active_set", farthest_vertex)
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "error: row " in err and "projection certificate gap" in err

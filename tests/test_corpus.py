@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gdmtopics.corpus import (
     Corpus,
@@ -65,6 +66,12 @@ def test_token_totals_past_int64_rejected():
             load_uci_bag_of_words(io.StringIO(text))
     with pytest.raises(CorpusValidationError, match="document 1 has more than"):
         Corpus(np.array([[1] * 5, [big] * 5]))
+    # repeated entries of sparse input are summed only after the check (in COO
+    # the four of document 1 would wrap to 0)
+    coo = sp.coo_matrix(([big, 1, big, big, big], ([1, 0, 1, 1, 1], [0, 0, 0, 0, 0])), shape=(2, 2))
+    for counts in (coo, sp.csr_matrix((coo.data[1:], coo.col[1:], [0, 1, 4]), shape=(2, 2))):
+        with pytest.raises(CorpusValidationError, match="document 1 has more than"):
+            Corpus(counts)
     # the largest representable total still loads exactly
     c = Corpus(np.array([[1, 2], [2**63 - 4, 3]]))
     assert c.lengths.tolist() == [3, 2**63 - 1]

@@ -108,10 +108,10 @@ def test_project_rows_rejects_bad_input():
         project_rows(np.array([[0.1, 0.2, 0.7]]), poly)
     with pytest.raises(ValueError, match="rows must be an M x V matrix"):
         project_rows(np.array([0.5, 0.5]), poly)
-    # a non-finite row fails its certificate like any other row
+    # a non-finite row is rejected before any arithmetic, without a warning
     for bad in (np.nan, np.inf):
         rows = np.array([[0.3, 0.7], [bad, 0.0], [0.5, 0.5]])
-        with np.errstate(invalid="ignore"), pytest.raises(ProjectionFailure, match="row 1:"):
+        with pytest.raises(ValueError, match="row 1 is not finite"):
             project_rows(rows, poly)
 
 
@@ -168,21 +168,17 @@ def test_cluster_objective_additivity():
     "wrong", [lambda t: np.roll(t, 1), lambda t: np.full_like(t, np.nan)], ids=["rolled", "nan"]
 )
 def test_uncertified_row_raises(monkeypatch, wrong):
-    # a wrong (or NaN) theta for one row must not pass silently: the batched
-    # candidate is wrong on row 1, and so is the exact solve that repairs it
+    # a wrong (or NaN) theta for one row must not pass silently
     poly = TopicPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     rows = np.array([[0.6, 0.3, 0.1], [0.1, 0.1, 0.8], [0.2, 0.5, 0.3]])
-    candidate, solve = geometry._candidate, geometry._min_norm_weights
+    solve = geometry._active_set
 
-    def wrong_on_second_row(BBt, BX, nearest):
-        theta = candidate(BBt, BX, nearest)
+    def wrong_on_second_row(*args):
+        theta = solve(*args)
         theta[1] = wrong(theta[1])
         return theta
 
-    monkeypatch.setattr(geometry, "_candidate", wrong_on_second_row)
-    monkeypatch.setattr(
-        geometry, "_min_norm_weights", lambda G, scale, max_iter: wrong(solve(G, scale, max_iter))
-    )
+    monkeypatch.setattr(geometry, "_active_set", wrong_on_second_row)
     with pytest.raises(ProjectionFailure, match="row 1:"):
         project_rows(rows, poly)
     data = NormalizedCorpus(rows=rows, weights=np.ones(3))
@@ -190,23 +186,21 @@ def test_uncertified_row_raises(monkeypatch, wrong):
         geometric_objective(data, poly)
 
 
-def test_off_simplex_candidate_is_repaired(monkeypatch):
+def test_off_simplex_weights_are_rejected(monkeypatch):
     # weights (1.5, -0.5, 0) reproduce the off-simplex query exactly, so the
     # gap is zero; only the simplex condition of the certificate rejects them
     poly = TopicPolytope(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     rows = np.array([[0.6, 0.3, 0.1], [1.5, -0.5, 0.0], [0.2, 0.5, 0.3]])
-    candidate, solve = geometry._candidate, geometry._min_norm_weights
-    off = np.array([1.5, -0.5, 0.0])
-
-    def off_simplex_second_row(BBt, BX, nearest):
-        theta = candidate(BBt, BX, nearest)
-        theta[1] = off
-        return theta
-
-    monkeypatch.setattr(geometry, "_candidate", off_simplex_second_row)
     thetas, sq = project_rows(rows, poly)
     assert np.allclose(thetas, [[0.6, 0.3, 0.1], [1.0, 0.0, 0.0], [0.2, 0.5, 0.3]], atol=1e-12)
     assert np.isclose(sq[1], 0.5, atol=1e-12)
-    monkeypatch.setattr(geometry, "_min_norm_weights", lambda G, scale, max_iter: off.copy())
-    with pytest.raises(ProjectionFailure, match="row 1:"):
+    solve = geometry._active_set
+
+    def off_simplex_second_row(*args):
+        theta = solve(*args)
+        theta[1] = [1.5, -0.5, 0.0]
+        return theta
+
+    monkeypatch.setattr(geometry, "_active_set", off_simplex_second_row)
+    with pytest.raises(ProjectionFailure, match="row 1: weights leave the simplex"):
         project_rows(rows, poly)
