@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import NormalizedCorpus
 
@@ -28,13 +29,12 @@ class ClusteringResult:
         return self.centroids.shape[0]
 
 
-def _sq_dists(rows, centroids):
-    """Squared Euclidean distances, rows x centroids."""
-    d = (
-        (rows * rows).sum(axis=1)[:, None]
-        - 2.0 * rows @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
+def _sq_dists(rows, row_sq_norms, centroids):
+    """Squared Euclidean distances, rows x centroids, clamped at 0.
+
+    ``rows`` is dense or sparse and ``row_sq_norms`` holds its squared row norms.
+    """
+    d = row_sq_norms[:, None] - 2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -44,12 +44,17 @@ def _weighted_objective(rows, weights, centroids, assignments):
     return float(np.sum(weights * np.einsum("ij,ij->i", diff, diff)))
 
 
-def _weighted_means(rows, weights, assignments, k):
-    """Weighted mean per cluster; clusters assumed nonempty."""
-    wsum = np.bincount(assignments, weights=weights, minlength=k)
-    acc = np.zeros((k, rows.shape[1]))
-    np.add.at(acc, assignments, rows * weights[:, None])
-    return acc / wsum[:, None]
+def _weighted_means(data: NormalizedCorpus, assignments, k):
+    """Weighted mean per cluster; clusters assumed nonempty.
+
+    Each cluster sums N_m w_m over its rows in row order, so the sums are
+    the ones a row-by-row accumulation gives.
+    """
+    order = np.argsort(assignments, kind="stable")
+    indptr = np.searchsorted(assignments[order], np.arange(k + 1))
+    onehot = sp.csr_matrix((data.weights[order], order, indptr), shape=(k, data.M))
+    wsum = np.bincount(assignments, weights=data.weights, minlength=k)
+    return (onehot @ data._csr_rows).toarray() / wsum[:, None]
 
 
 def _has_distinct_rows(rows, k):
@@ -75,10 +80,11 @@ def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> n
         raise ValueError("K must be >= 1")
     if not _has_distinct_rows(rows, K):
         raise ValueError(f"K={K} exceeds the number of distinct rows")
+    X, xx = data._csr_rows, data._row_sq_norms
     seeds = np.empty((K, rows.shape[1]))
     first = rng.choice(rows.shape[0], p=weights / weights.sum())
     seeds[0] = rows[first]
-    d2 = _sq_dists(rows, seeds[:1]).ravel()
+    d2 = _sq_dists(X, xx, seeds[:1]).ravel()
     for k in range(1, K):
         scores = weights * d2
         total = scores.sum()
@@ -87,40 +93,48 @@ def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> n
         else:  # all mass on already-chosen points; grab any unseen distinct row
             idx = int(np.flatnonzero(d2 > 0)[0])
         seeds[k] = rows[idx]
-        d2 = np.minimum(d2, _sq_dists(rows, seeds[k : k + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(X, xx, seeds[k : k + 1]).ravel())
     return seeds
 
 
-def _lloyd(rows, weights, seeds, max_iters):
-    """Weighted Lloyd iterations from given seeds until assignment fixpoint."""
+def _lloyd(data: NormalizedCorpus, seeds, max_iters):
+    """Weighted Lloyd iterations from given seeds until assignment fixpoint.
+
+    One distance matrix per iteration serves both the objective of the new
+    centroids and the next assignment step.
+    """
+    rows, weights = data.rows, data.weights
+    X, xx = data._csr_rows, data._row_sq_norms
+    every_row = np.arange(data.M)
     k = seeds.shape[0]
     centroids = seeds.copy()
     assignments = None
     prev_obj = np.inf
+    d2 = _sq_dists(X, xx, centroids)
     for _ in range(max(1, max_iters)):
-        d2 = _sq_dists(rows, centroids)
         new_assign = np.argmin(d2, axis=1)  # ties resolved to lowest index
         # repair emptied clusters: reseed at the largest weighted contributor
         counts = np.bincount(new_assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
-            contrib = weights * d2[np.arange(rows.shape[0]), new_assign]
+            contrib = weights * d2[every_row, new_assign]
             donor = int(np.argmax(contrib))
             new_assign[donor] = empty
             centroids[empty] = rows[donor]
             counts = np.bincount(new_assign, minlength=k)
-            d2 = _sq_dists(rows, centroids)
+            d2 = _sq_dists(X, xx, centroids)
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-        centroids = _weighted_means(rows, weights, assignments, k)
-        obj = _weighted_objective(rows, weights, centroids, assignments)
+        centroids = _weighted_means(data, assignments, k)
+        d2 = _sq_dists(X, xx, centroids)
+        obj = float(np.sum(weights * d2[every_row, assignments]))
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise RuntimeError("weighted Lloyd objective increased")
         if np.isfinite(prev_obj) and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-300):
             prev_obj = obj
             break
         prev_obj = obj
-    obj = _weighted_objective(rows, weights, centroids, assignments)
+    obj = float(np.sum(weights * d2[every_row, assignments]))
     return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
 
 
@@ -141,7 +155,7 @@ def fit_kmeans(
     best = None
     for _ in range(restarts):
         seeds = kmeanspp_init(data, K, rng)
-        result = _lloyd(data.rows, data.weights, seeds, max_iters)
+        result = _lloyd(data, seeds, max_iters)
         if best is None or result.objective < best.objective:
             best = result
     return best
@@ -174,7 +188,8 @@ def fit_dpmeans(
     for _ in range(max(1, max_iters)):
         changed = False
         for m in order:
-            d2 = _sq_dists(rows[m : m + 1], centroids).ravel()
+            row = rows[m : m + 1]
+            d2 = _sq_dists(row, (row * row).sum(axis=1), centroids).ravel()
             cost = weights[m] * d2
             best = int(np.argmin(d2))
             if cost[best] > lam:
@@ -189,7 +204,7 @@ def fit_dpmeans(
         remap = -np.ones(k, dtype=np.int64)
         remap[occupied] = np.arange(occupied.size)
         assignments = remap[assignments]
-        centroids = _weighted_means(rows, weights, assignments, occupied.size)
+        centroids = _weighted_means(data, assignments, occupied.size)
         pen = _weighted_objective(rows, weights, centroids, assignments) + lam * occupied.size
         if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
             raise RuntimeError("penalized DP-means objective increased")

@@ -8,10 +8,12 @@ lines of ``docID wordID count`` with 1-based indices. Indices are converted to
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,6 +144,15 @@ class NormalizedCorpus:
     def V(self):
         return self.rows.shape[1]
 
+    # for the k-means arithmetic; built on first use and kept, as the rows are read-only
+    @cached_property
+    def _csr_rows(self) -> sp.csr_matrix:
+        return sp.csr_matrix(self.rows)
+
+    @cached_property
+    def _row_sq_norms(self) -> np.ndarray:
+        return np.einsum("ij,ij->i", self.rows, self.rows)
+
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
     """Divide each count row by its document length."""
@@ -173,6 +184,49 @@ def load_vocab(stream_or_path) -> list:
     return vocab
 
 
+def _triples_in_range(triples, D, W, NNZ) -> bool:
+    """Whether bulk-parsed triples are NNZ in-range ``docID wordID count`` rows."""
+    if triples.shape != (NNZ, 3):
+        return False
+    d, w, c = triples.T
+    return bool(d.min() >= 1 and d.max() <= D and w.min() >= 1 and w.max() <= W and c.min() >= 1)
+
+
+def _parse_triples(body: str, lineno: int, D: int, W: int, NNZ: int) -> np.ndarray:
+    """Parse the triple lines one by one, raising at the first bad line.
+
+    ``lineno`` is the number of the line before ``body``. Returns an NNZ x 3
+    int64 array of 1-based (doc, word, count).
+    """
+    triples = array("q")
+    n = 0
+    for line in body.split("\n"):
+        lineno += 1
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise CorpusParseError(f"line {lineno}: expected 'docID wordID count', got {text!r}")
+        try:
+            d, w, c = (int(p) for p in parts)
+        except ValueError:
+            raise CorpusParseError(f"line {lineno}: non-integer triple {text!r}")
+        if not 1 <= d <= D:
+            raise CorpusValidationError(f"line {lineno}: document index {d} outside 1..{D}")
+        if not 1 <= w <= W:
+            raise CorpusValidationError(f"line {lineno}: word index {w} outside 1..{W}")
+        if not 1 <= c <= _INT64_MAX:
+            raise CorpusValidationError(f"line {lineno}: count {c} outside 1..{_INT64_MAX}")
+        if n >= NNZ:
+            raise CorpusValidationError(f"line {lineno}: more than NNZ={NNZ} triples")
+        triples.extend((d, w, c))
+        n += 1
+    if n != NNZ:
+        raise CorpusValidationError(f"header declares NNZ={NNZ} but found {n} triples")
+    return np.frombuffer(triples, dtype=np.int64).reshape(n, 3)
+
+
 def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     """Parse a UCI bag-of-words file (and optional vocabulary) into a Corpus.
 
@@ -187,11 +241,9 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     try:
         header = []
         lineno = 0
-        it = iter(f)
         while len(header) < 3:
-            try:
-                line = next(it)
-            except StopIteration:
+            line = f.readline()
+            if not line:
                 raise CorpusParseError(f"line {lineno + 1}: missing header line")
             lineno += 1
             text = line.strip()
@@ -204,40 +256,25 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
         D, W, NNZ = header
         if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
-        docs, words, vals = array("q"), array("q"), array("q")
-        n = 0
-        for line in it:
-            lineno += 1
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise CorpusParseError(f"line {lineno}: expected 'docID wordID count', got {text!r}")
-            try:
-                d, w, c = (int(p) for p in parts)
-            except ValueError:
-                raise CorpusParseError(f"line {lineno}: non-integer triple {text!r}")
-            if not 1 <= d <= D:
-                raise CorpusValidationError(f"line {lineno}: document index {d} outside 1..{D}")
-            if not 1 <= w <= W:
-                raise CorpusValidationError(f"line {lineno}: word index {w} outside 1..{W}")
-            if not 1 <= c <= _INT64_MAX:
-                raise CorpusValidationError(f"line {lineno}: count {c} outside 1..{_INT64_MAX}")
-            if n >= NNZ:
-                raise CorpusValidationError(f"line {lineno}: more than NNZ={NNZ} triples")
-            docs.append(d - 1)
-            words.append(w - 1)
-            vals.append(c)
-            n += 1
-        if n != NNZ:
-            raise CorpusValidationError(f"header declares NNZ={NNZ} but found {n} triples")
+        body = f.read()
     finally:
         if close_me:
             f.close()
+    triples = None
+    # loadtxt warns on input without data, and numpy 2.4's parser crashed on
+    # some code points past U+FFFF, so it only reads ASCII bodies with data
+    if NNZ and body.isascii() and body.strip():
+        try:
+            triples = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if triples is None or not _triples_in_range(triples, D, W, NNZ):
+        # the line parser accepts all loadtxt does and more (``1_000``), and
+        # names the line of the first error
+        triples = _parse_triples(body, lineno, D, W, NNZ)
+    docs, words, vals = triples[:, 0] - 1, triples[:, 1] - 1, triples[:, 2]
 
     # rows are the documents that appear, in index order; every count is >= 1
-    docs, words, vals = (np.frombuffer(a, dtype=np.int64) for a in (docs, words, vals))
     present, rows = np.unique(docs, return_inverse=True)
     counts = sp.coo_matrix((vals, (rows, words)), shape=(present.size, W), dtype=np.int64)
     dropped = D - present.size
@@ -258,10 +295,11 @@ def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
     f = open(stream_or_path, "w", encoding="utf-8") if close_me else stream_or_path
     try:
         coo = corpus.counts.tocoo()
-        f.write(f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n")
         order = np.lexsort((coo.col, coo.row))
-        for d, w, c in zip(coo.row[order], coo.col[order], coo.data[order]):
-            f.write(f"{d + 1} {w + 1} {c}\n")
+        docs = (coo.row[order].astype(np.int64) + 1).tolist()
+        words = (coo.col[order].astype(np.int64) + 1).tolist()
+        lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data[order].tolist()))
+        f.write(f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n" + "".join(lines))
     finally:
         if close_me:
             f.close()

@@ -132,8 +132,11 @@ def _fit(data: NormalizedCorpus, config: GdmConfig, cluster) -> GdmModel:
     objective is G plus the nGDM penalty lam * K' (zero for GDM).
     """
     order = _canonical_order(data)
-    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
-    clustering = cluster(ordered, np.random.default_rng(config.seed))
+    # the reordered copy is not bound, so it is freed once clustering returns
+    clustering = cluster(
+        NormalizedCorpus(rows=data.rows[order], weights=data.weights[order]),
+        np.random.default_rng(config.seed),
+    )
     assignments = np.empty(data.M, dtype=np.int64)
     assignments[order] = clustering.assignments
     k = clustering.n_clusters

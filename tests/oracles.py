@@ -3,7 +3,10 @@
 These deliberately avoid the library's own solution paths: the projection
 oracle is a coarse-to-fine grid search over barycentric weights, relying only
 on convexity of the squared distance in theta, and the k-means oracle
-enumerates every assignment instead of running Lloyd iterations. The
+enumerates every assignment instead of running Lloyd iterations. The dense
+k-means (seeding and Lloyd passes over the dense rows, ||x||^2 recomputed in
+every distance call, means accumulated row by row with ``np.add.at``) is the
+reference the sparse library k-means must match bit for bit. The
 single-row projection helper recomputes the point, distance and certificate
 gap from the weights the library returns, the per-row min-norm-point active
 set is the reference the batched projection is compared with, and the
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from gdmtopics.clustering import ClusteringResult, _weighted_means, _weighted_objective
+from gdmtopics.clustering import _MONOTONE_SLACK, _REL_TOL, ClusteringResult, _weighted_objective
 from gdmtopics.corpus import Corpus, NormalizedCorpus
 from gdmtopics.geometry import _DROP_EPS, _TOL, TopicPolytope, project_rows
 
@@ -147,6 +150,87 @@ def grid_tune_extension(center, centroid, other_vertices, rows, weights, m_max, 
     return best
 
 
+def dense_sq_dists(rows, centroids):
+    """Squared Euclidean distances, rows x centroids, from dense rows."""
+    d = (
+        (rows * rows).sum(axis=1)[:, None]
+        - 2.0 * rows @ centroids.T
+        + (centroids * centroids).sum(axis=1)[None, :]
+    )
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def dense_weighted_means(rows, weights, assignments, k):
+    """Weighted mean per cluster, accumulated row by row; clusters assumed nonempty."""
+    wsum = np.bincount(assignments, weights=weights, minlength=k)
+    acc = np.zeros((k, rows.shape[1]))
+    np.add.at(acc, assignments, rows * weights[:, None])
+    return acc / wsum[:, None]
+
+
+def _dense_kmeanspp(rows, weights, K, rng):
+    seeds = np.empty((K, rows.shape[1]))
+    first = rng.choice(rows.shape[0], p=weights / weights.sum())
+    seeds[0] = rows[first]
+    d2 = dense_sq_dists(rows, seeds[:1]).ravel()
+    for k in range(1, K):
+        scores = weights * d2
+        total = scores.sum()
+        if total > 0:
+            idx = rng.choice(rows.shape[0], p=scores / total)
+        else:
+            idx = int(np.flatnonzero(d2 > 0)[0])
+        seeds[k] = rows[idx]
+        d2 = np.minimum(d2, dense_sq_dists(rows, seeds[k : k + 1]).ravel())
+    return seeds
+
+
+def _dense_lloyd(rows, weights, seeds, max_iters):
+    k = seeds.shape[0]
+    centroids = seeds.copy()
+    assignments = None
+    prev_obj = np.inf
+    for _ in range(max(1, max_iters)):
+        d2 = dense_sq_dists(rows, centroids)
+        new_assign = np.argmin(d2, axis=1)
+        counts = np.bincount(new_assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            contrib = weights * d2[np.arange(rows.shape[0]), new_assign]
+            donor = int(np.argmax(contrib))
+            new_assign[donor] = empty
+            centroids[empty] = rows[donor]
+            counts = np.bincount(new_assign, minlength=k)
+            d2 = dense_sq_dists(rows, centroids)
+        if assignments is not None and np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+        centroids = dense_weighted_means(rows, weights, assignments, k)
+        obj = _weighted_objective(rows, weights, centroids, assignments)
+        if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
+            raise RuntimeError("weighted Lloyd objective increased")
+        if np.isfinite(prev_obj) and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-300):
+            break
+        prev_obj = obj
+    obj = _weighted_objective(rows, weights, centroids, assignments)
+    return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
+
+
+def dense_kmeans(data: NormalizedCorpus, K: int, restarts: int, max_iters: int, rng):
+    """Best-of-restarts weighted k-means++ / Lloyd on the dense rows.
+
+    Draws from ``rng`` as ``fit_kmeans`` does; the rows must hold at least K
+    distinct rows.
+    """
+    best = None
+    for _ in range(restarts):
+        seeds = _dense_kmeanspp(data.rows, data.weights, K, rng)
+        result = _dense_lloyd(data.rows, data.weights, seeds, max_iters)
+        if best is None or result.objective < best.objective:
+            best = result
+    return best
+
+
 def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
     """Exact weighted k-means by enumerating all K^M assignments.
 
@@ -187,7 +271,7 @@ def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
             best_assign = A[i].copy()
     if best_assign is None:
         raise ValueError("no assignment uses all K clusters")
-    centroids = _weighted_means(rows, weights, best_assign, K)
+    centroids = dense_weighted_means(rows, weights, best_assign, K)
     obj = _weighted_objective(rows, weights, centroids, best_assign)
     return ClusteringResult(centroids=centroids, assignments=best_assign, objective=obj)
 

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmtopics.clustering import (
+    _weighted_objective,
     fit_dpmeans,
     fit_kmeans,
     kmeanspp_init,
 )
-from gdmtopics.corpus import NormalizedCorpus
-from oracles import brute_force_kmeans
+from gdmtopics.corpus import NormalizedCorpus, normalize
+from gdmtopics.synth import LdaParams, generate_corpus
+from oracles import brute_force_kmeans, dense_kmeans, dense_weighted_means
 
 
 def _data(rows, weights=None):
@@ -126,6 +132,62 @@ def test_kmeans_weight_scaling_invariance():
     assert np.array_equal(r1.assignments, r2.assignments)
     assert np.allclose(r1.centroids, r2.centroids)
     assert np.isclose(r2.objective, 10.0 * r1.objective)
+
+
+def test_kmeans_matches_dense_reference_bitwise():
+    params = LdaParams(K=8, V=2000, M=150, doc_lengths=(50, 400), alpha=0.1, eta=0.05, seed=3)
+    data = normalize(generate_corpus(params)[0])
+    fitted = fit_kmeans(data, 8, restarts=3, rng=np.random.default_rng(7))
+    reference = dense_kmeans(data, 8, restarts=3, max_iters=1500, rng=np.random.default_rng(7))
+    assert np.array_equal(fitted.assignments, reference.assignments)
+    assert np.array_equal(fitted.centroids, reference.centroids)
+    assert np.isclose(fitted.objective, reference.objective, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def sparse_corpora(draw):
+    """Small count rows with exact zeros, repeated rows and rows equal after
+    normalization, and a K no larger than the number of distinct rows."""
+    V = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.lists(st.integers(0, 3), min_size=V, max_size=V), min_size=1, max_size=6))
+    pool = np.array([row for row in pool if any(row)] or [[1] * V], dtype=np.float64)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=16))
+    scales = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=len(picks), max_size=len(picks)))
+    counts = pool[picks] * np.array(scales)[:, None]
+    weights = counts.sum(axis=1)
+    rows = counts / weights[:, None]
+    distinct = np.unique(rows, axis=0).shape[0]
+    K = min(draw(st.integers(1, 8)), distinct)
+    return NormalizedCorpus(rows=rows, weights=weights), K, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_corpora())
+def test_kmeans_arithmetic_on_sparse_rows(case):
+    data, K, seed = case
+    res = fit_kmeans(data, K, restarts=2, rng=np.random.default_rng(seed))
+    means = dense_weighted_means(data.rows, data.weights, res.assignments, K)
+    assert np.array_equal(res.centroids, means)
+    diff = data.rows[:, None, :] - res.centroids[None, :, :]
+    d2 = np.einsum("mkv,mkv->mk", diff, diff)
+    assert (d2[np.arange(data.M), res.assignments] <= d2.min(axis=1) + 1e-12).all()
+    # the objective is at most sum_m N_m ||w_m||^2 (all centroids at 0), the
+    # scale of the rounding in the expanded distances
+    scale = float(data.weights @ np.einsum("ij,ij->i", data.rows, data.rows))
+    reference = _weighted_objective(data.rows, data.weights, res.centroids, res.assignments)
+    assert abs(res.objective - reference) <= 1e-12 * scale
+
+
+def test_kmeans_allocates_less_than_half_the_dense_rows():
+    params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+    data = normalize(generate_corpus(params)[0])
+    tracemalloc.start()
+    try:
+        fit_kmeans(data, 10, restarts=2, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * data.rows.nbytes
 
 
 def test_brute_force_base_cases():

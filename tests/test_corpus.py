@@ -1,9 +1,11 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gdmtopics import corpus as corpus_module
 from gdmtopics.corpus import (
     Corpus,
     CorpusParseError,
@@ -44,6 +46,65 @@ def test_load_doc_index_out_of_range():
 def test_load_nnz_mismatch():
     with pytest.raises(CorpusValidationError, match="NNZ"):
         load_uci_bag_of_words(io.StringIO("2\n3\n5\n1 1 2\n2 2 4\n"))
+
+
+def _spy_line_parser(monkeypatch):
+    calls = []
+    line_parser = corpus_module._parse_triples
+
+    def spy(*args):
+        calls.append(args)
+        return line_parser(*args)
+
+    monkeypatch.setattr(corpus_module, "_parse_triples", spy)
+    return calls
+
+
+def test_bulk_parse_matches_line_parser(monkeypatch):
+    # blank lines, CRLF, tabs, a plus sign, leading spaces and a duplicate
+    text = "\n2\r\n5\r\n\r\n5\r\n\r\n1 1 2\r\n  1\t3\t+3\r\n\r\n2 2 4  \r\n1 4 1\r\n\t2 2 1\r\n"
+    calls = _spy_line_parser(monkeypatch)
+    bulk = load_uci_bag_of_words(io.StringIO(text))
+    assert not calls
+    assert bulk.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((0, 3), dtype=np.int64))
+    assert load_uci_bag_of_words(io.StringIO(text)) == bulk
+    assert len(calls) == 1
+
+
+def test_line_parser_takes_what_the_bulk_parse_rejects(monkeypatch):
+    calls = _spy_line_parser(monkeypatch)
+    c = load_uci_bag_of_words(io.StringIO("1\n2\n2\n1 1 1_000\n1 2 1\n"))
+    assert len(calls) == 1
+    assert c.counts.toarray().tolist() == [[1000, 1]]
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        ("1 1 2\n# note\n2 2 4\n", CorpusParseError, "line 5: expected 'docID wordID count'"),
+        ("1 1 2 # note\n2 2 4\n", CorpusParseError, "line 4: expected 'docID wordID count'"),
+        (
+            "1 1 2\n2 2 9223372036854775808\n",
+            CorpusValidationError,
+            "line 5: count 9223372036854775808 outside",
+        ),
+        ("1 1\n1 2 3 4\n", CorpusParseError, "line 4: expected 'docID wordID count', got '1 1'"),
+        ("1 1 2\n\U0010373c 1 1\n", CorpusParseError, "line 5: non-integer triple"),
+    ],
+)
+def test_bulk_parse_errors_name_the_line(body, error, message):
+    with pytest.raises(error, match=message):
+        load_uci_bag_of_words(io.StringIO("2\n3\n2\n" + body))
+
+
+def test_no_triples_emit_no_numpy_warning():
+    for text, message in (("1\n3\n0\n", "no documents"), ("1\n3\n2\n\n  \n", "found 0 triples")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CorpusValidationError, match=message):
+                load_uci_bag_of_words(io.StringIO(text))
+        assert [str(w.message) for w in caught if "dropped" not in str(w.message)] == []
 
 
 def test_load_header_sizes_no_allocation():

@@ -5,6 +5,7 @@ import io
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -197,3 +198,46 @@ def test_uci_parser_loads_or_raises_value_error(text):
         except ValueError:
             return
     assert corpus.M >= 1 and (corpus.lengths >= 1).all()
+
+
+_number_forms = st.sampled_from(["{}", "+{}", "0{}", "{:_}", "{}.0", "\uff11{}"])
+_separators = st.sampled_from([" ", "  ", "\t", "\x0b", "\xa0"])
+
+
+@st.composite
+def formatted_uci_texts(draw):
+    """A UCI file with varied number forms, separators and line ends, up to
+    two lines replaced by arbitrary ones."""
+    D, W = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell = st.tuples(st.integers(1, D), st.integers(1, W), st.integers(1, 2000))
+    triples = draw(st.lists(cell, max_size=6))
+    lines = [str(D), str(W), str(len(triples))]
+    for triple in triples:
+        fields = [draw(_number_forms).format(v) for v in triple]
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + "".join(f + draw(_separators) for f in fields[:2]) + fields[2])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines)))
+        lines[i : i + 1] = [draw(_uci_lines)]
+    return draw(st.sampled_from(["\n", "\r\n", "\n\n"])).join(lines)
+
+
+def _load_outcome(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load_uci_bag_of_words(io.StringIO(text))
+        except ValueError as exc:
+            result = f"{type(exc).__name__}: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(uci_texts(), formatted_uci_texts()))
+def test_bulk_uci_parse_agrees_with_the_line_parser(text):
+    # the bulk parse takes only what the line parser reads the same way: the
+    # same corpus, or the same error, and no warning of its own
+    bulk = _load_outcome(text)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        lines = _load_outcome(text)
+    assert bulk == lines
