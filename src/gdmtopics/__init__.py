@@ -18,5 +18,5 @@ from .corpus import (
 from .synth import LdaParams, GroundTruth, generate_corpus, sample_dirichlet
 from .clustering import ClusteringResult, fit_dpmeans, fit_kmeans, kmeanspp_init
 from .geometry import TopicPolytope, geometric_objective, project_rows
-from .gdm import GdmConfig, GdmModel, default_extensions, extend_and_threshold, fit_gdm, fit_ngdm
+from .gdm import GdmConfig, GdmModel, default_extensions, extend, fit_gdm, fit_ngdm
 from .metrics import PerplexityReport, infer_theta, min_matching_distance, perplexity

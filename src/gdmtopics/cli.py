@@ -129,13 +129,15 @@ def _fit_config(args, parser):
         parser.error(f"--algo {args.algo} requires --K")
     elif args.lam is not None:
         parser.error(f"--algo {args.algo} does not accept --lambda")
+    elif args.tune:
+        parser.error("--tune applies only to --algo ngdm; tgdm always tunes")
     return GdmConfig(
         K=args.K,
         lam=args.lam,
         restarts=args.restarts,
         max_iters=args.max_iters,
         weighted_center=not args.unweighted_center,
-        tune=args.algo == "tgdm" or (args.algo == "ngdm" and args.tune),
+        tune=args.algo == "tgdm" or args.tune,
         seed=args.seed,
     )
 
@@ -177,12 +179,11 @@ def _cmd_eval(args, argv):
     }
     if args.truth:
         with open(args.truth, "r", encoding="utf-8") as f:
-            truth = json.load(f)
-        beta = np.asarray(truth["beta"], dtype=np.float64)
-        if beta.shape[1] != model.polytope.V:
+            truth = TopicPolytope(np.asarray(json.load(f)["beta"], dtype=np.float64))
+        if truth.V != model.polytope.V:
             print("error: truth beta dimensions disagree with model", file=sys.stderr)
             return 1
-        out["mm_distance"] = min_matching_distance(model.polytope, TopicPolytope(beta))
+        out["mm_distance"] = min_matching_distance(model.polytope, truth)
     text = json.dumps(out, sort_keys=True)
     print(text)
     if args.out:
@@ -195,6 +196,8 @@ def _cmd_eval(args, argv):
 
 
 def _cmd_topics(args, argv):
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     model = load_model(args.model)
     vocab = load_vocab(args.vocab)
     if len(vocab) != model.polytope.V:

@@ -111,7 +111,7 @@ def _lloyd(data: NormalizedCorpus, seeds, max_iters):
     assignments = None
     prev_obj = np.inf
     d2 = _sq_dists(X, xx, centroids)
-    for _ in range(max(1, max_iters)):
+    for _ in range(max_iters):
         new_assign = np.argmin(d2, axis=1)  # ties resolved to lowest index
         # repair emptied clusters: reseed at the largest weighted contributor
         counts = np.bincount(new_assign, minlength=k)
@@ -150,6 +150,8 @@ def fit_kmeans(
         raise ValueError("K must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
     best = None
@@ -176,6 +178,8 @@ def fit_dpmeans(
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     rows, weights = data.rows, data.weights
     M = rows.shape[0]
     if rng is None:
@@ -185,7 +189,7 @@ def fit_dpmeans(
     centroids = np.average(rows, axis=0, weights=weights)[None, :]
     assignments = np.zeros(M, dtype=np.int64)
     prev_pen = np.inf
-    for _ in range(max(1, max_iters)):
+    for _ in range(max_iters):
         changed = False
         for m in order:
             row = rows[m : m + 1]

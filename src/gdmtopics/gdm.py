@@ -47,6 +47,8 @@ class GdmConfig:
             raise ValueError("lam must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,19 @@ class GdmModel:
         return self.polytope.K
 
 
-def default_extensions(center, centroids, radii) -> np.ndarray:
-    """Per-cluster extension scalars m_k = R_k / ||C - mu_k||."""
+def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
+    """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
+
+    R_k is the largest distance from the center C to a document of cluster k
+    (0 for an empty cluster). A single cluster keeps m = 1: the topic
+    minimizing G is the weighted mean, which is its centroid.
+    """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    radii = np.asarray(radii, dtype=np.float64)
+    radii = np.zeros(centroids.shape[0])
+    np.maximum.at(radii, assignments, np.linalg.norm(data.rows - center, axis=1))
+    if centroids.shape[0] == 1:
+        return radii, np.ones(1)
     dists = np.linalg.norm(centroids - center, axis=1)
     bad = np.flatnonzero(dists <= _DEGENERATE_EPS)
     if bad.size:
@@ -76,82 +86,68 @@ def default_extensions(center, centroids, radii) -> np.ndarray:
             f"cluster {int(bad[0])} has centroid equal to the data center; "
             "reduce the number of topics"
         )
-    return radii / dists
+    return radii, radii / dists
 
 
-def extend_and_threshold(center, centroid, m: float) -> np.ndarray:
-    """Extend the ray C + m (mu - C) and clip back onto the simplex.
+def extend(center, centroids, m) -> np.ndarray:
+    """Vertices C + m_k (mu_k - C), thresholded back onto the simplex.
 
-    When the raw extension has negative coordinates, those are zeroed and the
-    remaining mass renormalized; otherwise the raw extension is returned.
+    Negative coordinates are zeroed and every row is divided by its sum. A
+    row that had negative coordinates is divided by its new sum a second
+    time, the rounding saved models were fitted with: tuning's bounded line
+    search can settle in another local minimum when a vertex moves by one
+    ulp, so a single division would change tuned fits.
     """
     center = np.asarray(center, dtype=np.float64)
-    centroid = np.asarray(centroid, dtype=np.float64)
-    raw = center + m * (centroid - center)
-    if raw.min() >= 0.0:
-        return raw
-    clipped = np.where(raw > 0.0, raw, 0.0)
-    total = clipped.sum()
-    if total <= 0.0:
+    centroids = np.asarray(centroids, dtype=np.float64)
+    m = np.asarray(m, dtype=np.float64)
+    raw = center + m[:, None] * (centroids - center)
+    clipped = raw.min(axis=1) < 0.0
+    np.maximum(raw, 0.0, out=raw)
+    total = raw.sum(axis=1, keepdims=True)
+    if not (total > 0.0).all():
         raise ValueError("extended vertex lost all mass; inputs were not on the simplex")
-    return clipped / total
+    vertices = raw / total
+    vertices[clipped] /= vertices[clipped].sum(axis=1, keepdims=True)
+    return vertices
 
 
 def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
     """Document ordering independent of input row order.
 
-    Clustering consumes documents in this order so that permuting the corpus
-    (with matching weights) reproduces the same model for a fixed seed.
+    Documents are sorted by weight, then by the bytes of their row (numpy
+    compares void scalars by memcmp), ties kept in input order. Clustering
+    consumes documents in this order so that permuting the corpus (with
+    matching weights) reproduces the same model for a fixed seed.
     """
-    keys = sorted(
-        range(data.M),
-        key=lambda m: (data.weights[m], data.rows[m].tobytes()),
-    )
-    return np.asarray(keys, dtype=np.int64)
+    keys = data.rows.view(np.dtype((np.void, 8 * data.V))).ravel()
+    by_row = np.argsort(keys, kind="stable")
+    return by_row[np.argsort(data.weights[by_row], kind="stable")]
 
 
-def _data_center(data: NormalizedCorpus, weighted: bool) -> np.ndarray:
-    if weighted:
-        return np.average(data.rows, axis=0, weights=data.weights)
-    return data.rows.mean(axis=0)
-
-
-def _cluster_radii(data: NormalizedCorpus, center, assignments, k) -> np.ndarray:
-    d = np.linalg.norm(data.rows - center, axis=1)
-    radii = np.zeros(k)             # an empty cluster keeps radius 0
-    np.maximum.at(radii, assignments, d)
-    return radii
-
-
-def _fit(data: NormalizedCorpus, config: GdmConfig, cluster) -> GdmModel:
+def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     """Cluster in canonical order, extend each centroid to its covering radius, then tune.
 
-    ``cluster(ordered_data, rng)`` returns the ClusteringResult of the
-    reordered documents. The data center, centroids and assignments are
-    working state of this fit and are not kept on the model. The reported
-    objective is G plus the nGDM penalty lam * K' (zero for GDM).
+    Weighted k-means clusters when ``config.K`` is set, DP-means when
+    ``config.lam`` is. The data center, centroids and assignments are working
+    state of this fit and are not kept on the model. The reported objective
+    is G plus the nGDM penalty lam * K' (zero for GDM).
     """
     order = _canonical_order(data)
-    # the reordered copy is not bound, so it is freed once clustering returns
-    clustering = cluster(
-        NormalizedCorpus(rows=data.rows[order], weights=data.weights[order]),
-        np.random.default_rng(config.seed),
-    )
+    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
+    rng = np.random.default_rng(config.seed)
+    if config.K is not None:
+        clustering = fit_kmeans(ordered, config.K, config.restarts, config.max_iters, rng)
+    else:
+        clustering = fit_dpmeans(ordered, config.lam, config.max_iters, rng)
+    del ordered  # the reordered copy is freed before the geometry runs
     assignments = np.empty(data.M, dtype=np.int64)
     assignments[order] = clustering.assignments
     k = clustering.n_clusters
-    center = _data_center(data, config.weighted_center)
-    radii = _cluster_radii(data, center, assignments, k)
-    if k == 1:
-        # a single topic minimizing G is the weighted mean, whatever the center
-        extensions = np.ones(1)
-        vertices = _data_center(data, True)[None, :]
-    else:
-        extensions = default_extensions(center, clustering.centroids, radii)
-        vertices = np.stack(
-            [extend_and_threshold(center, c, m) for c, m in zip(clustering.centroids, extensions)]
-        )
-    polytope = TopicPolytope(vertices / vertices.sum(axis=1, keepdims=True))
+    weights = data.weights if config.weighted_center else None
+    center = np.average(data.rows, axis=0, weights=weights)
+    radii, extensions = default_extensions(data, center, clustering.centroids, assignments)
+    polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     objective = geometric_objective(data, polytope)
     if config.tune and k > 1:
         tuned, tuned_extensions, tuned_objective = tune_extensions(
@@ -175,11 +171,7 @@ def fit_gdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
         raise ValueError("fit_gdm needs config.K; use fit_ngdm for the penalized variant")
     if config.K > data.M:
         raise ValueError(f"K={config.K} exceeds the number of documents M={data.M}")
-    return _fit(
-        data,
-        config,
-        lambda ordered, rng: fit_kmeans(ordered, config.K, config.restarts, config.max_iters, rng),
-    )
+    return _fit(data, config)
 
 
 def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
@@ -189,9 +181,7 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     """
     if config.lam is None:
         raise ValueError("fit_ngdm needs config.lam")
-    return _fit(
-        data, config, lambda ordered, rng: fit_dpmeans(ordered, config.lam, config.max_iters, rng)
-    )
+    return _fit(data, config)
 
 
 def tune_extensions(
@@ -214,8 +204,7 @@ def tune_extensions(
 
         def g_k(m, _k=k, _sub=sub):
             cand = vertices.copy()
-            v = extend_and_threshold(center, centroids[_k], m)
-            cand[_k] = v / v.sum()
+            cand[_k] = extend(center, centroids[_k, None], [m])
             return geometric_objective(_sub, TopicPolytope(cand))
 
         hi = float(extensions[k])
@@ -225,26 +214,21 @@ def tune_extensions(
         candidates = [(g_k(hi), hi), (float(res.fun), float(res.x)), (g_k(1.0), 1.0)]
         best_m = min(candidates, key=lambda t: t[0])[1]
         extensions[k] = best_m
-        v = extend_and_threshold(center, centroids[k], best_m)
-        vertices[k] = v / v.sum()
+        vertices[k] = extend(center, centroids[k, None], [best_m])
     tuned = TopicPolytope(vertices)
     return tuned, extensions, geometric_objective(data, tuned)
 
 
-def model_to_dict(model: GdmModel) -> dict:
-    return {
+def save_model(model: GdmModel, path) -> None:
+    d = {
         "beta": model.polytope.vertices.tolist(),
         "extensions": model.extensions.tolist(),
         "radii": model.radii.tolist(),
         "objective": model.objective,
         "config": asdict(model.config),
     }
-
-
-def save_model(model: GdmModel, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model), f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def load_model(path) -> GdmModel:

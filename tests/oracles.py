@@ -132,18 +132,29 @@ def grid_project(query, vertices, final_step=1e-3, resolution=16):
         shrink *= 4.0 / resolution  # new radius spans several old cells
 
 
+def bytes_key_order(rows, weights):
+    """Document order by (weight, bytes of the row), ties in input order: a
+    Python sort on a bytes copy of every row, the reference for the
+    library's canonical order."""
+    keys = sorted(range(len(weights)), key=lambda m: (weights[m], rows[m].tobytes()))
+    return np.asarray(keys, dtype=np.int64)
+
+
+def extended_vertex(center, centroid, m):
+    """The ray C + m (mu - C), negative coordinates zeroed, renormalized."""
+    v = center + m * (centroid - center)
+    v = np.where(v > 0.0, v, 0.0)
+    return v / v.sum()
+
+
 def grid_tune_extension(center, centroid, other_vertices, rows, weights, m_max, n=2000):
     """Dense grid search over one extension scalar for the per-cluster objective."""
-    from gdmtopics.gdm import extend_and_threshold
-    from gdmtopics.geometry import TopicPolytope, geometric_objective
-    from gdmtopics.corpus import NormalizedCorpus
+    from gdmtopics.geometry import geometric_objective
 
     data = NormalizedCorpus(rows=rows, weights=weights)
     best = (np.inf, None)
     for m in np.linspace(1.0, m_max, n):
-        v = extend_and_threshold(center, centroid, m)
-        v = v / v.sum()
-        cand = np.vstack([v[None, :], other_vertices])
+        cand = np.vstack([extended_vertex(center, centroid, m)[None, :], other_vertices])
         val = geometric_objective(data, TopicPolytope(cand))
         if val < best[0]:
             best = (val, m)

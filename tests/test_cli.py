@@ -101,6 +101,8 @@ def test_fit_usage_errors_exit_2(tmp_path):
         ["fit", "--algo", "ngdm", "--K", "2", "--in", out, "--out", "m.json"],
         ["fit", "--algo", "ngdm", "--in", out, "--out", "m.json"],
         ["fit", "--algo", "nope", "--in", out, "--out", "m.json"],
+        ["fit", "--algo", "gdm", "--K", "2", "--tune", "--in", out, "--out", "m.json"],
+        ["fit", "--algo", "tgdm", "--K", "2", "--tune", "--in", out, "--out", "m.json"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -136,6 +138,15 @@ def test_out_of_range_numbers_exit_1(tmp_path, capsys):
     corpus = _simulate(tmp_path)
     assert main(["lambda-sweep", "--in", corpus, "--lambdas", "-1"]) == 1
     assert "must be positive" in capsys.readouterr().err
+    model_path = str(tmp_path / "m.json")
+    for max_iters in ("0", "-7"):
+        args = ["fit", "--algo", "gdm", "--K", "2", "--max-iters", max_iters, "--in", corpus]
+        assert main(args + ["--out", model_path]) == 1
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+        sweep = ["lambda-sweep", "--in", corpus, "--lambdas", "1", "--max-iters", max_iters]
+        assert main(sweep) == 1
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(model_path)
 
 
 def test_missing_corpus_exits_1(tmp_path, capsys):
@@ -156,6 +167,19 @@ def test_eval_vocab_mismatch_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", model_path, "--heldout", other])
     assert rc == 1
     assert "V=" in capsys.readouterr().err
+
+
+def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
+    out = _simulate(tmp_path)
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
+    truth_path = str(tmp_path / "truth.json")
+    with open(truth_path, "w") as f:
+        json.dump({"beta": [0.125] * 8}, f)
+    capsys.readouterr()
+    rc = main(["eval", "--model", model_path, "--heldout", out, "--truth", truth_path])
+    assert rc == 1
+    assert "error: vertices must be a K x V matrix" in capsys.readouterr().err
 
 
 def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
@@ -248,6 +272,19 @@ def test_topics_output_and_tie_break(tmp_path, capsys):
     # equal probabilities resolve toward the lower word index
     assert lines[0] == "topic 0: alpha bravo"
     assert lines[1] == "topic 1: charlie bravo"
+
+
+def test_topics_top_below_one_exits_1(tmp_path, capsys):
+    model_path = str(tmp_path / "m.json")
+    _write_model(model_path, [[0.4, 0.4, 0.2]])
+    vocab_path = str(tmp_path / "vocab.txt")
+    with open(vocab_path, "w") as f:
+        f.write("alpha\nbravo\ncharlie\n")
+    for top in ("0", "-2"):
+        assert main(["topics", "--model", model_path, "--vocab", vocab_path, "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --top must be >= 1, got {top}" in captured.err
 
 
 def test_topics_vocab_length_mismatch(tmp_path, capsys):

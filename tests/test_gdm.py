@@ -11,7 +11,7 @@ from gdmtopics.gdm import (
     GdmConfig,
     GdmModel,
     default_extensions,
-    extend_and_threshold,
+    extend,
     fit_gdm,
     fit_ngdm,
     load_model,
@@ -19,7 +19,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import grid_tune_extension
+from oracles import extended_vertex, grid_tune_extension
 
 
 def _data(rows, weights=None):
@@ -36,35 +36,63 @@ def _lda_data(seed, K=3, V=8, M=60, N=40):
 
 
 def test_default_extensions_ratio():
-    center = np.array([0.0, 0.0])
-    centroids = np.array([[0.2, 0.0], [0.0, 0.5]])
-    radii = np.array([0.6, 0.5])
-    m = default_extensions(center, centroids, radii)
+    # cluster 0's farthest document is 0.6 from the center, cluster 1's is 0.5
+    data = _data([[0.6, 0.0, 0.4], [0.0, 0.5, 0.5], [0.0, 0.3, 0.7]])
+    center = np.array([0.0, 0.0, 1.0])
+    centroids = np.array([[0.2, 0.0, 0.8], [0.0, 0.5, 0.5]])
+    radii, m = default_extensions(data, center, centroids, np.array([0, 1, 1]))
+    assert np.allclose(radii, [0.6 * np.sqrt(2), 0.5 * np.sqrt(2)])
     assert np.allclose(m, [3.0, 1.0])
 
 
 def test_default_extensions_degenerate():
-    with pytest.raises(DegenerateClusterError):
-        default_extensions(np.array([0.5, 0.5]), np.array([[0.5, 0.5]]), np.array([0.1]))
+    data = _data([[0.5, 0.5], [1.0, 0.0]])
+    centroids = np.array([[0.5, 0.5], [1.0, 0.0]])
+    with pytest.raises(DegenerateClusterError, match="cluster 0"):
+        default_extensions(data, np.array([0.5, 0.5]), centroids, np.array([0, 1]))
+
+
+def test_default_extensions_single_cluster_keeps_its_mean():
+    # one cluster is not extended, even when its centroid is the center
+    data = _data([[0.5, 0.5], [1.0, 0.0]])
+    center = np.array([0.5, 0.5])
+    radii, m = default_extensions(data, center, center[None, :], np.array([0, 0]))
+    assert np.allclose(radii, [np.sqrt(0.5)])
+    assert np.array_equal(m, [1.0])
 
 
 def test_extend_identity_at_one():
     c = np.array([1 / 3, 1 / 3, 1 / 3])
-    mu = np.array([0.5, 0.5, 0.0])
-    assert np.allclose(extend_and_threshold(c, mu, 1.0), mu)
+    mu = np.array([[0.5, 0.5, 0.0]])
+    assert np.allclose(extend(c, mu, [1.0]), mu)
 
 
 def test_extend_thresholds_and_renormalizes():
     c = np.array([1 / 3, 1 / 3, 1 / 3])
-    mu = np.array([0.5, 0.5, 0.0])
+    mu = np.array([[0.5, 0.5, 0.0]])
     # raw extension is (2/3, 2/3, -1/3); clipping and renormalizing gives (1/2, 1/2, 0)
-    assert np.allclose(extend_and_threshold(c, mu, 2.0), [0.5, 0.5, 0.0])
+    assert np.allclose(extend(c, mu, [2.0]), [[0.5, 0.5, 0.0]])
 
 
 def test_extend_no_threshold_when_inside():
     c = np.array([0.4, 0.3, 0.3])
-    mu = np.array([0.45, 0.275, 0.275])
-    assert np.allclose(extend_and_threshold(c, mu, 2.0), [0.5, 0.25, 0.25])
+    mu = np.array([[0.45, 0.275, 0.275]])
+    assert np.allclose(extend(c, mu, [2.0]), [[0.5, 0.25, 0.25]])
+
+
+def test_extend_all_rows_at_once():
+    # the cases above in one call, each row with its own scalar
+    c = np.array([1 / 3, 1 / 3, 1 / 3])
+    mu = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]])
+    got = extend(c, mu, [1.0, 2.0, 4.0])
+    assert np.allclose(got, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.6, 0.2, 0.2]])
+    assert np.allclose(got.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+def test_extend_rejects_a_row_that_loses_all_mass():
+    # only inputs off the simplex can do this: the second row is all nonpositive
+    with pytest.raises(ValueError, match="lost all mass"):
+        extend(np.array([0.5, 0.5]), np.array([[0.75, 0.25], [-1.0, 0.0]]), [1.0, 1.0])
 
 
 def test_fit_recovers_point_clusters_exactly():
@@ -145,6 +173,8 @@ def test_fit_validates_config_and_sizes():
         dict(lam=0.0),
         dict(lam=-1.0),
         dict(K=2, restarts=0),
+        dict(K=2, max_iters=0),
+        dict(lam=1.0, max_iters=-7),
     ],
 )
 def test_config_validation(kwargs):
@@ -210,8 +240,7 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
             n=4000,
         )
         assert abs(tuned.extensions[k] - m) < 2e-3
-        v = extend_and_threshold(center, centroids[k], tuned.extensions[k])
-        vertices[k] = v / v.sum()
+        vertices[k] = extended_vertex(center, centroids[k], tuned.extensions[k])
 
 
 def test_ngdm_finds_separated_clouds():

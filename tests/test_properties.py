@@ -1,10 +1,11 @@
 """Property-based tests: model serialization, document-order invariance,
-projection certificates and UCI parsing."""
+the canonical document order, projection certificates and UCI parsing."""
 
 import io
 import os
 import tempfile
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,10 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
-from gdmtopics.gdm import GdmConfig, GdmModel, fit_gdm, fit_ngdm, load_model, save_model
+from gdmtopics.gdm import (
+    GdmConfig,
+    GdmModel,
+    _canonical_order,
+    fit_gdm,
+    fit_ngdm,
+    load_model,
+    save_model,
+)
 from gdmtopics.geometry import TopicPolytope, project_rows
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import _min_norm_weights
+from oracles import _min_norm_weights, bytes_key_order
 
 _common = dict(
     restarts=st.integers(1, 1000),
@@ -87,6 +96,30 @@ def test_gdm_invariant_to_document_order(corpus_seed, perm_seed, K):
         atol=1e-12,
     )
     assert np.isclose(m1.objective, m2.objective, rtol=1e-12)
+
+
+_row_entries = st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.1, 0.25, 0.5, 1.0, 2.0, np.nan, -np.nan])
+
+
+@st.composite
+def rows_and_weights(draw):
+    """Rows picked from a small pool, so that duplicates are common, with
+    signed zeros, subnormals and NaNs, and weights that often tie."""
+    V = draw(st.integers(1, 5))
+    row = st.lists(_row_entries, min_size=V, max_size=V)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([1.0, 2.0, 2.5, 40.0]))
+    drawn = draw(st.lists(picks, max_size=30))
+    rows = np.array([pool[i] for i, _ in drawn], dtype=np.float64).reshape(len(drawn), V)
+    return rows, np.array([w for _, w in drawn], dtype=np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rows_and_weights())
+def test_canonical_order_matches_a_sort_on_row_bytes(case):
+    rows, weights = case
+    data = SimpleNamespace(rows=rows, weights=weights, V=rows.shape[1])
+    assert np.array_equal(_canonical_order(data), bytes_key_order(rows, weights))
 
 
 @st.composite
