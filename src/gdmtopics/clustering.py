@@ -39,9 +39,10 @@ def _sq_dists(rows, row_sq_norms, centroids):
     return d
 
 
-def _weighted_objective(rows, weights, centroids, assignments):
-    diff = rows - centroids[assignments]
-    return float(np.sum(weights * np.einsum("ij,ij->i", diff, diff)))
+def _converged(prev, cur):
+    """Whether an objective fell from a finite ``prev`` to ``cur`` by at most
+    ``_REL_TOL`` relative; the first pass, with ``prev`` infinite, never is."""
+    return bool(np.isfinite(prev) and prev - cur <= _REL_TOL * max(abs(prev), 1e-300))
 
 
 def _weighted_means(data: NormalizedCorpus, assignments, k):
@@ -130,8 +131,7 @@ def _lloyd(data: NormalizedCorpus, seeds, max_iters):
         obj = float(np.sum(weights * d2[every_row, assignments]))
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise RuntimeError("weighted Lloyd objective increased")
-        if np.isfinite(prev_obj) and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-300):
-            prev_obj = obj
+        if _converged(prev_obj, obj):
             break
         prev_obj = obj
     obj = float(np.sum(weights * d2[every_row, assignments]))
@@ -163,58 +163,87 @@ def fit_kmeans(
     return best
 
 
+def _dpmeans_pass(data: NormalizedCorpus, d2, order, lam):
+    """One sequential DP-means pass; ``d2`` holds the squared distances from
+    every row to the centroids, which stay fixed during the pass.
+
+    Documents are visited in ``order``. Each joins its nearest cluster, or
+    opens a cluster at itself when N_m * d^2_min > lam. An opening only
+    lowers the nearest distances of the documents after it, so the pass
+    steps from one opening to the next with one product over the rows per
+    opening. Returns each row's cluster: a column of ``d2``, or
+    ``d2.shape[1] + j`` for the j-th opening.
+    """
+    rows, xx = data.rows, data._row_sq_norms
+    nearest = np.argmin(d2, axis=1)[order]  # ties resolved to the lowest index
+    dmin = d2[order, nearest]
+    w = data.weights[order]
+    k = d2.shape[1]
+    i = 0
+    while True:
+        over = np.flatnonzero(w[i:] * dmin[i:] > lam)
+        if over.size == 0:
+            break
+        i += int(over[0])
+        nearest[i] = k
+        x = rows[order[i]]
+        later = order[i + 1 :]
+        d = xx[later] - 2.0 * (rows @ x)[later] + x @ x
+        np.maximum(d, 0.0, out=d)
+        closer = np.flatnonzero(d < dmin[i + 1 :])  # strict: ties keep the lower index
+        dmin[i + 1 + closer] = d[closer]
+        nearest[i + 1 + closer] = k
+        k += 1
+        i += 1
+    assignments = np.empty_like(nearest)
+    assignments[order] = nearest
+    return assignments
+
+
 def fit_dpmeans(
     data: NormalizedCorpus,
     lam: float,
     max_iters: int = 1500,
     rng: np.random.Generator | None = None,
 ) -> ClusteringResult:
-    """Weighted DP-means: a document opens a new cluster when its assignment
-    cost exceeds the penalty.
+    """Weighted DP-means (Kulis & Jordan, ICML 2012): a document opens a new
+    cluster when its assignment cost exceeds the penalty.
 
     The opening test is ``N_m * d^2 > lam``, so lambda shares units with the
-    penalized objective (within-cluster sum + lam * K'), which is
-    nonincreasing across iterations.
+    penalized objective (within-cluster sum + lam * K'). A pass starts from
+    the weighted mean of all documents, then from the previous pass's
+    centroids, visits the documents in one random order drawn from ``rng``,
+    and ends by dropping emptied clusters and moving each centroid to the
+    weighted mean of its documents. The penalized objective is
+    nonincreasing across passes; they repeat until it decreases by at most
+    a relative 1e-10 or ``max_iters`` passes have run. A pass that repeats
+    the previous assignments repeats the penalty exactly, so the passes stop
+    at a fixpoint. Each pass takes one distance matrix from the rows to its
+    centroids, which also gives the penalty of the pass before.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rows, weights = data.rows, data.weights
-    M = rows.shape[0]
+    rows, weights, xx = data.rows, data.weights, data._row_sq_norms
+    every_row = np.arange(data.M)
     if rng is None:
         rng = np.random.default_rng(0)
-    order = rng.permutation(M)
+    order = rng.permutation(data.M)
 
     centroids = np.average(rows, axis=0, weights=weights)[None, :]
-    assignments = np.zeros(M, dtype=np.int64)
+    d2 = _sq_dists(rows, xx, centroids)
     prev_pen = np.inf
     for _ in range(max_iters):
-        changed = False
-        for m in order:
-            row = rows[m : m + 1]
-            d2 = _sq_dists(row, (row * row).sum(axis=1), centroids).ravel()
-            cost = weights[m] * d2
-            best = int(np.argmin(d2))
-            if cost[best] > lam:
-                centroids = np.vstack([centroids, rows[m]])
-                best = centroids.shape[0] - 1
-            if assignments[m] != best:
-                changed = True
-            assignments[m] = best
-        # recompute weighted means, dropping emptied clusters
-        k = centroids.shape[0]
-        occupied = np.flatnonzero(np.bincount(assignments, minlength=k) > 0)
-        remap = -np.ones(k, dtype=np.int64)
-        remap[occupied] = np.arange(occupied.size)
-        assignments = remap[assignments]
+        # renumber the clusters in order, dropping emptied ones, and recompute the means
+        occupied, assignments = np.unique(_dpmeans_pass(data, d2, order, lam), return_inverse=True)
         centroids = _weighted_means(data, assignments, occupied.size)
-        pen = _weighted_objective(rows, weights, centroids, assignments) + lam * occupied.size
+        d2 = _sq_dists(rows, xx, centroids)
+        pen = float(np.sum(weights * d2[every_row, assignments])) + lam * occupied.size
         if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
             raise RuntimeError("penalized DP-means objective increased")
-        if not changed or prev_pen - pen <= _REL_TOL * max(abs(prev_pen), 1e-300):
-            prev_pen = pen
+        if _converged(prev_pen, pen):
             break
         prev_pen = pen
-    obj = _weighted_objective(rows, weights, centroids, assignments)
+    obj = float(np.sum(weights * d2[every_row, assignments]))
     return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)

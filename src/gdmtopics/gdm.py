@@ -20,6 +20,7 @@ from .corpus import NormalizedCorpus
 from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
+_RADIUS_BLOCK = 128  # rows per block of the covering-radius distances
 
 
 class DegenerateClusterError(ValueError):
@@ -70,13 +71,18 @@ def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster). A single cluster keeps m = 1: the topic
+    (0 for an empty cluster), taken over blocks of rows so that no M x V
+    temporary is allocated. A single cluster keeps m = 1: the topic
     minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
+    to_center = np.empty(data.M)
+    for start in range(0, data.M, _RADIUS_BLOCK):
+        block = data.rows[start : start + _RADIUS_BLOCK]
+        to_center[start : start + _RADIUS_BLOCK] = np.linalg.norm(block - center, axis=1)
     radii = np.zeros(centroids.shape[0])
-    np.maximum.at(radii, assignments, np.linalg.norm(data.rows - center, axis=1))
+    np.maximum.at(radii, assignments, to_center)
     if centroids.shape[0] == 1:
         return radii, np.ones(1)
     dists = np.linalg.norm(centroids - center, axis=1)

@@ -6,7 +6,9 @@ on convexity of the squared distance in theta, and the k-means oracle
 enumerates every assignment instead of running Lloyd iterations. The dense
 k-means (seeding and Lloyd passes over the dense rows, ||x||^2 recomputed in
 every distance call, means accumulated row by row with ``np.add.at``) is the
-reference the sparse library k-means must match bit for bit. The
+reference the sparse library k-means must match bit for bit, and the
+sequential DP-means (one document at a time, a centroid appended at each
+opening) is the reference for the library's batched passes. The
 single-row projection helper recomputes the point, distance and certificate
 gap from the weights the library returns, the per-row min-norm-point active
 set is the reference the batched projection is compared with, and the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from gdmtopics.clustering import _MONOTONE_SLACK, _REL_TOL, ClusteringResult, _weighted_objective
+from gdmtopics.clustering import _MONOTONE_SLACK, _REL_TOL, ClusteringResult
 from gdmtopics.corpus import Corpus, NormalizedCorpus
 from gdmtopics.geometry import _DROP_EPS, _TOL, TopicPolytope, project_rows
 
@@ -161,6 +163,12 @@ def grid_tune_extension(center, centroid, other_vertices, rows, weights, m_max, 
     return best
 
 
+def weighted_objective(rows, weights, centroids, assignments):
+    """Weighted within-cluster sum of squares from the row differences."""
+    diff = rows - centroids[assignments]
+    return float(np.sum(weights * np.einsum("ij,ij->i", diff, diff)))
+
+
 def dense_sq_dists(rows, centroids):
     """Squared Euclidean distances, rows x centroids, from dense rows."""
     d = (
@@ -217,13 +225,13 @@ def _dense_lloyd(rows, weights, seeds, max_iters):
             break
         assignments = new_assign
         centroids = dense_weighted_means(rows, weights, assignments, k)
-        obj = _weighted_objective(rows, weights, centroids, assignments)
+        obj = weighted_objective(rows, weights, centroids, assignments)
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise RuntimeError("weighted Lloyd objective increased")
         if np.isfinite(prev_obj) and prev_obj - obj <= _REL_TOL * max(prev_obj, 1e-300):
             break
         prev_obj = obj
-    obj = _weighted_objective(rows, weights, centroids, assignments)
+    obj = weighted_objective(rows, weights, centroids, assignments)
     return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
 
 
@@ -240,6 +248,65 @@ def dense_kmeans(data: NormalizedCorpus, K: int, restarts: int, max_iters: int, 
         if best is None or result.objective < best.objective:
             best = result
     return best
+
+
+def sequential_dpmeans_pass(rows, weights, centroids, order, lam):
+    """Visit the documents in ``order``: each joins its nearest centroid, or
+    becomes a new centroid when N_m * d^2_min > lam. ||x||^2 and ||c||^2 are
+    recomputed for every document and the centroids grow by ``np.vstack``.
+
+    Returns (assignments, centroids, margin): the starting centroids followed
+    by one row per opening, and the smallest relative gap seen in the pass,
+    between a document's N_m * d^2_min and lam or between its two smallest
+    squared distances, so that near-ties can be told from disagreements.
+    """
+    assignments = np.empty(rows.shape[0], dtype=np.int64)
+    margin = np.inf
+    for m in order:
+        d2 = dense_sq_dists(rows[m : m + 1], centroids).ravel()
+        best = int(np.argmin(d2))
+        cost = weights[m] * d2[best]
+        margin = min(margin, abs(cost - lam) / lam)
+        if d2.size > 1:
+            low, second = np.partition(d2, 1)[:2]
+            margin = min(margin, (second - low) / second if second > 0 else 0.0)
+        if cost > lam:
+            centroids = np.vstack([centroids, rows[m]])
+            best = centroids.shape[0] - 1
+        assignments[m] = best
+    return assignments, centroids, margin
+
+
+def sequential_dpmeans(data: NormalizedCorpus, lam, max_iters, rng):
+    """Weighted DP-means one document at a time; returns (result, passes, margin).
+
+    Draws the visiting order from ``rng`` as ``fit_dpmeans`` does, starts
+    from the weighted mean, and after each pass drops emptied clusters and
+    moves every centroid to the weighted mean of its rows (accumulated row
+    by row). Passes stop once the penalized objective falls by at most
+    ``_REL_TOL`` relative from a finite previous value. ``margin`` is the
+    smallest margin of ``sequential_dpmeans_pass`` over the passes.
+    """
+    rows, weights = data.rows, data.weights
+    order = rng.permutation(data.M)
+    centroids = np.average(rows, axis=0, weights=weights)[None, :]
+    prev_pen = np.inf
+    margin = np.inf
+    for passes in range(1, max_iters + 1):
+        labels, centroids, pass_margin = sequential_dpmeans_pass(rows, weights, centroids, order, lam)
+        margin = min(margin, pass_margin)
+        occupied = np.unique(labels)
+        assignments = np.searchsorted(occupied, labels)
+        centroids = dense_weighted_means(rows, weights, assignments, occupied.size)
+        pen = weighted_objective(rows, weights, centroids, assignments) + lam * occupied.size
+        if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
+            raise RuntimeError("penalized DP-means objective increased")
+        if np.isfinite(prev_pen) and prev_pen - pen <= _REL_TOL * max(abs(prev_pen), 1e-300):
+            break
+        prev_pen = pen
+    obj = weighted_objective(rows, weights, centroids, assignments)
+    result = ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
+    return result, passes, margin
 
 
 def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
@@ -283,7 +350,7 @@ def brute_force_kmeans(data: NormalizedCorpus, K: int) -> ClusteringResult:
     if best_assign is None:
         raise ValueError("no assignment uses all K clusters")
     centroids = dense_weighted_means(rows, weights, best_assign, K)
-    obj = _weighted_objective(rows, weights, centroids, best_assign)
+    obj = weighted_objective(rows, weights, centroids, best_assign)
     return ClusteringResult(centroids=centroids, assignments=best_assign, objective=obj)
 
 

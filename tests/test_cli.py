@@ -93,6 +93,18 @@ def test_fit_ngdm_and_lambda_sweep(tmp_path, capsys):
     assert k_large == 1
 
 
+def test_fit_ngdm_max_iters_stops_dpmeans_early(tmp_path, capsys):
+    # on this corpus DP-means moves documents after its first pass at lambda 2
+    out = _simulate(tmp_path)
+    paths = [str(tmp_path / "full.json"), str(tmp_path / "one.json")]
+    fit = ["fit", "--algo", "ngdm", "--lambda", "2", "--in", out, "--out"]
+    assert main(fit + [paths[0]]) == 0
+    assert main(fit + [paths[1], "--max-iters", "1"]) == 0
+    full, one = (load_model(path) for path in paths)
+    assert one.config.max_iters == 1
+    assert one.K != full.K or not np.array_equal(one.polytope.vertices, full.polytope.vertices)
+
+
 def test_fit_usage_errors_exit_2(tmp_path):
     out = str(tmp_path / "none")
     for argv in (

@@ -2,18 +2,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gdmtopics import clustering
 from gdmtopics.clustering import (
-    _weighted_objective,
     fit_dpmeans,
     fit_kmeans,
     kmeanspp_init,
 )
 from gdmtopics.corpus import NormalizedCorpus, normalize
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import brute_force_kmeans, dense_kmeans, dense_weighted_means
+from oracles import (
+    brute_force_kmeans,
+    dense_kmeans,
+    dense_weighted_means,
+    sequential_dpmeans,
+    sequential_dpmeans_pass,
+    weighted_objective,
+)
 
 
 def _data(rows, weights=None):
@@ -174,7 +181,7 @@ def test_kmeans_arithmetic_on_sparse_rows(case):
     # the objective is at most sum_m N_m ||w_m||^2 (all centroids at 0), the
     # scale of the rounding in the expanded distances
     scale = float(data.weights @ np.einsum("ij,ij->i", data.rows, data.rows))
-    reference = _weighted_objective(data.rows, data.weights, res.centroids, res.assignments)
+    reference = weighted_objective(data.rows, data.weights, res.centroids, res.assignments)
     assert abs(res.objective - reference) <= 1e-12 * scale
 
 
@@ -241,3 +248,75 @@ def test_dpmeans_rejects_bad_lambda():
     data = _data(np.eye(3))
     with pytest.raises(ValueError):
         fit_dpmeans(data, lam=0.0)
+
+
+@st.composite
+def dpmeans_cases(draw):
+    """Small count corpora, repeated rows allowed, with a penalty from well
+    below to above the opening costs against the overall mean."""
+    V = draw(st.integers(2, 6))
+    M = draw(st.integers(1, 24))
+    counts = draw(
+        st.lists(st.lists(st.integers(0, 5), min_size=V, max_size=V), min_size=M, max_size=M)
+    )
+    counts = np.array(counts, dtype=np.float64)
+    counts[counts.sum(axis=1) == 0, 0] = 1.0
+    weights = counts.sum(axis=1)
+    lam = draw(st.floats(0.05, 20.0))
+    return NormalizedCorpus(rows=counts / weights[:, None], weights=weights), lam, draw(
+        st.integers(0, 2**32 - 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=dpmeans_cases())
+def test_dpmeans_matches_sequential_oracle(case):
+    data, lam, seed = case
+    expected, _, margin = sequential_dpmeans(data, lam, 1500, np.random.default_rng(seed))
+    # batched and per-row distances differ by a few ulps, which may flip a near-tie
+    assume(margin > 1e-9)
+    res = fit_dpmeans(data, lam, rng=np.random.default_rng(seed))
+    assert res.n_clusters == expected.n_clusters
+    assert np.array_equal(res.assignments, expected.assignments)
+    assert np.allclose(res.centroids, expected.centroids, rtol=0.0, atol=1e-12)
+
+
+def _stop_rule_corpus():
+    """At lam = 2, pass 2 moves documents on this corpus and passes run to 8."""
+    params = LdaParams(K=3, V=8, M=40, doc_lengths=60, alpha=0.5, eta=0.5, seed=0)
+    return normalize(generate_corpus(params)[0]), 2.0
+
+
+def _counting_means(monkeypatch):
+    calls = []
+    means = clustering._weighted_means
+
+    def spy(*args):
+        calls.append(1)
+        return means(*args)
+
+    monkeypatch.setattr(clustering, "_weighted_means", spy)
+    return calls
+
+
+def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
+    data, lam = _stop_rule_corpus()
+    calls = _counting_means(monkeypatch)
+    one = fit_dpmeans(data, lam, max_iters=1, rng=np.random.default_rng(0))
+    assert len(calls) == 1
+    two = fit_dpmeans(data, lam, max_iters=2, rng=np.random.default_rng(0))
+    assert not np.array_equal(one.assignments, two.assignments)
+    del calls[:]
+    res = fit_dpmeans(data, lam, rng=np.random.default_rng(0))
+    expected, passes, _ = sequential_dpmeans(data, lam, 1500, np.random.default_rng(0))
+    assert len(calls) == passes > 2
+    assert np.array_equal(res.assignments, expected.assignments)
+
+
+def test_dpmeans_returns_a_fixpoint():
+    data, lam = _stop_rule_corpus()
+    res = fit_dpmeans(data, lam, rng=np.random.default_rng(0))
+    order = np.random.default_rng(0).permutation(data.M)
+    labels, centroids, _ = sequential_dpmeans_pass(data.rows, data.weights, res.centroids, order, lam)
+    assert centroids.shape == res.centroids.shape  # nothing opened
+    assert np.array_equal(labels, res.assignments)
