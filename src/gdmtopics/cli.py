@@ -49,13 +49,17 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _write_manifest(path, command, argv, inputs, outputs, started):
+class _UsageError(Exception):
+    """A combination of options that argparse cannot reject by itself (exit 2)."""
+
+
+def _write_manifest(path, args, argv, inputs, outputs):
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
         "inputs": sorted(inputs),
         "outputs": sorted(outputs),
-        "duration_sec": time.time() - started,
+        "duration_sec": time.time() - args.started,
         "version": __version__,
     }
     with open(path, "w", encoding="utf-8") as f:
@@ -72,7 +76,6 @@ def _load_corpus_dir(path):
 
 
 def _cmd_simulate(args, argv):
-    started = time.time()
     params = LdaParams(
         K=args.K,
         V=args.V,
@@ -107,34 +110,29 @@ def _cmd_simulate(args, argv):
             sort_keys=True,
         )
         f.write("\n")
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "simulate",
-        argv,
-        [],
-        [docword, truth_path],
-        started,
-    )
+    _write_manifest(os.path.join(args.out, "manifest.json"), args, argv, [], [docword, truth_path])
     print(f"wrote {corpus.M} documents (V={corpus.V}) to {args.out}")
     return 0
 
 
-def _fit_config(args, parser):
+def _fit_config(args):
     if args.algo == "ngdm":
         if args.K is not None:
-            parser.error("--algo ngdm does not accept --K")
+            raise _UsageError("--algo ngdm does not accept --K")
         if args.lam is None:
-            parser.error("--algo ngdm requires --lambda")
+            raise _UsageError("--algo ngdm requires --lambda")
+        if args.restarts is not None:
+            raise _UsageError("--algo ngdm does not accept --restarts; DP-means has no restarts")
     elif args.K is None:
-        parser.error(f"--algo {args.algo} requires --K")
+        raise _UsageError(f"--algo {args.algo} requires --K")
     elif args.lam is not None:
-        parser.error(f"--algo {args.algo} does not accept --lambda")
+        raise _UsageError(f"--algo {args.algo} does not accept --lambda")
     elif args.tune:
-        parser.error("--tune applies only to --algo ngdm; tgdm always tunes")
+        raise _UsageError("--tune applies only to --algo ngdm; tgdm always tunes")
     return GdmConfig(
         K=args.K,
         lam=args.lam,
-        restarts=args.restarts,
+        restarts=GdmConfig.restarts if args.restarts is None else args.restarts,
         max_iters=args.max_iters,
         weighted_center=not args.unweighted_center,
         tune=args.algo == "tgdm" or args.tune,
@@ -142,9 +140,8 @@ def _fit_config(args, parser):
     )
 
 
-def _cmd_fit(args, argv, parser):
-    started = time.time()
-    config = _fit_config(args, parser)
+def _cmd_fit(args, argv):
+    config = _fit_config(args)
     corpus = _load_corpus_dir(args.inp)
     data = normalize(corpus)
     if config.K is not None:
@@ -152,16 +149,15 @@ def _cmd_fit(args, argv, parser):
     else:
         model = fit_ngdm(data, config)
     save_model(model, args.out)
-    _write_manifest(args.out + ".manifest.json", "fit", argv, [args.inp], [args.out], started)
+    _write_manifest(args.out + ".manifest.json", args, argv, [args.inp], [args.out])
     print(
         f"algo={args.algo} K={model.K} objective={model.objective:.6g} "
-        f"elapsed={time.time() - started:.2f}s"
+        f"elapsed={time.time() - args.started:.2f}s"
     )
     return 0
 
 
 def _cmd_eval(args, argv):
-    started = time.time()
     model = load_model(args.model)
     heldout = _load_corpus_dir(args.heldout)
     if heldout.V != model.polytope.V:
@@ -189,9 +185,8 @@ def _cmd_eval(args, argv):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-        _write_manifest(
-            args.out + ".manifest.json", "eval", argv, [args.model, args.heldout], [args.out], started
-        )
+        inputs = [args.model, args.heldout]
+        _write_manifest(args.out + ".manifest.json", args, argv, inputs, [args.out])
     return 0
 
 
@@ -216,20 +211,18 @@ def _cmd_topics(args, argv):
 
 
 def _cmd_lambda_sweep(args, argv):
-    started = time.time()
+    configs = [GdmConfig(lam=lam, max_iters=args.max_iters, seed=args.seed) for lam in args.lambdas]
     corpus = _load_corpus_dir(args.inp)
     data = normalize(corpus)
     rows = ["lambda,seed,n_topics,objective"]
-    for lam in args.lambdas:
-        model = fit_ngdm(data, GdmConfig(lam=lam, max_iters=args.max_iters, seed=args.seed))
-        rows.append(f"{lam},{args.seed},{model.K},{model.objective:.8g}")
+    for config in configs:
+        model = fit_ngdm(data, config)
+        rows.append(f"{config.lam},{args.seed},{model.K},{model.objective:.8g}")
         print(rows[-1])
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("\n".join(rows) + "\n")
-        _write_manifest(
-            args.out + ".manifest.json", "lambda-sweep", argv, [args.inp], [args.out], started
-        )
+        _write_manifest(args.out + ".manifest.json", args, argv, [args.inp], [args.out])
     return 0
 
 
@@ -245,6 +238,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic corpus with ground truth")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--V", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
@@ -255,10 +249,11 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("fit", help="fit a topic polytope")
+    p.set_defaults(run=_cmd_fit)
     p.add_argument("--algo", choices=("gdm", "tgdm", "ngdm"), required=True)
     p.add_argument("--K", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=int, help=f"gdm/tgdm only (default {GdmConfig.restarts})")
     p.add_argument("--max-iters", type=int, default=1500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unweighted-center", action="store_true")
@@ -267,17 +262,20 @@ def _build_parser():
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = sub.add_parser("eval", help="evaluate a fitted model on held-out documents")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--model", required=True)
     p.add_argument("--heldout", required=True, help="held-out corpus directory")
     p.add_argument("--truth", default=None, help="truth.json enabling MM distance")
     p.add_argument("--out", default=None, help="optional report JSON path")
 
     p = sub.add_parser("topics", help="print top words per topic")
+    p.set_defaults(run=_cmd_topics)
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--top", type=int, default=10)
 
     p = sub.add_parser("lambda-sweep", help="fit ngdm across a lambda grid, emit CSV")
+    p.set_defaults(run=_cmd_lambda_sweep)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--lambdas", type=_float_list, required=True, help="comma-separated lambda values")
     p.add_argument("--max-iters", type=int, default=1500)
@@ -285,6 +283,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="optional CSV path")
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
+    p.set_defaults(run=_cmd_rerun)
     p.add_argument("manifest")
     return parser
 
@@ -294,23 +293,14 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.started = time.time()
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, argv)
-        if args.command == "fit":
-            return _cmd_fit(args, argv, parser)
-        if args.command == "eval":
-            return _cmd_eval(args, argv)
-        if args.command == "topics":
-            return _cmd_topics(args, argv)
-        if args.command == "lambda-sweep":
-            return _cmd_lambda_sweep(args, argv)
-        if args.command == "rerun":
-            return _cmd_rerun(args, argv)
+        return args.run(args, argv)
+    except _UsageError as exc:
+        parser.error(str(exc))
     except (CorpusError, ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Both routines minimize the weighted within-cluster sum of squares
 ``sum_k sum_{m in C_k} N_m ||w_m - mu_k||^2`` with centroids at the weighted
-means of their clusters.
+means of their clusters, DP-means plus a penalty lam per cluster. They share
+one descent loop and differ only in how a step labels the rows.
 """
 
 from __future__ import annotations
@@ -98,39 +99,32 @@ def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> n
     return seeds
 
 
-def _lloyd(data: NormalizedCorpus, seeds, max_iters):
-    """Weighted Lloyd iterations from given seeds until assignment fixpoint.
+def _descend(data: NormalizedCorpus, X, centroids, step, lam, max_iters):
+    """Alternate labelling and weighted means from ``centroids``, with the
+    distances taken on ``X`` (the rows, dense or sparse).
 
-    One distance matrix per iteration serves both the objective of the new
-    centroids and the next assignment step.
+    ``step(d2, centroids)`` labels every row from its squared distances
+    ``d2`` and returns ``(labels, k)``; it may update both arguments in
+    place. The iterations stop once the labels repeat, once the objective
+    sum_m N_m d^2 + lam * k falls by at most a relative ``_REL_TOL``, or
+    after ``max_iters`` labellings. One distance matrix per iteration serves
+    both the objective of the new centroids and the next labelling.
     """
-    rows, weights = data.rows, data.weights
-    X, xx = data._csr_rows, data._row_sq_norms
+    xx, weights = data._row_sq_norms, data.weights
     every_row = np.arange(data.M)
-    k = seeds.shape[0]
-    centroids = seeds.copy()
     assignments = None
     prev_obj = np.inf
     d2 = _sq_dists(X, xx, centroids)
     for _ in range(max_iters):
-        new_assign = np.argmin(d2, axis=1)  # ties resolved to lowest index
-        # repair emptied clusters: reseed at the largest weighted contributor
-        counts = np.bincount(new_assign, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            contrib = weights * d2[every_row, new_assign]
-            donor = int(np.argmax(contrib))
-            new_assign[donor] = empty
-            centroids[empty] = rows[donor]
-            counts = np.bincount(new_assign, minlength=k)
-            d2 = _sq_dists(X, xx, centroids)
-        if assignments is not None and np.array_equal(new_assign, assignments):
+        labels, k = step(d2, centroids)
+        if assignments is not None and np.array_equal(labels, assignments):
             break
-        assignments = new_assign
+        assignments = labels
         centroids = _weighted_means(data, assignments, k)
         d2 = _sq_dists(X, xx, centroids)
-        obj = float(np.sum(weights * d2[every_row, assignments]))
-        if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
-            raise RuntimeError("weighted Lloyd objective increased")
+        obj = float(np.sum(weights * d2[every_row, assignments])) + lam * k
+        if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
+            raise RuntimeError("clustering objective increased")
         if _converged(prev_obj, obj):
             break
         prev_obj = obj
@@ -154,10 +148,23 @@ def fit_kmeans(
         raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    rows, weights = data.rows, data.weights
+    every_row = np.arange(data.M)
+
+    def lloyd_step(d2, centroids):
+        labels = np.argmin(d2, axis=1)  # ties resolved to lowest index
+        # repair emptied clusters: reseed at the largest weighted contributor
+        for empty in np.flatnonzero(np.bincount(labels, minlength=K) == 0):
+            donor = int(np.argmax(weights * d2[every_row, labels]))
+            labels[donor] = empty
+            centroids[empty] = rows[donor]
+            d2[...] = _sq_dists(data._csr_rows, data._row_sq_norms, centroids)
+        return labels, K
+
     best = None
     for _ in range(restarts):
         seeds = kmeanspp_init(data, K, rng)
-        result = _lloyd(data, seeds, max_iters)
+        result = _descend(data, data._csr_rows, seeds, lloyd_step, 0.0, max_iters)
         if best is None or result.objective < best.objective:
             best = result
     return best
@@ -214,36 +221,20 @@ def fit_dpmeans(
     the weighted mean of all documents, then from the previous pass's
     centroids, visits the documents in one random order drawn from ``rng``,
     and ends by dropping emptied clusters and moving each centroid to the
-    weighted mean of its documents. The penalized objective is
-    nonincreasing across passes; they repeat until it decreases by at most
-    a relative 1e-10 or ``max_iters`` passes have run. A pass that repeats
-    the previous assignments repeats the penalty exactly, so the passes stop
-    at a fixpoint. Each pass takes one distance matrix from the rows to its
-    centroids, which also gives the penalty of the pass before.
+    weighted mean of its documents.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lambda must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rows, weights, xx = data.rows, data.weights, data._row_sq_norms
-    every_row = np.arange(data.M)
     if rng is None:
         rng = np.random.default_rng(0)
     order = rng.permutation(data.M)
 
-    centroids = np.average(rows, axis=0, weights=weights)[None, :]
-    d2 = _sq_dists(rows, xx, centroids)
-    prev_pen = np.inf
-    for _ in range(max_iters):
-        # renumber the clusters in order, dropping emptied ones, and recompute the means
-        occupied, assignments = np.unique(_dpmeans_pass(data, d2, order, lam), return_inverse=True)
-        centroids = _weighted_means(data, assignments, occupied.size)
-        d2 = _sq_dists(rows, xx, centroids)
-        pen = float(np.sum(weights * d2[every_row, assignments])) + lam * occupied.size
-        if not pen <= prev_pen + _MONOTONE_SLACK * max(1.0, abs(pen)):
-            raise RuntimeError("penalized DP-means objective increased")
-        if _converged(prev_pen, pen):
-            break
-        prev_pen = pen
-    obj = float(np.sum(weights * d2[every_row, assignments]))
-    return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
+    def dpmeans_step(d2, centroids):
+        # renumber the clusters in order, dropping emptied ones
+        occupied, labels = np.unique(_dpmeans_pass(data, d2, order, lam), return_inverse=True)
+        return labels, occupied.size
+
+    start = np.average(data.rows, axis=0, weights=data.weights)[None, :]
+    return _descend(data, data.rows, start, dpmeans_step, lam, max_iters)

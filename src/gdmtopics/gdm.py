@@ -44,8 +44,8 @@ class GdmConfig:
             raise ValueError("exactly one of K and lam must be given")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:

@@ -45,10 +45,10 @@ class LdaParams:
             raise ValueError("V must be >= 2")
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         lengths = self.doc_lengths
         if isinstance(lengths, tuple):
             if len(lengths) != 2 or lengths[0] < 1 or lengths[1] < lengths[0]:
@@ -82,8 +82,8 @@ def sample_dirichlet(dim: int, concentration: float, rng: np.random.Generator) -
     Small concentrations are sampled in log space (Gamma(a+1) boost plus a
     log-uniform factor) so that draws do not underflow to an all-zero vector.
     """
-    if not concentration > 0:
-        raise ValueError(f"concentration must be positive, got {concentration}")
+    if not 0 < concentration < np.inf:
+        raise ValueError(f"concentration must be positive and finite, got {concentration}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if dim == 1:

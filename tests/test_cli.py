@@ -115,6 +115,7 @@ def test_fit_usage_errors_exit_2(tmp_path):
         ["fit", "--algo", "nope", "--in", out, "--out", "m.json"],
         ["fit", "--algo", "gdm", "--K", "2", "--tune", "--in", out, "--out", "m.json"],
         ["fit", "--algo", "tgdm", "--K", "2", "--tune", "--in", out, "--out", "m.json"],
+        ["fit", "--algo", "ngdm", "--lambda", "1", "--restarts", "3", "--in", out, "--out", "m.json"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -151,6 +152,18 @@ def test_out_of_range_numbers_exit_1(tmp_path, capsys):
     assert main(["lambda-sweep", "--in", corpus, "--lambdas", "-1"]) == 1
     assert "must be positive" in capsys.readouterr().err
     model_path = str(tmp_path / "m.json")
+    infinite = []
+    for flag in ("--alpha", "--eta"):
+        argv = _simulate_argv(str(tmp_path / "inf"), "5")
+        argv[argv.index(flag) + 1] = "inf"
+        infinite.append(argv)
+    infinite.append(["fit", "--algo", "ngdm", "--lambda", "inf", "--in", corpus, "--out", model_path])
+    infinite.append(["lambda-sweep", "--in", corpus, "--lambdas", "1,inf"])
+    for argv in infinite:
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "must be positive and finite" in err
+        assert out == ""
     for max_iters in ("0", "-7"):
         args = ["fit", "--algo", "gdm", "--K", "2", "--max-iters", max_iters, "--in", corpus]
         assert main(args + ["--out", model_path]) == 1

@@ -246,8 +246,9 @@ def test_dpmeans_three_separated_clouds():
 
 def test_dpmeans_rejects_bad_lambda():
     data = _data(np.eye(3))
-    with pytest.raises(ValueError):
-        fit_dpmeans(data, lam=0.0)
+    for lam in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            fit_dpmeans(data, lam=lam)
 
 
 @st.composite
@@ -287,21 +288,21 @@ def _stop_rule_corpus():
     return normalize(generate_corpus(params)[0]), 2.0
 
 
-def _counting_means(monkeypatch):
+def _counting_passes(monkeypatch):
     calls = []
-    means = clustering._weighted_means
+    dpmeans_pass = clustering._dpmeans_pass
 
     def spy(*args):
         calls.append(1)
-        return means(*args)
+        return dpmeans_pass(*args)
 
-    monkeypatch.setattr(clustering, "_weighted_means", spy)
+    monkeypatch.setattr(clustering, "_dpmeans_pass", spy)
     return calls
 
 
 def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
     data, lam = _stop_rule_corpus()
-    calls = _counting_means(monkeypatch)
+    calls = _counting_passes(monkeypatch)
     one = fit_dpmeans(data, lam, max_iters=1, rng=np.random.default_rng(0))
     assert len(calls) == 1
     two = fit_dpmeans(data, lam, max_iters=2, rng=np.random.default_rng(0))
@@ -311,6 +312,28 @@ def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
     expected, passes, _ = sequential_dpmeans(data, lam, 1500, np.random.default_rng(0))
     assert len(calls) == passes > 2
     assert np.array_equal(res.assignments, expected.assignments)
+
+
+def test_means_are_taken_only_for_new_assignments(monkeypatch):
+    seen = []
+    means = clustering._weighted_means
+
+    def spy(data, assignments, k):
+        seen.append(assignments.copy())
+        return means(data, assignments, k)
+
+    monkeypatch.setattr(clustering, "_weighted_means", spy)
+    data, lam = _stop_rule_corpus()
+    fits = (
+        lambda: fit_kmeans(data, 3, restarts=1, rng=np.random.default_rng(0)),
+        lambda: fit_dpmeans(data, lam, rng=np.random.default_rng(0)),
+    )
+    for fit in fits:
+        del seen[:]
+        res = fit()
+        assert len(seen) > 1
+        assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+        assert np.array_equal(res.assignments, seen[-1])
 
 
 def test_dpmeans_returns_a_fixpoint():

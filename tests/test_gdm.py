@@ -175,6 +175,8 @@ def test_fit_validates_config_and_sizes():
         dict(K=2, restarts=0),
         dict(K=2, max_iters=0),
         dict(lam=1.0, max_iters=-7),
+        dict(lam=float("inf")),
+        dict(lam=float("nan")),
     ],
 )
 def test_config_validation(kwargs):

@@ -24,6 +24,8 @@ def test_dirichlet_rejects_bad_concentration():
         sample_dirichlet(3, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_dirichlet(3, -1.0, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_dirichlet(3, np.inf, np.random.default_rng(0))
 
 
 def test_dirichlet_simplex_and_positive():
@@ -121,6 +123,8 @@ def test_alpha_to_zero_weak_limit():
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=0, eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=-2, seed=0),
         dict(K=1, V=3, M=2, doc_lengths=[1, 2, 3], alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=float("inf"), eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=float("nan"), seed=0),
     ],
 )
 def test_params_validation(kwargs):
