@@ -46,62 +46,78 @@ def _converged(prev, cur):
     return bool(np.isfinite(prev) and prev - cur <= _REL_TOL * max(abs(prev), 1e-300))
 
 
-def _weighted_means(data: NormalizedCorpus, assignments, k):
-    """Weighted mean per cluster; clusters assumed nonempty.
+def _weighted_means(X, weights, assignments, k):
+    """Weighted mean per cluster of the rows of ``X`` (dense or CSR); clusters
+    assumed nonempty.
 
     Each cluster sums N_m w_m over its rows in row order, so the sums are
-    the ones a row-by-row accumulation gives.
+    the ones a row-by-row accumulation gives, from either layout.
     """
     order = np.argsort(assignments, kind="stable")
     indptr = np.searchsorted(assignments[order], np.arange(k + 1))
-    onehot = sp.csr_matrix((data.weights[order], order, indptr), shape=(k, data.M))
-    wsum = np.bincount(assignments, weights=data.weights, minlength=k)
-    return (onehot @ data._csr_rows).toarray() / wsum[:, None]
+    onehot = sp.csr_matrix((weights[order], order, indptr), shape=(k, X.shape[0]))
+    sums = onehot @ X
+    if sp.issparse(sums):
+        sums = sums.toarray()
+    return sums / np.bincount(assignments, weights=weights, minlength=k)[:, None]
 
 
-def _has_distinct_rows(rows, k):
-    """Whether ``rows`` holds at least ``k`` distinct rows; stops at the k-th."""
+def _csr_row(X, m, out):
+    """Write row ``m`` of the CSR matrix ``X`` into the dense vector ``out``."""
+    lo, hi = X.indptr[m], X.indptr[m + 1]
+    out[:] = 0.0
+    out[X.indices[lo:hi]] = X.data[lo:hi]
+
+
+def _has_distinct_rows(X, k):
+    """Whether the CSR rows ``X`` hold at least ``k`` distinct rows; stops at the k-th.
+
+    A row is compared by its column indices and stored values, which in the
+    layout ``kmeanspp_init`` asks for makes -0.0 and 0.0 one value, as in np.unique.
+    """
     seen = set()
-    for row in rows:
-        seen.add((row + 0.0).tobytes())  # -0.0 and 0.0 are one value, as in np.unique
+    indptr, indices, values = X.indptr, X.indices, X.data
+    for m in range(X.shape[0]):
+        lo, hi = indptr[m], indptr[m + 1]
+        seen.add((indices[lo:hi].tobytes(), values[lo:hi].tobytes()))
         if len(seen) >= k:
             return True
     return False
 
 
-def kmeanspp_init(data: NormalizedCorpus, K: int, rng: np.random.Generator) -> np.ndarray:
-    """Weighted k-means++ seeding.
+def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.ndarray:
+    """Weighted k-means++ seeding of the CSR rows ``X``, which must have
+    sorted indices and no stored zeros, as ``sp.csr_matrix(dense_rows)`` gives.
 
-    The first seed is drawn with probability proportional to the document
-    weight N_m; each subsequent seed with probability proportional to
+    ``sq_norms`` holds the squared row norms and ``weights`` the document
+    weights N_m. The first seed is drawn with probability proportional to
+    N_m; each subsequent seed with probability proportional to
     N_m * D(m)^2, D(m) being the distance to the nearest chosen seed.
-    Returns K distinct rows.
+    Returns K distinct rows, dense.
     """
-    rows, weights = data.rows, data.weights
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not _has_distinct_rows(rows, K):
+    if not _has_distinct_rows(X, K):
         raise ValueError(f"K={K} exceeds the number of distinct rows")
-    X, xx = data._csr_rows, data._row_sq_norms
-    seeds = np.empty((K, rows.shape[1]))
-    first = rng.choice(rows.shape[0], p=weights / weights.sum())
-    seeds[0] = rows[first]
-    d2 = _sq_dists(X, xx, seeds[:1]).ravel()
+    M = X.shape[0]
+    seeds = np.empty((K, X.shape[1]))
+    _csr_row(X, rng.choice(M, p=weights / weights.sum()), seeds[0])
+    d2 = _sq_dists(X, sq_norms, seeds[:1]).ravel()
     for k in range(1, K):
         scores = weights * d2
         total = scores.sum()
         if total > 0:
-            idx = rng.choice(rows.shape[0], p=scores / total)
+            idx = rng.choice(M, p=scores / total)
         else:  # all mass on already-chosen points; grab any unseen distinct row
             idx = int(np.flatnonzero(d2 > 0)[0])
-        seeds[k] = rows[idx]
-        d2 = np.minimum(d2, _sq_dists(X, xx, seeds[k : k + 1]).ravel())
+        _csr_row(X, idx, seeds[k])
+        d2 = np.minimum(d2, _sq_dists(X, sq_norms, seeds[k : k + 1]).ravel())
     return seeds
 
 
-def _descend(data: NormalizedCorpus, X, centroids, step, lam, max_iters):
-    """Alternate labelling and weighted means from ``centroids``, with the
-    distances taken on ``X`` (the rows, dense or sparse).
+def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
+    """Alternate labelling and weighted means from ``centroids``, on the rows
+    ``X`` (dense or CSR) with squared norms ``sq_norms`` and weights N_m.
 
     ``step(d2, centroids)`` labels every row from its squared distances
     ``d2`` and returns ``(labels, k)``; it may update both arguments in
@@ -110,18 +126,17 @@ def _descend(data: NormalizedCorpus, X, centroids, step, lam, max_iters):
     after ``max_iters`` labellings. One distance matrix per iteration serves
     both the objective of the new centroids and the next labelling.
     """
-    xx, weights = data._row_sq_norms, data.weights
-    every_row = np.arange(data.M)
+    every_row = np.arange(X.shape[0])
     assignments = None
     prev_obj = np.inf
-    d2 = _sq_dists(X, xx, centroids)
+    d2 = _sq_dists(X, sq_norms, centroids)
     for _ in range(max_iters):
         labels, k = step(d2, centroids)
         if assignments is not None and np.array_equal(labels, assignments):
             break
         assignments = labels
-        centroids = _weighted_means(data, assignments, k)
-        d2 = _sq_dists(X, xx, centroids)
+        centroids = _weighted_means(X, weights, assignments, k)
+        d2 = _sq_dists(X, sq_norms, centroids)
         obj = float(np.sum(weights * d2[every_row, assignments])) + lam * k
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
             raise RuntimeError("clustering objective increased")
@@ -138,8 +153,16 @@ def fit_kmeans(
     restarts: int = 10,
     max_iters: int = 1500,
     rng: np.random.Generator | None = None,
+    *,
+    order: np.ndarray | None = None,
 ) -> ClusteringResult:
-    """Best-of-restarts weighted k-means with k-means++ seeding."""
+    """Best-of-restarts weighted k-means with k-means++ seeding.
+
+    The arithmetic runs on a CSR copy of the rows. ``order``, a permutation
+    of the rows, clusters them in that order, as if ``data`` had been
+    permuted first, without a dense reordered copy; the assignments then
+    follow ``order``.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     if restarts < 1:
@@ -148,7 +171,9 @@ def fit_kmeans(
         raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    rows, weights = data.rows, data.weights
+    X, xx, weights = sp.csr_matrix(data.rows), data._row_sq_norms, data.weights
+    if order is not None:
+        X, xx, weights = X[order], xx[order], weights[order]
     every_row = np.arange(data.M)
 
     def lloyd_step(d2, centroids):
@@ -157,14 +182,14 @@ def fit_kmeans(
         for empty in np.flatnonzero(np.bincount(labels, minlength=K) == 0):
             donor = int(np.argmax(weights * d2[every_row, labels]))
             labels[donor] = empty
-            centroids[empty] = rows[donor]
-            d2[...] = _sq_dists(data._csr_rows, data._row_sq_norms, centroids)
+            _csr_row(X, donor, centroids[empty])
+            d2[...] = _sq_dists(X, xx, centroids)
         return labels, K
 
     best = None
     for _ in range(restarts):
-        seeds = kmeanspp_init(data, K, rng)
-        result = _descend(data, data._csr_rows, seeds, lloyd_step, 0.0, max_iters)
+        seeds = kmeanspp_init(X, xx, weights, K, rng)
+        result = _descend(X, xx, weights, seeds, lloyd_step, 0.0, max_iters)
         if best is None or result.objective < best.objective:
             best = result
     return best
@@ -237,4 +262,5 @@ def fit_dpmeans(
         return labels, occupied.size
 
     start = np.average(data.rows, axis=0, weights=data.weights)[None, :]
-    return _descend(data, data.rows, start, dpmeans_step, lam, max_iters)
+    xx = data._row_sq_norms
+    return _descend(data.rows, xx, data.weights, start, dpmeans_step, lam, max_iters)

@@ -144,19 +144,21 @@ class NormalizedCorpus:
     def V(self):
         return self.rows.shape[1]
 
-    # for the k-means arithmetic; built on first use and kept, as the rows are read-only
-    @cached_property
-    def _csr_rows(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.rows)
-
+    # for the clustering arithmetic; built on first use and kept, as the rows are read-only
     @cached_property
     def _row_sq_norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.rows, self.rows)
 
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
-    """Divide each count row by its document length."""
-    rows = corpus.counts.toarray() / corpus.lengths[:, None]
+    """Divide each count row by its document length.
+
+    The division runs on the stored counts, so the one dense M x V array
+    allocated is the returned rows.
+    """
+    counts = corpus.counts
+    shares = counts.data / np.repeat(corpus.lengths, np.diff(counts.indptr))
+    rows = sp.csr_matrix((shares, counts.indices, counts.indptr), shape=counts.shape).toarray()
     # kill rounding residue so row sums hit 1.0 within 1e-12
     rows /= rows.sum(axis=1, keepdims=True)
     return NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))

@@ -29,7 +29,10 @@ class DegenerateClusterError(ValueError):
 
 @dataclass(frozen=True)
 class GdmConfig:
-    """Estimator configuration; give K for GDM/tGDM or lam for nGDM, not both."""
+    """Estimator configuration; give K for GDM/tGDM or lam for nGDM, not both.
+
+    ``restarts`` counts k-means restarts; with ``lam`` it keeps its default.
+    """
 
     K: int | None = None
     restarts: int = 10
@@ -48,6 +51,8 @@ class GdmConfig:
             raise ValueError("lam must be positive and finite")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.lam is not None and self.restarts != GdmConfig.restarts:
+            raise ValueError("restarts applies to k-means only; DP-means (lam) has no restarts")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -71,16 +76,18 @@ def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster), taken over blocks of rows so that no M x V
-    temporary is allocated. A single cluster keeps m = 1: the topic
-    minimizing G is the weighted mean, which is its centroid.
+    (0 for an empty cluster), taken over blocks of rows so that the only
+    temporary is one block of differences. A single cluster keeps m = 1:
+    the topic minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     to_center = np.empty(data.M)
     for start in range(0, data.M, _RADIUS_BLOCK):
-        block = data.rows[start : start + _RADIUS_BLOCK]
-        to_center[start : start + _RADIUS_BLOCK] = np.linalg.norm(block - center, axis=1)
+        # np.linalg.norm(block - center, axis=1), with the squares taken in place
+        diff = data.rows[start : start + _RADIUS_BLOCK] - center
+        np.multiply(diff, diff, out=diff)
+        to_center[start : start + _RADIUS_BLOCK] = np.sqrt(np.add.reduce(diff, axis=1))
     radii = np.zeros(centroids.shape[0])
     np.maximum.at(radii, assignments, to_center)
     if centroids.shape[0] == 1:
@@ -140,13 +147,17 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     is G plus the nGDM penalty lam * K' (zero for GDM).
     """
     order = _canonical_order(data)
-    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
     rng = np.random.default_rng(config.seed)
     if config.K is not None:
-        clustering = fit_kmeans(ordered, config.K, config.restarts, config.max_iters, rng)
+        clustering = fit_kmeans(
+            data, config.K, config.restarts, config.max_iters, rng, order=order
+        )
     else:
+        # DP-means runs dense products, whose rounding depends on where a row
+        # sits in the array, so it gets a reordered copy
+        ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
         clustering = fit_dpmeans(ordered, config.lam, config.max_iters, rng)
-    del ordered  # the reordered copy is freed before the geometry runs
+        del ordered  # freed before the geometry runs
     assignments = np.empty(data.M, dtype=np.int64)
     assignments[order] = clustering.assignments
     k = clustering.n_clusters
@@ -204,7 +215,8 @@ def tune_extensions(
     extensions = extensions.copy()
     for k in range(polytope.K):
         members = np.flatnonzero(assignments == k)
-        if members.size == 0:
+        hi = float(extensions[k])
+        if members.size == 0 or hi <= 1.0 + 1e-12:
             continue
         sub = NormalizedCorpus(rows=data.rows[members], weights=data.weights[members])
 
@@ -213,14 +225,12 @@ def tune_extensions(
             cand[_k] = extend(center, centroids[_k, None], [m])
             return geometric_objective(_sub, TopicPolytope(cand))
 
-        hi = float(extensions[k])
-        if hi <= 1.0 + 1e-12:
-            continue
         res = minimize_scalar(g_k, bounds=(1.0, hi), method="bounded", options={"xatol": 1e-4})
         candidates = [(g_k(hi), hi), (float(res.fun), float(res.x)), (g_k(1.0), 1.0)]
         best_m = min(candidates, key=lambda t: t[0])[1]
         extensions[k] = best_m
         vertices[k] = extend(center, centroids[k, None], [best_m])
+        del sub, g_k  # free the row subset before the next one and the final objective
     tuned = TopicPolytope(vertices)
     return tuned, extensions, geometric_objective(data, tuned)
 

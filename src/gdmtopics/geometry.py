@@ -13,7 +13,8 @@ once:
 2. certificate: every row is checked in word space by the variational
    inequality ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale``
    for every vertex, and its weights must lie on the simplex; the first row
-   that fails raises ProjectionFailure.
+   that fails raises ProjectionFailure. The certificate works in one M x V
+   buffer, the projected points overwritten by their residuals.
 """
 
 from __future__ import annotations
@@ -131,11 +132,15 @@ def _certify(X, B, thetas, scales):
     A row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` for
     p = theta . B, and theta lies on the simplex: no entry below -1e-12 and
     a sum within 1e-9 of 1. A NaN row fails.
+
+    The only M x V array allocated is the points, overwritten in place by the
+    differences x - p; the term p . (x - p) is taken as theta . (B (x - p)).
     """
-    points = thetas @ B
-    diff = X - points
+    diff = thetas @ B
+    np.subtract(X, diff, out=diff)
     sq = np.einsum("ij,ij->i", diff, diff)
-    gaps = (diff @ B.T).max(axis=1) - np.einsum("ij,ij->i", points, diff)
+    toward = diff @ B.T  # (b_k . (x - p)) for every row and vertex
+    gaps = toward.max(axis=1) - np.einsum("ij,ij->i", thetas, toward)
     ok = (
         (gaps <= 10.0 * _TOL * scales)
         & (thetas.min(axis=1) >= -1e-12)

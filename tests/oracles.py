@@ -12,8 +12,11 @@ opening) is the reference for the library's batched passes. The
 single-row projection helper recomputes the point, distance and certificate
 gap from the weights the library returns, the per-row min-norm-point active
 set is the reference the batched projection is compared with, and the
-likelihood-sandwich check evaluates both bounds of the LDA log-likelihood for
-a fixed (theta, beta).
+two-buffer certificate the reference for the library's one-buffer form. The
+dense normalization and the k-means on a dense reordered copy are the
+references the library's paths without those M x V copies must match bit for
+bit. The likelihood-sandwich check evaluates both bounds of the LDA
+log-likelihood for a fixed (theta, beta).
 """
 
 import itertools
@@ -140,6 +143,35 @@ def bytes_key_order(rows, weights):
     library's canonical order."""
     keys = sorted(range(len(weights)), key=lambda m: (weights[m], rows[m].tobytes()))
     return np.asarray(keys, dtype=np.int64)
+
+
+def dense_normalize(corpus: Corpus) -> NormalizedCorpus:
+    """Row normalization through a dense int64 copy of the counts: the
+    reference the library's division of the stored counts must match bit
+    for bit."""
+    rows = corpus.counts.toarray() / corpus.lengths[:, None]
+    rows /= rows.sum(axis=1, keepdims=True)
+    return NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
+
+
+def reordered_kmeans(data: NormalizedCorpus, K, restarts, max_iters, rng, *, order):
+    """``fit_kmeans`` run on a dense reordered copy of the rows, whose CSR
+    copy and squared norms are built after the reordering: the reference for
+    clustering with ``order``."""
+    from gdmtopics.clustering import fit_kmeans
+
+    ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
+    return fit_kmeans(ordered, K, restarts, max_iters, rng)
+
+
+def two_buffer_certify(X, B, thetas):
+    """Squared distances and certificate gaps from separate point and
+    difference arrays, the gap's second term taken in word space."""
+    points = thetas @ B
+    diff = X - points
+    sq = np.einsum("ij,ij->i", diff, diff)
+    gaps = (diff @ B.T).max(axis=1) - np.einsum("ij,ij->i", points, diff)
+    return sq, gaps
 
 
 def extended_vertex(center, centroid, m):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,10 @@ def _data(rows, weights=None):
     return NormalizedCorpus(rows=rows, weights=np.asarray(weights, dtype=np.float64))
 
 
+def _seeds(data, K, rng):
+    return kmeanspp_init(sp.csr_matrix(data.rows), data._row_sq_norms, data.weights, K, rng)
+
+
 def _random_simplex_rows(rng, M, V):
     g = rng.gamma(1.0, size=(M, V))
     return g / g.sum(axis=1, keepdims=True)
@@ -40,7 +45,7 @@ def test_kmeanspp_single_seed_weight_proportional():
     data = _data(rows, weights=[1.0, 9.0])
     hits = 0
     for seed in range(2000):
-        s = kmeanspp_init(data, 1, np.random.default_rng(seed))
+        s = _seeds(data, 1, np.random.default_rng(seed))
         hits += int(np.allclose(s[0], rows[1]))
     assert 0.85 < hits / 2000 < 0.95  # expected 0.9
 
@@ -48,8 +53,8 @@ def test_kmeanspp_single_seed_weight_proportional():
 def test_kmeanspp_determinism():
     rng_rows = np.random.default_rng(1)
     data = _data(_random_simplex_rows(rng_rows, 12, 4))
-    a = kmeanspp_init(data, 3, np.random.default_rng(5))
-    b = kmeanspp_init(data, 3, np.random.default_rng(5))
+    a = _seeds(data, 3, np.random.default_rng(5))
+    b = _seeds(data, 3, np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
@@ -63,7 +68,7 @@ def test_kmeanspp_separated_clouds():
     data = _data(np.vstack([cloud_a, cloud_b]))
     both = 0
     for seed in range(100):
-        seeds = kmeanspp_init(data, 2, np.random.default_rng(seed))
+        seeds = _seeds(data, 2, np.random.default_rng(seed))
         sides = {int(seeds[i, 0] > 0.5) for i in range(2)}
         both += len(sides) == 2
     assert both >= 95
@@ -72,11 +77,11 @@ def test_kmeanspp_separated_clouds():
 def test_kmeanspp_too_many_clusters():
     data = _data(np.tile([[0.5, 0.5]], (5, 1)))
     with pytest.raises(ValueError, match="distinct"):
-        kmeanspp_init(data, 2, np.random.default_rng(0))
+        _seeds(data, 2, np.random.default_rng(0))
     # rows that differ only in the sign of a zero are one row
     data = _data([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="distinct"):
-        kmeanspp_init(data, 2, np.random.default_rng(0))
+        _seeds(data, 2, np.random.default_rng(0))
 
 
 def test_kmeans_weighted_mean_single_cluster():
@@ -318,9 +323,9 @@ def test_means_are_taken_only_for_new_assignments(monkeypatch):
     seen = []
     means = clustering._weighted_means
 
-    def spy(data, assignments, k):
+    def spy(X, weights, assignments, k):
         seen.append(assignments.copy())
-        return means(data, assignments, k)
+        return means(X, weights, assignments, k)
 
     monkeypatch.setattr(clustering, "_weighted_means", spy)
     data, lam = _stop_rule_corpus()

@@ -1,9 +1,12 @@
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmtopics import corpus as corpus_module
 from gdmtopics.corpus import (
@@ -16,6 +19,8 @@ from gdmtopics.corpus import (
     save_uci_bag_of_words,
     split_holdout,
 )
+from gdmtopics.synth import LdaParams, generate_corpus
+from oracles import dense_normalize
 
 UCI_SMALL = "2\n3\n3\n1 1 2\n1 3 1\n2 2 4\n"
 
@@ -210,6 +215,42 @@ def test_normalize_integer_recovery():
     n = normalize(c)
     recovered = np.rint(n.rows * n.weights[:, None]).astype(int)
     assert np.array_equal(recovered, c.counts.toarray())
+
+
+@st.composite
+def count_matrices(draw):
+    """Count rows mixing small counts, counts near 2**53 (where int64 to
+    float64 conversion rounds) and counts up to 2**58, no row empty."""
+    M, V = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    count = st.one_of(st.integers(0, 5), st.integers(2**53 - 3, 2**53 + 3), st.integers(0, 2**58))
+    counts = np.array(draw(st.lists(count, min_size=M * V, max_size=M * V)), dtype=np.int64)
+    counts = counts.reshape(M, V)
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=count_matrices())
+def test_normalize_matches_dense_division_bitwise(counts):
+    c = Corpus(counts)
+    got, expected = normalize(c), dense_normalize(c)
+    assert got.rows.tobytes() == expected.rows.tobytes()
+    assert np.array_equal(got.weights, expected.weights)
+
+
+def test_normalize_allocates_only_its_output():
+    # the rows are the one M x V array: a dense copy of the counts would double the peak
+    params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+    c = generate_corpus(params)[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        data = normalize(c)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (data.rows.nbytes + data.weights.nbytes)
 
 
 def test_split_partition_and_determinism():

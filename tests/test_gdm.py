@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import extended_vertex, grid_tune_extension
+from oracles import extended_vertex, grid_tune_extension, reordered_kmeans
 
 
 def _data(rows, weights=None):
@@ -177,11 +178,46 @@ def test_fit_validates_config_and_sizes():
         dict(lam=1.0, max_iters=-7),
         dict(lam=float("inf")),
         dict(lam=float("nan")),
+        dict(lam=1.0, restarts=3),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         GdmConfig(**kwargs)
+
+
+@pytest.mark.parametrize("tune", [False, True])
+def test_fit_matches_clustering_a_reordered_copy(monkeypatch, tune):
+    # k-means takes its CSR rows and squared norms from the canonical order;
+    # the model must be the one a dense reordered copy gives, bit for bit
+    cases = [
+        (LdaParams(K=5, V=301, M=300, doc_lengths=200, alpha=0.1, eta=0.1, seed=4), 5),
+        (LdaParams(K=8, V=2001, M=150, doc_lengths=(50, 400), alpha=0.1, eta=0.05, seed=5), 8),
+    ]
+    for params, K in cases:
+        data = normalize(generate_corpus(params)[0])
+        config = GdmConfig(K=K, restarts=3, tune=tune, seed=params.seed)
+        model = fit_gdm(data, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(gdm, "fit_kmeans", reordered_kmeans)
+            reference = fit_gdm(data, config)
+        _assert_same_model(model, reference)
+
+
+@pytest.mark.parametrize("tune", [False, True])
+def test_fit_holds_one_working_buffer(tune):
+    # above the normalized rows, a fit holds one M x V buffer at a time
+    params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+    data = normalize(generate_corpus(params)[0])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit_gdm(data, GdmConfig(K=10, restarts=2, tune=tune))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * data.rows.nbytes
 
 
 def test_tuned_never_worse():
@@ -328,6 +364,8 @@ def test_ngdm_model_roundtrip(tmp_path):
     model = fit_ngdm(data, GdmConfig(lam=0.4, seed=6))
     path = tmp_path / "model.json"
     save_model(model, path)
+    with open(path) as f:
+        assert json.load(f)["config"]["restarts"] == GdmConfig.restarts == 10
     loaded = load_model(path)
     assert loaded.config.lam == 0.4
     assert loaded.K == model.K

@@ -9,7 +9,7 @@ from gdmtopics.geometry import (
     geometric_objective,
     project_rows,
 )
-from oracles import grid_project, project_one
+from oracles import grid_project, project_one, two_buffer_certify
 
 
 def _random_polytope(rng, K, V):
@@ -204,3 +204,21 @@ def test_off_simplex_weights_are_rejected(monkeypatch):
     monkeypatch.setattr(geometry, "_active_set", off_simplex_second_row)
     with pytest.raises(ProjectionFailure, match="row 1: weights leave the simplex"):
         project_rows(rows, poly)
+
+
+@pytest.mark.parametrize("K, V", [(1, 3), (3, 100), (12, 1001), (40, 301)])
+def test_certificate_matches_two_buffer_form(K, V):
+    # squared distances are bitwise those of separate point and difference
+    # arrays; the gaps, whose second term is now taken in the K-dimensional
+    # weights, agree to rounding
+    rng = np.random.default_rng(K + V)
+    B = _random_polytope(rng, K, V).vertices
+    g = rng.gamma(0.3, size=(60, V))
+    X = g / g.sum(axis=1, keepdims=True)
+    thetas = rng.dirichlet(np.full(K, 0.5), size=60)
+    thetas[:5] = project_rows(X[:5], TopicPolytope(B))[0]
+    scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
+    sq, gaps, _ = geometry._certify(X, B, thetas, scales)
+    sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
+    assert sq.tobytes() == sq_ref.tobytes()
+    assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()

@@ -27,14 +27,13 @@ from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import _min_norm_weights, bytes_key_order
 
 _common = dict(
-    restarts=st.integers(1, 1000),
     max_iters=st.integers(1, 10**6),
     weighted_center=st.booleans(),
     tune=st.booleans(),
     seed=st.integers(0, 2**63 - 1),
 )
 configs = st.one_of(
-    st.builds(GdmConfig, K=st.integers(1, 10**4), **_common),
+    st.builds(GdmConfig, K=st.integers(1, 10**4), restarts=st.integers(1, 1000), **_common),
     st.builds(
         GdmConfig,
         lam=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
