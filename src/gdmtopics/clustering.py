@@ -47,18 +47,23 @@ def _converged(prev, cur):
 
 
 def _weighted_means(X, weights, assignments, k):
-    """Weighted mean per cluster of the rows of ``X`` (dense or CSR); clusters
-    assumed nonempty.
+    """Weighted mean per cluster of the rows of ``X`` (dense or CSR), as a
+    C-contiguous k x V array; clusters assumed nonempty.
 
     Each cluster sums N_m w_m over its rows in row order, so the sums are
-    the ones a row-by-row accumulation gives, from either layout.
+    the ones a row-by-row accumulation gives, from either layout. CSR rows
+    take one product ``X.T @ onehot`` with the dense M x k ``onehot[m,
+    label_m] = N_m``; dense rows take a sparse one-hot times the rows, as a
+    dense product would go to BLAS, whose sums run in another order.
     """
-    order = np.argsort(assignments, kind="stable")
-    indptr = np.searchsorted(assignments[order], np.arange(k + 1))
-    onehot = sp.csr_matrix((weights[order], order, indptr), shape=(k, X.shape[0]))
-    sums = onehot @ X
-    if sp.issparse(sums):
-        sums = sums.toarray()
+    if sp.issparse(X):
+        onehot = np.zeros((X.shape[0], k))
+        onehot[np.arange(X.shape[0]), assignments] = weights
+        sums = np.ascontiguousarray((X.T @ onehot).T)
+    else:
+        order = np.argsort(assignments, kind="stable")
+        indptr = np.searchsorted(assignments[order], np.arange(k + 1))
+        sums = sp.csr_matrix((weights[order], order, indptr), shape=(k, X.shape[0])) @ X
     return sums / np.bincount(assignments, weights=weights, minlength=k)[:, None]
 
 
@@ -87,7 +92,7 @@ def _has_distinct_rows(X, k):
 
 def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.ndarray:
     """Weighted k-means++ seeding of the CSR rows ``X``, which must have
-    sorted indices and no stored zeros, as ``sp.csr_matrix(dense_rows)`` gives.
+    sorted indices and no stored zeros, as ``NormalizedCorpus.csr_rows`` gives.
 
     ``sq_norms`` holds the squared row norms and ``weights`` the document
     weights N_m. The first seed is drawn with probability proportional to
@@ -158,10 +163,12 @@ def fit_kmeans(
 ) -> ClusteringResult:
     """Best-of-restarts weighted k-means with k-means++ seeding.
 
-    The arithmetic runs on a CSR copy of the rows. ``order``, a permutation
-    of the rows, clusters them in that order, as if ``data`` had been
-    permuted first, without a dense reordered copy; the assignments then
-    follow ``order``.
+    The arithmetic runs on the CSR copy ``data.csr_rows()``, which a
+    normalized corpus takes from the counts' sparsity pattern without
+    scanning the dense rows; it is dropped on return. ``order``, a
+    permutation of the rows, clusters them in that order, as if ``data`` had
+    been permuted first, without a dense reordered copy; the assignments
+    then follow ``order``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -171,7 +178,7 @@ def fit_kmeans(
         raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    X, xx, weights = sp.csr_matrix(data.rows), data._row_sq_norms, data.weights
+    X, xx, weights = data.csr_rows(), data._row_sq_norms, data.weights
     if order is not None:
         X, xx, weights = X[order], xx[order], weights[order]
     every_row = np.arange(data.M)

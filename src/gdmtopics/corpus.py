@@ -114,16 +114,25 @@ class NormalizedCorpus:
     ``rows[m]`` is the empirical word distribution of document m and
     ``weights[m]`` its token count, i.e. the diagonal of the weight matrix
     used by the weighted clustering and geometric objectives.
+
+    ``pattern``, if given, is the CSR ``(indptr, indices)`` of the nonzeros
+    of ``rows``, with sorted indices; ``normalize`` passes the counts' own
+    arrays. Entries of ``rows`` outside it must be zero.
     """
 
     rows: np.ndarray
     weights: np.ndarray
+    pattern: tuple | None = None
 
     def __post_init__(self):
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if rows.ndim != 2 or weights.shape != (rows.shape[0],):
             raise CorpusValidationError("rows must be M x V with M weights")
+        if self.pattern is not None:
+            indptr, indices = self.pattern
+            if indptr.shape != (rows.shape[0] + 1,) or indices.shape != (indptr[-1],):
+                raise CorpusValidationError("pattern must be the CSR indptr and indices of rows")
         sums = rows.sum(axis=1)
         if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
             raise CorpusValidationError("normalized rows must sum to 1")
@@ -149,19 +158,35 @@ class NormalizedCorpus:
     def _row_sq_norms(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.rows, self.rows)
 
+    def csr_rows(self) -> sp.csr_matrix:
+        """A new CSR copy of ``rows``, equal to ``sp.csr_matrix(rows)``: sorted
+        indices and no stored zeros.
+
+        With a ``pattern`` only the stored entries are read from ``rows``;
+        without one the dense rows are scanned. The copy is not kept.
+        """
+        if self.pattern is None:
+            return sp.csr_matrix(self.rows)
+        indptr, indices = self.pattern
+        row_starts = np.repeat(np.arange(self.M) * self.V, np.diff(indptr))
+        values = self.rows.ravel().take(row_starts + indices)  # rows is C-contiguous
+        return sp.csr_matrix((values, indices, indptr), shape=self.rows.shape)
+
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
     """Divide each count row by its document length.
 
     The division runs on the stored counts, so the one dense M x V array
-    allocated is the returned rows.
+    allocated is the returned rows. The result shares the counts' sparsity
+    pattern, from which ``csr_rows`` takes a CSR copy without a dense scan.
     """
     counts = corpus.counts
     shares = counts.data / np.repeat(corpus.lengths, np.diff(counts.indptr))
     rows = sp.csr_matrix((shares, counts.indices, counts.indptr), shape=counts.shape).toarray()
     # kill rounding residue so row sums hit 1.0 within 1e-12
     rows /= rows.sum(axis=1, keepdims=True)
-    return NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
+    weights = corpus.lengths.astype(np.float64)
+    return NormalizedCorpus(rows=rows, weights=weights, pattern=(counts.indptr, counts.indices))
 
 
 def _line_source(stream_or_path):

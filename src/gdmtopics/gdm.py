@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -43,6 +44,12 @@ class GdmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("K", "restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if name == "K" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if (self.K is None) == (self.lam is None):
             raise ValueError("exactly one of K and lam must be given")
         if self.K is not None and self.K < 1:
@@ -55,6 +62,8 @@ class GdmConfig:
             raise ValueError("restarts applies to k-means only; DP-means (lam) has no restarts")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -161,8 +170,10 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     assignments = np.empty(data.M, dtype=np.int64)
     assignments[order] = clustering.assignments
     k = clustering.n_clusters
-    weights = data.weights if config.weighted_center else None
-    center = np.average(data.rows, axis=0, weights=weights)
+    # np.average(data.rows, axis=0, weights=...) bit for bit: both sum the
+    # weighted rows in row order, here without an M x V product
+    weights = data.weights if config.weighted_center else np.ones(data.M)
+    center = data.csr_rows().T @ weights / weights.sum()
     radii, extensions = default_extensions(data, center, clustering.centroids, assignments)
     polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     objective = geometric_objective(data, polytope)
@@ -248,18 +259,26 @@ def save_model(model: GdmModel, path) -> None:
 
 
 def load_model(path) -> GdmModel:
-    """Read a model file; keys of older files that are not GdmModel fields are ignored."""
+    """Read a model file; keys of older files that are not GdmModel fields are ignored.
+
+    Raises ValueError, naming the field, for a file whose fields disagree:
+    extensions or radii not one value per topic, a non-finite objective, or
+    a config K other than the number of topics.
+    """
     with open(path, "r", encoding="utf-8") as f:
         d = json.load(f)
     try:
         config = GdmConfig(**d["config"])
     except TypeError as exc:
         raise ValueError(f"model config does not match GdmConfig ({exc}); refit the model") from exc
-    beta = np.asarray(d["beta"], dtype=np.float64)
-    return GdmModel(
-        polytope=TopicPolytope(beta),
-        extensions=np.asarray(d["extensions"]),
-        radii=np.asarray(d["radii"]),
-        objective=float(d["objective"]),
-        config=config,
-    )
+    polytope = TopicPolytope(np.asarray(d["beta"], dtype=np.float64))
+    if config.K is not None and config.K != polytope.K:
+        raise ValueError(f"model config K={config.K} but beta has {polytope.K} topics")
+    per_topic = {key: np.asarray(d[key], dtype=np.float64) for key in ("extensions", "radii")}
+    for key, values in per_topic.items():
+        if values.shape != (polytope.K,):
+            raise ValueError(f"model {key} has shape {values.shape}, expected ({polytope.K},)")
+    objective = float(d["objective"])
+    if not np.isfinite(objective):
+        raise ValueError(f"model objective is {objective}, expected a finite value")
+    return GdmModel(polytope=polytope, objective=objective, config=config, **per_topic)

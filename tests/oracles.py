@@ -16,7 +16,9 @@ two-buffer certificate the reference for the library's one-buffer form. The
 dense normalization and the k-means on a dense reordered copy are the
 references the library's paths without those M x V copies must match bit for
 bit. The likelihood-sandwich check evaluates both bounds of the LDA
-log-likelihood for a fixed (theta, beta).
+log-likelihood for a fixed (theta, beta). ``count_matrices`` draws the count
+rows on which the corpus and fit tests compare the library with these
+references.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from hypothesis import strategies as st
 
 from gdmtopics.clustering import _MONOTONE_SLACK, _REL_TOL, ClusteringResult
 from gdmtopics.corpus import Corpus, NormalizedCorpus
@@ -143,6 +146,18 @@ def bytes_key_order(rows, weights):
     library's canonical order."""
     keys = sorted(range(len(weights)), key=lambda m: (weights[m], rows[m].tobytes()))
     return np.asarray(keys, dtype=np.int64)
+
+
+@st.composite
+def count_matrices(draw):
+    """Count rows mixing small counts, counts near 2**53 (where int64 to
+    float64 conversion rounds) and counts up to 2**58, no row empty."""
+    M, V = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    count = st.one_of(st.integers(0, 5), st.integers(2**53 - 3, 2**53 + 3), st.integers(0, 2**58))
+    counts = np.array(draw(st.lists(count, min_size=M * V, max_size=M * V)), dtype=np.int64)
+    counts = counts.reshape(M, V)
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    return counts
 
 
 def dense_normalize(corpus: Corpus) -> NormalizedCorpus:

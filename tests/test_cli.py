@@ -262,6 +262,26 @@ def test_eval_rejects_old_config_key(tmp_path, capsys):
     assert "refit" in capsys.readouterr().err
 
 
+def test_eval_and_topics_on_an_inconsistent_model_exit_1(tmp_path, capsys):
+    heldout = _simulate(tmp_path, name="held", V=3, K=2, seed=7)
+    model_path = str(tmp_path / "m.json")
+    _write_model(model_path, [[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]])
+    with open(model_path) as f:
+        d = json.load(f)
+    d["radii"] = [0.0]
+    with open(model_path, "w") as f:
+        json.dump(d, f)
+    vocab_path = str(tmp_path / "vocab.txt")
+    with open(vocab_path, "w") as f:
+        f.write("alpha\nbravo\ncharlie\n")
+    capsys.readouterr()
+    for argv in (["eval", "--heldout", heldout], ["topics", "--vocab", vocab_path]):
+        assert main(argv + ["--model", model_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "radii" in captured.err
+
+
 def _write_model(path, vertices):
     vertices = np.asarray(vertices, dtype=np.float64)
     K = vertices.shape[0]

@@ -2,7 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +31,7 @@ def _data(rows, weights=None):
 
 
 def _seeds(data, K, rng):
-    return kmeanspp_init(sp.csr_matrix(data.rows), data._row_sq_norms, data.weights, K, rng)
+    return kmeanspp_init(data.csr_rows(), data._row_sq_norms, data.weights, K, rng)
 
 
 def _random_simplex_rows(rng, M, V):
@@ -188,6 +187,28 @@ def test_kmeans_arithmetic_on_sparse_rows(case):
     scale = float(data.weights @ np.einsum("ij,ij->i", data.rows, data.rows))
     reference = weighted_objective(data.rows, data.weights, res.centroids, res.assignments)
     assert abs(res.objective - reference) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_corpora())
+def test_weighted_means_equal_the_row_by_row_sums_bitwise(case):
+    data, K, seed = case
+    labels = np.random.default_rng(seed).permutation(np.arange(data.M) % K)
+    expected = dense_weighted_means(data.rows, data.weights, labels, K)
+    for X in (data.csr_rows(), data.rows):
+        means = clustering._weighted_means(X, data.weights, labels, K)
+        assert means.flags.c_contiguous
+        assert means.tobytes() == expected.tobytes()
+
+
+def test_weighted_means_at_the_nips_shape_bitwise():
+    params = LdaParams(K=10, V=12419, M=288, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=1)
+    data = normalize(generate_corpus(params)[0])
+    labels = np.random.default_rng(1).integers(0, 10, size=data.M)
+    expected = dense_weighted_means(data.rows, data.weights, labels, 10)
+    means = clustering._weighted_means(data.csr_rows(), data.weights, labels, 10)
+    assert means.flags.c_contiguous
+    assert means.tobytes() == expected.tobytes()
 
 
 def test_kmeans_allocates_less_than_half_the_dense_rows():

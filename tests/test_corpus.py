@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gdmtopics import corpus as corpus_module
 from gdmtopics.corpus import (
     Corpus,
     CorpusParseError,
     CorpusValidationError,
+    NormalizedCorpus,
     load_uci_bag_of_words,
     load_vocab,
     normalize,
@@ -20,7 +20,7 @@ from gdmtopics.corpus import (
     split_holdout,
 )
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import dense_normalize
+from oracles import count_matrices, dense_normalize
 
 UCI_SMALL = "2\n3\n3\n1 1 2\n1 3 1\n2 2 4\n"
 
@@ -217,18 +217,6 @@ def test_normalize_integer_recovery():
     assert np.array_equal(recovered, c.counts.toarray())
 
 
-@st.composite
-def count_matrices(draw):
-    """Count rows mixing small counts, counts near 2**53 (where int64 to
-    float64 conversion rounds) and counts up to 2**58, no row empty."""
-    M, V = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    count = st.one_of(st.integers(0, 5), st.integers(2**53 - 3, 2**53 + 3), st.integers(0, 2**58))
-    counts = np.array(draw(st.lists(count, min_size=M * V, max_size=M * V)), dtype=np.int64)
-    counts = counts.reshape(M, V)
-    counts[counts.sum(axis=1) == 0, 0] = 1
-    return counts
-
-
 @settings(max_examples=200, deadline=None)
 @given(counts=count_matrices())
 def test_normalize_matches_dense_division_bitwise(counts):
@@ -236,6 +224,29 @@ def test_normalize_matches_dense_division_bitwise(counts):
     got, expected = normalize(c), dense_normalize(c)
     assert got.rows.tobytes() == expected.rows.tobytes()
     assert np.array_equal(got.weights, expected.weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=count_matrices())
+def test_csr_rows_from_the_pattern_equal_a_dense_scan(counts):
+    data = normalize(Corpus(counts))
+    got, expected = data.csr_rows(), sp.csr_matrix(data.rows)
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
+    assert got.has_sorted_indices and (got.data != 0.0).all()
+    unpatterned = NormalizedCorpus(rows=data.rows, weights=data.weights).csr_rows()
+    assert unpatterned.data.tobytes() == expected.data.tobytes()
+
+
+def test_pattern_must_fit_the_rows():
+    c = Corpus(np.array([[1, 0, 2], [0, 3, 0]]))
+    data = normalize(c)
+    indptr, indices = data.pattern
+    assert indptr is c.counts.indptr and indices is c.counts.indices  # shared, not copied
+    for bad in ((indptr[:-1], indices), (indptr, indices[:-1])):
+        with pytest.raises(CorpusValidationError, match="pattern"):
+            NormalizedCorpus(rows=data.rows, weights=data.weights, pattern=bad)
 
 
 def test_normalize_allocates_only_its_output():

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
 
 from gdmtopics import gdm
-from gdmtopics.corpus import NormalizedCorpus, normalize
+from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.gdm import (
     DegenerateClusterError,
     GdmConfig,
@@ -20,7 +22,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import extended_vertex, grid_tune_extension, reordered_kmeans
+from oracles import count_matrices, extended_vertex, grid_tune_extension, reordered_kmeans
 
 
 def _data(rows, weights=None):
@@ -179,11 +181,26 @@ def test_fit_validates_config_and_sizes():
         dict(lam=float("inf")),
         dict(lam=float("nan")),
         dict(lam=1.0, restarts=3),
+        dict(K=2.5),
+        dict(K=True),
+        dict(K=np.float64(2.0)),
+        dict(K=2, restarts=1.5),
+        dict(K=2, restarts=True),
+        dict(K=2, max_iters=2.5),
+        dict(lam=1.0, max_iters=False),
+        dict(K=2, seed=1.5),
+        dict(K=2, seed=-1),
+        dict(lam=1.0, seed="0"),
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         GdmConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    config = GdmConfig(K=np.int64(3), restarts=np.int32(2), max_iters=np.uint8(9), seed=np.int64(0))
+    assert (config.K, config.restarts, config.max_iters, config.seed) == (3, 2, 9, 0)
 
 
 @pytest.mark.parametrize("tune", [False, True])
@@ -357,6 +374,101 @@ def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
     with open(path, "w") as f:
         json.dump(d, f)
     _assert_same_model(load_model(path), model)
+
+
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("extensions", [1.0, 1.5], "extensions"),
+        ("extensions", [[1.0, 1.5, 2.0]], "extensions"),
+        ("extensions", [], "extensions"),
+        ("radii", [0.1, 0.2, 0.3, 0.4], "radii"),
+        ("radii", [[0.1], [0.2], [0.3]], "radii"),
+        ("radii", [], "radii"),
+        ("objective", float("nan"), "objective"),
+        ("K", 4, "K"),
+    ],
+)
+def test_load_model_rejects_inconsistent_files(tmp_path, key, value, field):
+    model = fit_gdm(_lda_data(19), GdmConfig(K=3, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with open(path) as f:
+        d = json.load(f)
+    if key == "K":
+        d["config"]["K"] = value
+    else:
+        d[key] = value
+    with open(path, "w") as f:
+        json.dump(d, f)
+    with pytest.raises(ValueError, match=field):
+        load_model(path)
+
+
+def _fit_centers(monkeypatch, data, configs):
+    """The data center each fit hands to ``default_extensions``."""
+    centers = []
+    extensions = gdm.default_extensions
+
+    def spy(data, center, centroids, assignments):
+        centers.append(center)
+        return extensions(data, center, centroids, assignments)
+
+    monkeypatch.setattr(gdm, "default_extensions", spy)
+    for config in configs:
+        (fit_gdm if config.lam is None else fit_ngdm)(data, config)
+    return centers
+
+
+# shaped like the training corpora of the perfbench workloads nips_cli, tgdm_large_m, ngdm_sweep
+PERFBENCH_SHAPES = [
+    dict(K=10, V=12419, M=288, doc_lengths=(200, 1800), alpha=0.1, eta=0.05),
+    dict(K=5, V=100, M=1000, doc_lengths=200, alpha=0.1, eta=0.1),
+    dict(K=15, V=300, M=500, doc_lengths=500, alpha=0.1, eta=0.1),
+]
+
+
+@pytest.mark.parametrize("shape", PERFBENCH_SHAPES, ids=["nips_cli", "tgdm_large_m", "ngdm_sweep"])
+def test_fit_center_is_np_average_bitwise(monkeypatch, shape):
+    for seed in range(3):
+        data = normalize(generate_corpus(LdaParams(**shape, seed=seed))[0])
+        configs = [
+            GdmConfig(K=shape["K"], restarts=1, max_iters=3, seed=seed, weighted_center=weighted)
+            for weighted in (True, False)
+        ] + [GdmConfig(lam=1e9, seed=seed)]
+        weighted, unweighted, ngdm = _fit_centers(monkeypatch, data, configs)
+        expected = np.average(data.rows, axis=0, weights=data.weights)
+        assert weighted.tobytes() == ngdm.tobytes() == expected.tobytes()
+        assert unweighted.tobytes() == np.average(data.rows, axis=0).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(counts=count_matrices())
+def test_fit_center_is_np_average_bitwise_on_any_counts(counts):
+    data = normalize(Corpus(counts))
+    with pytest.MonkeyPatch.context() as patch:
+        weighted, unweighted = _fit_centers(
+            patch, data, [GdmConfig(K=1, restarts=1), GdmConfig(K=1, weighted_center=False)]
+        )
+    assert weighted.tobytes() == np.average(data.rows, axis=0, weights=data.weights).tobytes()
+    assert unweighted.tobytes() == np.average(data.rows, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("tune", [False, True])
+def test_fit_scans_no_dense_rows_into_csr(monkeypatch, tune):
+    # k-means and the center take their CSR rows from the counts' pattern
+    data = _lda_data(23, K=4, V=40, M=80)
+    dense_inputs = []
+    csr_matrix = sp.csr_matrix
+
+    def spy(arg, *args, **kwargs):
+        if isinstance(arg, np.ndarray):
+            dense_inputs.append(arg.shape)
+        return csr_matrix(arg, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_matrix", spy)
+    fit_gdm(data, GdmConfig(K=4, restarts=2, tune=tune, seed=2))
+    assert dense_inputs == []
 
 
 def test_ngdm_model_roundtrip(tmp_path):

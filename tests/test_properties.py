@@ -45,11 +45,12 @@ configs = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(config=configs)
 def test_model_file_roundtrips_config(config):
-    vertices = np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]])
+    K = 2 if config.K is None else config.K  # a file must have config.K topics
+    vertices = np.tile([0.0, 0.25, 0.75], (K, 1))
     model = GdmModel(
         polytope=TopicPolytope(vertices),
-        extensions=np.ones(2),
-        radii=np.zeros(2),
+        extensions=np.ones(K),
+        radii=np.zeros(K),
         objective=0.0,
         config=config,
     )
