@@ -161,11 +161,13 @@ def _cmd_eval(args, argv):
     model = load_model(args.model)
     heldout = _load_corpus_dir(args.heldout)
     if heldout.V != model.polytope.V:
-        print(
-            f"error: model has V={model.polytope.V} but held-out corpus has V={heldout.V}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"model has V={model.polytope.V} but held-out corpus has V={heldout.V}")
+    truth = None
+    if args.truth:
+        with open(args.truth, "r", encoding="utf-8") as f:
+            truth = TopicPolytope(np.asarray(json.load(f)["beta"], dtype=np.float64))
+        if truth.V != model.polytope.V:
+            raise ValueError("truth beta dimensions disagree with model")
     theta = infer_theta(model.polytope, heldout)
     report = perplexity(model.polytope, theta, heldout)
     out = {
@@ -173,12 +175,7 @@ def _cmd_eval(args, argv):
         "floored_entries": report.floored_entries,
         "total_tokens": report.total_tokens,
     }
-    if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as f:
-            truth = TopicPolytope(np.asarray(json.load(f)["beta"], dtype=np.float64))
-        if truth.V != model.polytope.V:
-            print("error: truth beta dimensions disagree with model", file=sys.stderr)
-            return 1
+    if truth is not None:
         out["mm_distance"] = min_matching_distance(model.polytope, truth)
     text = json.dumps(out, sort_keys=True)
     print(text)
@@ -196,11 +193,7 @@ def _cmd_topics(args, argv):
     model = load_model(args.model)
     vocab = load_vocab(args.vocab)
     if len(vocab) != model.polytope.V:
-        print(
-            f"error: vocabulary has {len(vocab)} words, model expects {model.polytope.V}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"vocabulary has {len(vocab)} words, model expects {model.polytope.V}")
     beta = model.polytope.vertices
     for k in range(model.K):
         # stable sort on index breaks probability ties toward lower indices
@@ -254,7 +247,7 @@ def _build_parser():
     p.add_argument("--K", type=int)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--restarts", type=int, help=f"gdm/tgdm only (default {GdmConfig.restarts})")
-    p.add_argument("--max-iters", type=int, default=1500)
+    p.add_argument("--max-iters", type=int, default=GdmConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unweighted-center", action="store_true")
     p.add_argument("--tune", action="store_true", help="tune extensions after ngdm")
@@ -278,7 +271,7 @@ def _build_parser():
     p.set_defaults(run=_cmd_lambda_sweep)
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--lambdas", type=_float_list, required=True, help="comma-separated lambda values")
-    p.add_argument("--max-iters", type=int, default=1500)
+    p.add_argument("--max-iters", type=int, default=GdmConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional CSV path")
 

@@ -8,7 +8,7 @@ one descent loop and differ only in how a step labels the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,23 +152,34 @@ def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
     return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
 
 
+def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
+    """Document ordering independent of input row order.
+
+    Documents are sorted by weight, then by the bytes of their row (numpy
+    compares void scalars by memcmp), ties kept in input order. Both
+    clusterers consume the documents in this order, so that permuting the
+    corpus (with matching weights) reproduces the same clustering for a
+    fixed seed.
+    """
+    keys = data.rows.view(np.dtype((np.void, 8 * data.V))).ravel()
+    by_row = np.argsort(keys, kind="stable")
+    return by_row[np.argsort(data.weights[by_row], kind="stable")]
+
+
 def fit_kmeans(
     data: NormalizedCorpus,
     K: int,
     restarts: int = 10,
     max_iters: int = 1500,
     rng: np.random.Generator | None = None,
-    *,
-    order: np.ndarray | None = None,
 ) -> ClusteringResult:
     """Best-of-restarts weighted k-means with k-means++ seeding.
 
-    The arithmetic runs on the CSR copy ``data.csr_rows()``, which a
-    normalized corpus takes from the counts' sparsity pattern without
-    scanning the dense rows; it is dropped on return. ``order``, a
-    permutation of the rows, clusters them in that order, as if ``data`` had
-    been permuted first, without a dense reordered copy; the assignments
-    then follow ``order``.
+    The documents are clustered in canonical order, so the result does not
+    depend on the order of ``data.rows``; the assignments are indexed like
+    ``data.rows``. The arithmetic runs on the CSR copy ``data.csr_rows()``
+    in that order, which a normalized corpus takes from the counts' sparsity
+    pattern without scanning the dense rows; it is dropped on return.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -178,9 +189,9 @@ def fit_kmeans(
         raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    X, xx, weights = data.csr_rows(), data._row_sq_norms, data.weights
-    if order is not None:
-        X, xx, weights = X[order], xx[order], weights[order]
+    order = _canonical_order(data)
+    X, weights = data.csr_rows()[order], data.weights[order]
+    xx = np.einsum("ij,ij->i", data.rows, data.rows)[order]
     every_row = np.arange(data.M)
 
     def lloyd_step(d2, centroids):
@@ -199,24 +210,24 @@ def fit_kmeans(
         result = _descend(X, xx, weights, seeds, lloyd_step, 0.0, max_iters)
         if best is None or result.objective < best.objective:
             best = result
-    return best
+    return replace(best, assignments=best.assignments[np.argsort(order)])
 
 
-def _dpmeans_pass(data: NormalizedCorpus, d2, order, lam):
-    """One sequential DP-means pass; ``d2`` holds the squared distances from
+def _dpmeans_pass(rows, xx, weights, d2, visit, lam):
+    """One sequential DP-means pass over the dense ``rows``, with squared
+    norms ``xx`` and weights N_m; ``d2`` holds the squared distances from
     every row to the centroids, which stay fixed during the pass.
 
-    Documents are visited in ``order``. Each joins its nearest cluster, or
-    opens a cluster at itself when N_m * d^2_min > lam. An opening only
-    lowers the nearest distances of the documents after it, so the pass
-    steps from one opening to the next with one product over the rows per
-    opening. Returns each row's cluster: a column of ``d2``, or
+    Documents are visited in the order ``visit``. Each joins its nearest
+    cluster, or opens a cluster at itself when N_m * d^2_min > lam. An
+    opening only lowers the nearest distances of the documents after it, so
+    the pass steps from one opening to the next with one product over the
+    rows per opening. Returns each row's cluster: a column of ``d2``, or
     ``d2.shape[1] + j`` for the j-th opening.
     """
-    rows, xx = data.rows, data._row_sq_norms
-    nearest = np.argmin(d2, axis=1)[order]  # ties resolved to the lowest index
-    dmin = d2[order, nearest]
-    w = data.weights[order]
+    nearest = np.argmin(d2, axis=1)[visit]  # ties resolved to the lowest index
+    dmin = d2[visit, nearest]
+    w = weights[visit]
     k = d2.shape[1]
     i = 0
     while True:
@@ -225,8 +236,8 @@ def _dpmeans_pass(data: NormalizedCorpus, d2, order, lam):
             break
         i += int(over[0])
         nearest[i] = k
-        x = rows[order[i]]
-        later = order[i + 1 :]
+        x = rows[visit[i]]
+        later = visit[i + 1 :]
         d = xx[later] - 2.0 * (rows @ x)[later] + x @ x
         np.maximum(d, 0.0, out=d)
         closer = np.flatnonzero(d < dmin[i + 1 :])  # strict: ties keep the lower index
@@ -235,7 +246,7 @@ def _dpmeans_pass(data: NormalizedCorpus, d2, order, lam):
         k += 1
         i += 1
     assignments = np.empty_like(nearest)
-    assignments[order] = nearest
+    assignments[visit] = nearest
     return assignments
 
 
@@ -254,6 +265,12 @@ def fit_dpmeans(
     centroids, visits the documents in one random order drawn from ``rng``,
     and ends by dropping emptied clusters and moving each centroid to the
     weighted mean of its documents.
+
+    The documents are clustered in canonical order, on a dense copy of the
+    rows in that order that is dropped on return: the weighted means, the
+    start and the objective then sum the rows in an order that does not
+    depend on the order of ``data.rows``. The assignments are indexed like
+    ``data.rows``.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lambda must be positive and finite")
@@ -261,13 +278,17 @@ def fit_dpmeans(
         raise ValueError("max_iters must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    order = rng.permutation(data.M)
+    order = _canonical_order(data)
+    rows, weights = data.rows[order], data.weights[order]
+    xx = np.einsum("ij,ij->i", rows, rows)
+    visit = rng.permutation(data.M)
 
     def dpmeans_step(d2, centroids):
         # renumber the clusters in order, dropping emptied ones
-        occupied, labels = np.unique(_dpmeans_pass(data, d2, order, lam), return_inverse=True)
+        labels = _dpmeans_pass(rows, xx, weights, d2, visit, lam)
+        occupied, labels = np.unique(labels, return_inverse=True)
         return labels, occupied.size
 
-    start = np.average(data.rows, axis=0, weights=data.weights)[None, :]
-    xx = data._row_sq_norms
-    return _descend(data.rows, xx, data.weights, start, dpmeans_step, lam, max_iters)
+    start = np.average(rows, axis=0, weights=weights)[None, :]
+    result = _descend(rows, xx, weights, start, dpmeans_step, lam, max_iters)
+    return replace(result, assignments=result.assignments[np.argsort(order)])

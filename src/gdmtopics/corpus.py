@@ -12,8 +12,8 @@ import io
 import os
 import warnings
 from array import array
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +34,12 @@ class CorpusValidationError(CorpusError):
     """Structurally valid input violating declared ranges or totals."""
 
 
+def check_integer(name, value):
+    """Raise ValueError unless ``value`` is an integer (``numbers.Integral``, not ``bool``)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Corpus:
     """Sparse document-word count matrix with per-document lengths.
 
@@ -51,6 +57,10 @@ class Corpus:
             order = np.argsort(coo.row, kind="stable")
             indptr = np.searchsorted(coo.row[order], np.arange(coo.shape[0] + 1))
             counts = sp.csr_matrix((coo.data[order], coo.col[order], indptr), shape=coo.shape)
+        # the cast to int64 truncates, so float counts must be whole numbers
+        values = counts.data if sp.issparse(counts) else np.asarray(counts)
+        if values.dtype.kind == "f" and not (np.isfinite(values) & (values == np.trunc(values))).all():
+            raise CorpusValidationError("word counts must be whole numbers")
         counts = sp.csr_matrix(counts, dtype=np.int64, copy=True)
         counts.eliminate_zeros()
         if counts.nnz and counts.data.min() < 1:
@@ -114,29 +124,24 @@ class NormalizedCorpus:
     ``rows[m]`` is the empirical word distribution of document m and
     ``weights[m]`` its token count, i.e. the diagonal of the weight matrix
     used by the weighted clustering and geometric objectives.
-
-    ``pattern``, if given, is the CSR ``(indptr, indices)`` of the nonzeros
-    of ``rows``, with sorted indices; ``normalize`` passes the counts' own
-    arrays. Entries of ``rows`` outside it must be zero.
     """
 
     rows: np.ndarray
     weights: np.ndarray
-    pattern: tuple | None = None
+    # the CSR (indptr, indices) of the nonzeros of rows, sorted; only
+    # ``normalize`` sets it, to the counts' own arrays
+    _pattern: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.ascontiguousarray(self.rows, dtype=np.float64)
         weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if rows.ndim != 2 or weights.shape != (rows.shape[0],):
             raise CorpusValidationError("rows must be M x V with M weights")
-        if self.pattern is not None:
-            indptr, indices = self.pattern
-            if indptr.shape != (rows.shape[0] + 1,) or indices.shape != (indptr[-1],):
-                raise CorpusValidationError("pattern must be the CSR indptr and indices of rows")
         sums = rows.sum(axis=1)
         if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
             raise CorpusValidationError("normalized rows must sum to 1")
-        if rows.min(initial=0.0) < 0.0 or rows.max(initial=0.0) > 1.0 + 1e-12:
+        # a nonnegative row with an entry above 1 + 1e-12 has failed the sum check
+        if rows.min(initial=0.0) < 0.0:
             raise CorpusValidationError("normalized entries must lie in [0, 1]")
         if (weights <= 0).any():
             raise CorpusValidationError("weights must be positive")
@@ -153,21 +158,16 @@ class NormalizedCorpus:
     def V(self):
         return self.rows.shape[1]
 
-    # for the clustering arithmetic; built on first use and kept, as the rows are read-only
-    @cached_property
-    def _row_sq_norms(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.rows, self.rows)
-
     def csr_rows(self) -> sp.csr_matrix:
         """A new CSR copy of ``rows``, equal to ``sp.csr_matrix(rows)``: sorted
         indices and no stored zeros.
 
-        With a ``pattern`` only the stored entries are read from ``rows``;
-        without one the dense rows are scanned. The copy is not kept.
+        For rows from ``normalize`` only the entries stored in the counts are
+        read from ``rows``; other rows are scanned. The copy is not kept.
         """
-        if self.pattern is None:
+        if self._pattern is None:
             return sp.csr_matrix(self.rows)
-        indptr, indices = self.pattern
+        indptr, indices = self._pattern
         row_starts = np.repeat(np.arange(self.M) * self.V, np.diff(indptr))
         values = self.rows.ravel().take(row_starts + indices)  # rows is C-contiguous
         return sp.csr_matrix((values, indices, indptr), shape=self.rows.shape)
@@ -185,8 +185,9 @@ def normalize(corpus: Corpus) -> NormalizedCorpus:
     rows = sp.csr_matrix((shares, counts.indices, counts.indptr), shape=counts.shape).toarray()
     # kill rounding residue so row sums hit 1.0 within 1e-12
     rows /= rows.sum(axis=1, keepdims=True)
-    weights = corpus.lengths.astype(np.float64)
-    return NormalizedCorpus(rows=rows, weights=weights, pattern=(counts.indptr, counts.indices))
+    data = NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
+    object.__setattr__(data, "_pattern", (counts.indptr, counts.indices))
+    return data
 
 
 def _line_source(stream_or_path):
@@ -338,6 +339,8 @@ def split_holdout(corpus: Corpus, n_holdout: int, seed: int):
     The split is a disjoint, exhaustive partition sharing the vocabulary;
     identical seeds give identical splits.
     """
+    check_integer("n_holdout", n_holdout)
+    check_integer("seed", seed)
     if not 0 < n_holdout < corpus.M:
         raise ValueError(f"n_holdout must be in (0, {corpus.M}), got {n_holdout}")
     rng = np.random.default_rng(seed)

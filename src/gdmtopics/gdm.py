@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .clustering import fit_dpmeans, fit_kmeans
-from .corpus import NormalizedCorpus
+from .corpus import NormalizedCorpus, check_integer
 from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
@@ -45,11 +44,8 @@ class GdmConfig:
 
     def __post_init__(self):
         for name in ("K", "restarts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if name == "K" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "K" or self.K is not None:
+                check_integer(name, getattr(self, name))
         if (self.K is None) == (self.lam is None):
             raise ValueError("exactly one of K and lam must be given")
         if self.K is not None and self.K < 1:
@@ -134,41 +130,22 @@ def extend(center, centroids, m) -> np.ndarray:
     return vertices
 
 
-def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
-    """Document ordering independent of input row order.
-
-    Documents are sorted by weight, then by the bytes of their row (numpy
-    compares void scalars by memcmp), ties kept in input order. Clustering
-    consumes documents in this order so that permuting the corpus (with
-    matching weights) reproduces the same model for a fixed seed.
-    """
-    keys = data.rows.view(np.dtype((np.void, 8 * data.V))).ravel()
-    by_row = np.argsort(keys, kind="stable")
-    return by_row[np.argsort(data.weights[by_row], kind="stable")]
-
-
 def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
-    """Cluster in canonical order, extend each centroid to its covering radius, then tune.
+    """Cluster, extend each centroid to its covering radius, then tune.
 
     Weighted k-means clusters when ``config.K`` is set, DP-means when
-    ``config.lam`` is. The data center, centroids and assignments are working
-    state of this fit and are not kept on the model. The reported objective
-    is G plus the nGDM penalty lam * K' (zero for GDM).
+    ``config.lam`` is; both take the documents in an order of their own, so
+    the model does not depend on the order of ``data.rows``. The data
+    center, centroids and assignments are working state of this fit and are
+    not kept on the model. The reported objective is G plus the nGDM
+    penalty lam * K' (zero for GDM).
     """
-    order = _canonical_order(data)
     rng = np.random.default_rng(config.seed)
     if config.K is not None:
-        clustering = fit_kmeans(
-            data, config.K, config.restarts, config.max_iters, rng, order=order
-        )
+        clustering = fit_kmeans(data, config.K, config.restarts, config.max_iters, rng)
     else:
-        # DP-means runs dense products, whose rounding depends on where a row
-        # sits in the array, so it gets a reordered copy
-        ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
-        clustering = fit_dpmeans(ordered, config.lam, config.max_iters, rng)
-        del ordered  # freed before the geometry runs
-    assignments = np.empty(data.M, dtype=np.int64)
-    assignments[order] = clustering.assignments
+        clustering = fit_dpmeans(data, config.lam, config.max_iters, rng)
+    assignments = clustering.assignments
     k = clustering.n_clusters
     # np.average(data.rows, axis=0, weights=...) bit for bit: both sum the
     # weighted rows in row order, here without an M x V product

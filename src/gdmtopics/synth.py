@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, check_integer
 
 # substream tags keeping beta / theta / lengths / documents independent
 _BETA_STREAM = 0
@@ -27,7 +27,7 @@ class LdaParams:
     """Hyperparameters of the symmetric-Dirichlet LDA generator.
 
     ``doc_lengths`` is either a single int (constant length) or a tuple
-    ``(lo, hi)`` for i.i.d. uniform integer lengths.
+    ``(lo, hi)`` of ints for i.i.d. uniform integer lengths.
     """
 
     K: int
@@ -39,6 +39,8 @@ class LdaParams:
     seed: int
 
     def __post_init__(self):
+        for name in ("K", "V", "M", "seed"):
+            check_integer(name, getattr(self, name))
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.V < 2:
@@ -49,14 +51,16 @@ class LdaParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta < np.inf:
             raise ValueError("eta must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         lengths = self.doc_lengths
-        if isinstance(lengths, tuple):
-            if len(lengths) != 2 or lengths[0] < 1 or lengths[1] < lengths[0]:
-                raise ValueError(f"invalid length range {lengths}")
-        elif not np.isscalar(lengths):
-            raise ValueError("doc_lengths must be an int or a (lo, hi) pair")
-        elif int(lengths) < 1:
-            raise ValueError("document length must be >= 1")
+        bounds = lengths if isinstance(lengths, tuple) else (lengths, lengths)
+        if len(bounds) != 2:
+            raise ValueError(f"doc_lengths must be an int or a (lo, hi) pair, got {lengths}")
+        for bound in bounds:
+            check_integer("doc_lengths", bound)
+        if not 1 <= bounds[0] <= bounds[1]:
+            raise ValueError(f"document length must be >= 1 and lo <= hi, got {lengths}")
 
     def resolve_lengths(self) -> np.ndarray:
         if isinstance(self.doc_lengths, tuple):

@@ -13,9 +13,10 @@ single-row projection helper recomputes the point, distance and certificate
 gap from the weights the library returns, the per-row min-norm-point active
 set is the reference the batched projection is compared with, and the
 two-buffer certificate the reference for the library's one-buffer form. The
-dense normalization and the k-means on a dense reordered copy are the
-references the library's paths without those M x V copies must match bit for
-bit. The likelihood-sandwich check evaluates both bounds of the LDA
+dense normalization is the reference the library's division of the stored
+counts must match bit for bit, and ``in_canonical_order`` runs any clustering
+on a dense copy sorted by ``bytes_key_order``, the order in which the library
+clusters. The likelihood-sandwich check evaluates both bounds of the LDA
 log-likelihood for a fixed (theta, beta). ``count_matrices`` draws the count
 rows on which the corpus and fit tests compare the library with these
 references.
@@ -169,14 +170,19 @@ def dense_normalize(corpus: Corpus) -> NormalizedCorpus:
     return NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
 
 
-def reordered_kmeans(data: NormalizedCorpus, K, restarts, max_iters, rng, *, order):
-    """``fit_kmeans`` run on a dense reordered copy of the rows, whose CSR
-    copy and squared norms are built after the reordering: the reference for
-    clustering with ``order``."""
-    from gdmtopics.clustering import fit_kmeans
-
+def in_canonical_order(cluster, data: NormalizedCorpus, *args, **kwargs):
+    """``cluster(copy, *args, **kwargs)`` on a dense copy of ``data`` whose
+    rows are sorted by ``bytes_key_order``, the assignments of the
+    ``ClusteringResult`` it returns (alone, or first in a tuple) moved back
+    to the rows of ``data``."""
+    order = bytes_key_order(data.rows, data.weights)
     ordered = NormalizedCorpus(rows=data.rows[order], weights=data.weights[order])
-    return fit_kmeans(ordered, K, restarts, max_iters, rng)
+    out = cluster(ordered, *args, **kwargs)
+    result = out[0] if isinstance(out, tuple) else out
+    assignments = np.empty_like(result.assignments)
+    assignments[order] = result.assignments
+    moved = ClusteringResult(result.centroids, assignments, result.objective)
+    return (moved, *out[1:]) if isinstance(out, tuple) else moved
 
 
 def two_buffer_certify(X, B, thetas):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from gdmtopics import metrics
 from gdmtopics.cli import main
 from gdmtopics.corpus import load_uci_bag_of_words
 from gdmtopics.gdm import GdmConfig, GdmModel, load_model, save_model
@@ -205,6 +206,28 @@ def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", model_path, "--heldout", out, "--truth", truth_path])
     assert rc == 1
     assert "error: vertices must be a K x V matrix" in capsys.readouterr().err
+
+
+def test_eval_checks_truth_before_projecting(tmp_path, monkeypatch, capsys):
+    out = _simulate(tmp_path, V=8)
+    other = _simulate(tmp_path, name="other", V=5, seed=2)
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
+    projected = []
+    project_rows = metrics.project_rows
+
+    def spy(*args, **kwargs):
+        projected.append(1)
+        return project_rows(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "project_rows", spy)
+    capsys.readouterr()
+    truth = os.path.join(other, "truth.json")
+    assert main(["eval", "--model", model_path, "--heldout", out, "--truth", truth]) == 1
+    assert capsys.readouterr().err == "error: truth beta dimensions disagree with model\n"
+    assert projected == []
+    assert main(["eval", "--model", model_path, "--heldout", out]) == 0
+    assert projected == [1]
 
 
 def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -15,8 +15,10 @@ from gdmtopics.corpus import NormalizedCorpus, normalize
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import (
     brute_force_kmeans,
+    bytes_key_order,
     dense_kmeans,
     dense_weighted_means,
+    in_canonical_order,
     sequential_dpmeans,
     sequential_dpmeans_pass,
     weighted_objective,
@@ -31,7 +33,8 @@ def _data(rows, weights=None):
 
 
 def _seeds(data, K, rng):
-    return kmeanspp_init(data.csr_rows(), data._row_sq_norms, data.weights, K, rng)
+    xx = np.einsum("ij,ij->i", data.rows, data.rows)
+    return kmeanspp_init(data.csr_rows(), xx, data.weights, K, rng)
 
 
 def _random_simplex_rows(rng, M, V):
@@ -149,7 +152,7 @@ def test_kmeans_matches_dense_reference_bitwise():
     params = LdaParams(K=8, V=2000, M=150, doc_lengths=(50, 400), alpha=0.1, eta=0.05, seed=3)
     data = normalize(generate_corpus(params)[0])
     fitted = fit_kmeans(data, 8, restarts=3, rng=np.random.default_rng(7))
-    reference = dense_kmeans(data, 8, restarts=3, max_iters=1500, rng=np.random.default_rng(7))
+    reference = in_canonical_order(dense_kmeans, data, 8, 3, 1500, np.random.default_rng(7))
     assert np.array_equal(fitted.assignments, reference.assignments)
     assert np.array_equal(fitted.centroids, reference.centroids)
     assert np.isclose(fitted.objective, reference.objective, rtol=1e-12, atol=0.0)
@@ -299,7 +302,9 @@ def dpmeans_cases(draw):
 @given(case=dpmeans_cases())
 def test_dpmeans_matches_sequential_oracle(case):
     data, lam, seed = case
-    expected, _, margin = sequential_dpmeans(data, lam, 1500, np.random.default_rng(seed))
+    expected, _, margin = in_canonical_order(
+        sequential_dpmeans, data, lam, 1500, np.random.default_rng(seed)
+    )
     # batched and per-row distances differ by a few ulps, which may flip a near-tie
     assume(margin > 1e-9)
     res = fit_dpmeans(data, lam, rng=np.random.default_rng(seed))
@@ -335,7 +340,8 @@ def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
     assert not np.array_equal(one.assignments, two.assignments)
     del calls[:]
     res = fit_dpmeans(data, lam, rng=np.random.default_rng(0))
-    expected, passes, _ = sequential_dpmeans(data, lam, 1500, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    expected, passes, _ = in_canonical_order(sequential_dpmeans, data, lam, 1500, rng)
     assert len(calls) == passes > 2
     assert np.array_equal(res.assignments, expected.assignments)
 
@@ -350,6 +356,7 @@ def test_means_are_taken_only_for_new_assignments(monkeypatch):
 
     monkeypatch.setattr(clustering, "_weighted_means", spy)
     data, lam = _stop_rule_corpus()
+    order = bytes_key_order(data.rows, data.weights)  # the spy sees the rows in this order
     fits = (
         lambda: fit_kmeans(data, 3, restarts=1, rng=np.random.default_rng(0)),
         lambda: fit_dpmeans(data, lam, rng=np.random.default_rng(0)),
@@ -359,7 +366,30 @@ def test_means_are_taken_only_for_new_assignments(monkeypatch):
         res = fit()
         assert len(seen) > 1
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
-        assert np.array_equal(res.assignments, seen[-1])
+        assert np.array_equal(res.assignments[order], seen[-1])
+
+
+def _labelled_documents(data, assignments):
+    return sorted(zip(data.weights.tolist(), map(bytes, data.rows), assignments.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_corpora(), lam=st.floats(0.05, 20.0), perm_seed=st.integers(0, 2**32 - 1))
+def test_clustering_is_invariant_to_document_order(case, lam, perm_seed):
+    data, K, seed = case
+    perm = np.random.default_rng(perm_seed).permutation(data.M)
+    shuffled = NormalizedCorpus(rows=data.rows[perm], weights=data.weights[perm])
+    fits = (
+        lambda d: fit_kmeans(d, K, restarts=2, rng=np.random.default_rng(seed)),
+        lambda d: fit_dpmeans(d, lam, rng=np.random.default_rng(seed)),
+    )
+    for fit in fits:
+        res, res_shuffled = fit(data), fit(shuffled)
+        assert res.centroids.tobytes() == res_shuffled.centroids.tobytes()
+        assert np.float64(res.objective).tobytes() == np.float64(res_shuffled.objective).tobytes()
+        # each document keeps its cluster; identical documents may trade theirs
+        expected = _labelled_documents(data, res.assignments)
+        assert _labelled_documents(shuffled, res_shuffled.assignments) == expected
 
 
 def test_dpmeans_returns_a_fixpoint():

@@ -242,11 +242,12 @@ def test_csr_rows_from_the_pattern_equal_a_dense_scan(counts):
 def test_pattern_must_fit_the_rows():
     c = Corpus(np.array([[1, 0, 2], [0, 3, 0]]))
     data = normalize(c)
-    indptr, indices = data.pattern
+    indptr, indices = data._pattern
     assert indptr is c.counts.indptr and indices is c.counts.indices  # shared, not copied
-    for bad in ((indptr[:-1], indices), (indptr, indices[:-1])):
-        with pytest.raises(CorpusValidationError, match="pattern"):
-            NormalizedCorpus(rows=data.rows, weights=data.weights, pattern=bad)
+    # only normalize records a pattern, so none can disagree with the rows
+    for name in ("pattern", "_pattern"):
+        with pytest.raises(TypeError):
+            NormalizedCorpus(rows=data.rows, weights=data.weights, **{name: (indptr, indices)})
 
 
 def test_normalize_allocates_only_its_output():
@@ -283,6 +284,27 @@ def test_split_bounds(n):
     c = Corpus(np.ones((10, 3), dtype=int))
     with pytest.raises(ValueError):
         split_holdout(c, n, seed=0)
+
+
+@pytest.mark.parametrize("n_holdout, seed", [(2.5, 0), (True, 0), (2, 1.5), (2, np.float64(3.0))])
+def test_split_takes_only_integers(n_holdout, seed):
+    c = Corpus(np.ones((10, 3), dtype=int))
+    with pytest.raises(ValueError, match="must be an integer"):
+        split_holdout(c, n_holdout, seed)
+    train, held = split_holdout(c, np.int64(2), np.uint8(4))
+    assert (train.M, held.M) == (8, 2)
+
+
+def test_float_counts_must_be_whole_numbers():
+    bad = [[1.7, 2.2], [3.0, 0.9]]
+    for counts in (np.array(bad), sp.csr_matrix(bad), sp.coo_matrix(bad), bad):
+        with pytest.raises(CorpusValidationError, match="whole numbers"):
+            Corpus(counts)
+    for value in (np.nan, np.inf, 1e-300):
+        with pytest.raises(CorpusValidationError, match="whole numbers"):
+            Corpus(np.array([[1.0, value]]))
+    assert Corpus(np.array([[1.0, 0.0], [2.0, 3.0]])) == Corpus(np.array([[1, 0], [2, 3]]))
+    assert Corpus(sp.csr_matrix(np.array([[4.0, 1.0]]))) == Corpus(np.array([[4, 1]]))
 
 
 def test_empty_document_rejected_by_constructor():

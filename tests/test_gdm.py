@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 
 from gdmtopics import gdm
+from gdmtopics.clustering import fit_kmeans
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.gdm import (
     DegenerateClusterError,
@@ -22,7 +24,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import count_matrices, extended_vertex, grid_tune_extension, reordered_kmeans
+from oracles import count_matrices, extended_vertex, grid_tune_extension, in_canonical_order
 
 
 def _data(rows, weights=None):
@@ -205,8 +207,8 @@ def test_config_takes_numpy_integers():
 
 @pytest.mark.parametrize("tune", [False, True])
 def test_fit_matches_clustering_a_reordered_copy(monkeypatch, tune):
-    # k-means takes its CSR rows and squared norms from the canonical order;
-    # the model must be the one a dense reordered copy gives, bit for bit
+    # k-means takes its CSR rows and squared norms in canonical order; the
+    # model must be the one clustering a dense reordered copy gives, bit for bit
     cases = [
         (LdaParams(K=5, V=301, M=300, doc_lengths=200, alpha=0.1, eta=0.1, seed=4), 5),
         (LdaParams(K=8, V=2001, M=150, doc_lengths=(50, 400), alpha=0.1, eta=0.05, seed=5), 8),
@@ -216,7 +218,7 @@ def test_fit_matches_clustering_a_reordered_copy(monkeypatch, tune):
         config = GdmConfig(K=K, restarts=3, tune=tune, seed=params.seed)
         model = fit_gdm(data, config)
         with monkeypatch.context() as patch:
-            patch.setattr(gdm, "fit_kmeans", reordered_kmeans)
+            patch.setattr(gdm, "fit_kmeans", partial(in_canonical_order, fit_kmeans))
             reference = fit_gdm(data, config)
         _assert_same_model(model, reference)
 

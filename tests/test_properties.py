@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdmtopics.clustering import _canonical_order
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
 from gdmtopics.gdm import (
     GdmConfig,
     GdmModel,
-    _canonical_order,
     fit_gdm,
     fit_ngdm,
     load_model,

@@ -125,6 +125,19 @@ def test_alpha_to_zero_weak_limit():
         dict(K=1, V=3, M=2, doc_lengths=[1, 2, 3], alpha=1, eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=float("inf"), eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=float("nan"), seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=2.5, alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=(1, 2.5), alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=(1.0, 2), alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=True, alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=(3, 2), alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=(1, 2, 3), alpha=1, eta=1, seed=0),
+        dict(K=True, V=3, M=1, doc_lengths=1, alpha=1, eta=1, seed=0),
+        dict(K=2.5, V=3, M=1, doc_lengths=1, alpha=1, eta=1, seed=0),
+        dict(K=1, V=3.0, M=1, doc_lengths=1, alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=np.float64(2.0), doc_lengths=1, alpha=1, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=1, seed=-1),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=1, seed=1.5),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=1, seed="0"),
     ],
 )
 def test_params_validation(kwargs):
