@@ -46,9 +46,11 @@ def _converged(prev, cur):
     return bool(np.isfinite(prev) and prev - cur <= _REL_TOL * max(abs(prev), 1e-300))
 
 
-def _weighted_means(X, weights, assignments, k):
+def weighted_means(X, weights, assignments, k):
     """Weighted mean per cluster of the rows of ``X`` (dense or CSR), as a
-    C-contiguous k x V array; clusters assumed nonempty.
+    C-contiguous k x V array; clusters assumed nonempty. Every average a
+    fit takes goes through here: the centroids, and with all rows in one
+    cluster DP-means' start and the data center, without an M x V temporary.
 
     Each cluster sums N_m w_m over its rows in row order, so the sums are
     the ones a row-by-row accumulation gives, from either layout. CSR rows
@@ -114,7 +116,10 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
         if total > 0:
             idx = rng.choice(M, p=scores / total)
         else:  # all mass on already-chosen points; grab any unseen distinct row
-            idx = int(np.flatnonzero(d2 > 0)[0])
+            unseen = np.flatnonzero(d2 > 0)
+            if unseen.size == 0:  # rows one ulp apart can sit at distance 0
+                raise ValueError(f"K={K} exceeds the number of rows at distinct positions")
+            idx = int(unseen[0])
         _csr_row(X, idx, seeds[k])
         d2 = np.minimum(d2, _sq_dists(X, sq_norms, seeds[k : k + 1]).ravel())
     return seeds
@@ -140,7 +145,7 @@ def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
         if assignments is not None and np.array_equal(labels, assignments):
             break
         assignments = labels
-        centroids = _weighted_means(X, weights, assignments, k)
+        centroids = weighted_means(X, weights, assignments, k)
         d2 = _sq_dists(X, sq_norms, centroids)
         obj = float(np.sum(weights * d2[every_row, assignments])) + lam * k
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
@@ -289,6 +294,6 @@ def fit_dpmeans(
         occupied, labels = np.unique(labels, return_inverse=True)
         return labels, occupied.size
 
-    start = np.average(rows, axis=0, weights=weights)[None, :]
+    start = weighted_means(rows, weights, np.zeros(data.M, dtype=np.intp), 1)
     result = _descend(rows, xx, weights, start, dpmeans_step, lam, max_iters)
     return replace(result, assignments=result.assignments[np.argsort(order)])

@@ -12,6 +12,7 @@ import io
 import os
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -104,15 +105,6 @@ class Corpus:
         idx = np.asarray(doc_indices, dtype=np.int64)
         return Corpus(self.counts[idx], vocab=self.vocab)
 
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (
-            self.counts.shape == other.counts.shape
-            and (self.counts != other.counts).nnz == 0
-            and self.vocab == other.vocab
-        )
-
     def __repr__(self):
         return f"Corpus(M={self.M}, V={self.V}, nnz={self.counts.nnz})"
 
@@ -143,8 +135,8 @@ class NormalizedCorpus:
         # a nonnegative row with an entry above 1 + 1e-12 has failed the sum check
         if rows.min(initial=0.0) < 0.0:
             raise CorpusValidationError("normalized entries must lie in [0, 1]")
-        if (weights <= 0).any():
-            raise CorpusValidationError("weights must be positive")
+        if not ((weights > 0) & (weights < np.inf)).all():  # NaN fails both
+            raise CorpusValidationError("weights must be positive and finite")
         rows.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "rows", rows)
@@ -190,23 +182,23 @@ def normalize(corpus: Corpus) -> NormalizedCorpus:
     return data
 
 
-def _line_source(stream_or_path):
-    if isinstance(stream_or_path, (str, os.PathLike)):
-        return open(stream_or_path, "r", encoding="utf-8")
+@contextmanager
+def _text_stream(stream_or_path, mode="r"):
+    """A path opened in ``mode`` (UTF-8) and closed on exit, or a text stream
+    as it is; bytes raise TypeError."""
     if isinstance(stream_or_path, (bytes, bytearray)):
         raise TypeError("expected text stream or path")
-    return stream_or_path
+    if isinstance(stream_or_path, (str, os.PathLike)):
+        with open(stream_or_path, mode, encoding="utf-8") as f:
+            yield f
+    else:
+        yield stream_or_path
 
 
 def load_vocab(stream_or_path) -> list:
     """Read a vocabulary file, one word per line; trailing blank lines are dropped."""
-    close_me = isinstance(stream_or_path, (str, os.PathLike))
-    f = _line_source(stream_or_path)
-    try:
+    with _text_stream(stream_or_path) as f:
         vocab = [line.rstrip("\n") for line in f]
-    finally:
-        if close_me:
-            f.close()
     while vocab and vocab[-1] == "":
         vocab.pop()
     return vocab
@@ -264,9 +256,7 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     Raises CorpusParseError for malformed lines (with line number) and
     CorpusValidationError for out-of-range values or an NNZ mismatch.
     """
-    close_me = isinstance(docword_stream, (str, os.PathLike))
-    f = _line_source(docword_stream)
-    try:
+    with _text_stream(docword_stream) as f:
         header = []
         lineno = 0
         while len(header) < 3:
@@ -285,9 +275,6 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
         if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
         body = f.read()
-    finally:
-        if close_me:
-            f.close()
     triples = None
     # loadtxt warns on input without data, and numpy 2.4's parser crashed on
     # some code points past U+FFFF, so it only reads ASCII bodies with data
@@ -319,18 +306,13 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
 
 def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
     """Write a corpus in UCI bag-of-words format (1-based indices)."""
-    close_me = isinstance(stream_or_path, (str, os.PathLike))
-    f = open(stream_or_path, "w", encoding="utf-8") if close_me else stream_or_path
-    try:
+    with _text_stream(stream_or_path, "w") as f:
         coo = corpus.counts.tocoo()
         order = np.lexsort((coo.col, coo.row))
         docs = (coo.row[order].astype(np.int64) + 1).tolist()
         words = (coo.col[order].astype(np.int64) + 1).tolist()
         lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data[order].tolist()))
         f.write(f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n" + "".join(lines))
-    finally:
-        if close_me:
-            f.close()
 
 
 def split_holdout(corpus: Corpus, n_holdout: int, seed: int):

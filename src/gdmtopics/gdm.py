@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .clustering import fit_dpmeans, fit_kmeans
+from .clustering import fit_dpmeans, fit_kmeans, weighted_means
 from .corpus import NormalizedCorpus, check_integer
 from .geometry import TopicPolytope, geometric_objective
 
@@ -147,10 +147,8 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
         clustering = fit_dpmeans(data, config.lam, config.max_iters, rng)
     assignments = clustering.assignments
     k = clustering.n_clusters
-    # np.average(data.rows, axis=0, weights=...) bit for bit: both sum the
-    # weighted rows in row order, here without an M x V product
     weights = data.weights if config.weighted_center else np.ones(data.M)
-    center = data.csr_rows().T @ weights / weights.sum()
+    center = weighted_means(data.rows, weights, np.zeros(data.M, dtype=np.intp), 1)[0]
     radii, extensions = default_extensions(data, center, clustering.centroids, assignments)
     polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     objective = geometric_objective(data, polytope)

@@ -199,7 +199,7 @@ def test_weighted_means_equal_the_row_by_row_sums_bitwise(case):
     labels = np.random.default_rng(seed).permutation(np.arange(data.M) % K)
     expected = dense_weighted_means(data.rows, data.weights, labels, K)
     for X in (data.csr_rows(), data.rows):
-        means = clustering._weighted_means(X, data.weights, labels, K)
+        means = clustering.weighted_means(X, data.weights, labels, K)
         assert means.flags.c_contiguous
         assert means.tobytes() == expected.tobytes()
 
@@ -209,7 +209,7 @@ def test_weighted_means_at_the_nips_shape_bitwise():
     data = normalize(generate_corpus(params)[0])
     labels = np.random.default_rng(1).integers(0, 10, size=data.M)
     expected = dense_weighted_means(data.rows, data.weights, labels, 10)
-    means = clustering._weighted_means(data.csr_rows(), data.weights, labels, 10)
+    means = clustering.weighted_means(data.csr_rows(), data.weights, labels, 10)
     assert means.flags.c_contiguous
     assert means.tobytes() == expected.tobytes()
 
@@ -348,25 +348,49 @@ def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
 
 def test_means_are_taken_only_for_new_assignments(monkeypatch):
     seen = []
-    means = clustering._weighted_means
+    means = clustering.weighted_means
 
     def spy(X, weights, assignments, k):
         seen.append(assignments.copy())
         return means(X, weights, assignments, k)
 
-    monkeypatch.setattr(clustering, "_weighted_means", spy)
+    monkeypatch.setattr(clustering, "weighted_means", spy)
     data, lam = _stop_rule_corpus()
     order = bytes_key_order(data.rows, data.weights)  # the spy sees the rows in this order
+    # (fit, calls before the first labelling): DP-means starts from the mean of all rows
     fits = (
-        lambda: fit_kmeans(data, 3, restarts=1, rng=np.random.default_rng(0)),
-        lambda: fit_dpmeans(data, lam, rng=np.random.default_rng(0)),
+        (lambda: fit_kmeans(data, 3, restarts=1, rng=np.random.default_rng(0)), 0),
+        (lambda: fit_dpmeans(data, lam, rng=np.random.default_rng(0)), 1),
     )
-    for fit in fits:
+    for fit, starts in fits:
         del seen[:]
         res = fit()
+        assert all(a.shape == (data.M,) and not a.any() for a in seen[:starts])
+        del seen[:starts]
         assert len(seen) > 1
         assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
         assert np.array_equal(res.assignments[order], seen[-1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dpmeans_starts_at_the_weighted_mean_bitwise(monkeypatch, seed):
+    # at fixed lengths every weighted row is whole counts and any summation order
+    # gives these bits; the NIPS shape's varying lengths tell the orders apart
+    shape = dict(K=10, V=12419, M=288, doc_lengths=(200, 1800), alpha=0.1, eta=0.05)
+    data = normalize(generate_corpus(LdaParams(**shape, seed=seed))[0])
+    starts = []
+    descend = clustering._descend
+
+    def spy(X, sq_norms, weights, centroids, *args):
+        starts.append(centroids.copy())
+        return descend(X, sq_norms, weights, centroids, *args)
+
+    monkeypatch.setattr(clustering, "_descend", spy)
+    fit_dpmeans(data, 1e9, max_iters=1, rng=np.random.default_rng(seed))
+    order = bytes_key_order(data.rows, data.weights)
+    expected = np.average(data.rows[order], axis=0, weights=data.weights[order])
+    assert len(starts) == 1 and starts[0].shape == (1, data.V)
+    assert starts[0].tobytes() == expected.tobytes()
 
 
 def _labelled_documents(data, assignments):

@@ -20,7 +20,7 @@ from gdmtopics.corpus import (
     split_holdout,
 )
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import count_matrices, dense_normalize
+from oracles import count_matrices, dense_normalize, same_corpus
 
 UCI_SMALL = "2\n3\n3\n1 1 2\n1 3 1\n2 2 4\n"
 
@@ -73,7 +73,7 @@ def test_bulk_parse_matches_line_parser(monkeypatch):
     assert not calls
     assert bulk.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((0, 3), dtype=np.int64))
-    assert load_uci_bag_of_words(io.StringIO(text)) == bulk
+    assert same_corpus(load_uci_bag_of_words(io.StringIO(text)), bulk)
     assert len(calls) == 1
 
 
@@ -177,7 +177,7 @@ def test_roundtrip_uci():
     buf = io.StringIO()
     save_uci_bag_of_words(c, buf)
     again = load_uci_bag_of_words(io.StringIO(buf.getvalue()))
-    assert c == again
+    assert same_corpus(c, again)
 
 
 def test_roundtrip_random_corpora():
@@ -189,7 +189,7 @@ def test_roundtrip_random_corpora():
         c = Corpus(counts)
         buf = io.StringIO()
         save_uci_bag_of_words(c, buf)
-        assert load_uci_bag_of_words(io.StringIO(buf.getvalue())) == c
+        assert same_corpus(load_uci_bag_of_words(io.StringIO(buf.getvalue())), c)
 
 
 def test_normalize_definition():
@@ -276,7 +276,7 @@ def test_split_partition_and_determinism():
     orig = c.counts.toarray()
     assert sorted(map(tuple, combined)) == sorted(map(tuple, orig))
     train2, held2 = split_holdout(c, 3, seed=7)
-    assert train == train2 and held == held2
+    assert same_corpus(train, train2) and same_corpus(held, held2)
 
 
 @pytest.mark.parametrize("n", [0, 10, 11])
@@ -303,8 +303,23 @@ def test_float_counts_must_be_whole_numbers():
     for value in (np.nan, np.inf, 1e-300):
         with pytest.raises(CorpusValidationError, match="whole numbers"):
             Corpus(np.array([[1.0, value]]))
-    assert Corpus(np.array([[1.0, 0.0], [2.0, 3.0]])) == Corpus(np.array([[1, 0], [2, 3]]))
-    assert Corpus(sp.csr_matrix(np.array([[4.0, 1.0]]))) == Corpus(np.array([[4, 1]]))
+    whole = Corpus(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    assert same_corpus(whole, Corpus(np.array([[1, 0], [2, 3]])))
+    assert same_corpus(Corpus(sp.csr_matrix(np.array([[4.0, 1.0]]))), Corpus(np.array([[4, 1]])))
+
+
+def test_io_rejects_bytes():
+    c = Corpus(np.array([[1, 2]]))
+    for call in (load_vocab, load_uci_bag_of_words, lambda b: save_uci_bag_of_words(c, b)):
+        for data in (b"1\n2\n", bytearray(b"1\n")):
+            with pytest.raises(TypeError, match="expected text stream or path"):
+                call(data)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_normalized_weights_must_be_positive_and_finite(bad):
+    with pytest.raises(CorpusValidationError, match="weights must be positive and finite"):
+        NormalizedCorpus(rows=np.eye(4), weights=[1.0, bad, 1.0, 1.0])
 
 
 def test_empty_document_rejected_by_constructor():

@@ -223,16 +223,23 @@ def test_fit_matches_clustering_a_reordered_copy(monkeypatch, tune):
         _assert_same_model(model, reference)
 
 
-@pytest.mark.parametrize("tune", [False, True])
-def test_fit_holds_one_working_buffer(tune):
-    # above the normalized rows, a fit holds one M x V buffer at a time
+@pytest.mark.parametrize(
+    "tune, lam", [(False, None), (True, None), (False, 3.0)], ids=["False", "True", "ngdm"]
+)
+def test_fit_holds_one_working_buffer(tune, lam):
+    # above the normalized rows, a fit holds one M x V buffer at a time: for
+    # nGDM, DP-means' canonical-order copy, then the certificate's buffer
     params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
     data = normalize(generate_corpus(params)[0])
+    if lam is None:
+        fit, config = fit_gdm, GdmConfig(K=10, restarts=2, tune=tune)
+    else:
+        fit, config = fit_ngdm, GdmConfig(lam=lam, tune=tune)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fit_gdm(data, GdmConfig(K=10, restarts=2, tune=tune))
+        fit(data, config)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -458,7 +465,8 @@ def test_fit_center_is_np_average_bitwise_on_any_counts(counts):
 
 @pytest.mark.parametrize("tune", [False, True])
 def test_fit_scans_no_dense_rows_into_csr(monkeypatch, tune):
-    # k-means and the center take their CSR rows from the counts' pattern
+    # k-means takes its CSR rows from the counts' pattern; the center is a
+    # mean of the dense rows, with no CSR copy of them
     data = _lda_data(23, K=4, V=40, M=80)
     dense_inputs = []
     csr_matrix = sp.csr_matrix
@@ -471,6 +479,17 @@ def test_fit_scans_no_dense_rows_into_csr(monkeypatch, tune):
     monkeypatch.setattr(sp, "csr_matrix", spy)
     fit_gdm(data, GdmConfig(K=4, restarts=2, tune=tune, seed=2))
     assert dense_inputs == []
+
+
+def test_rows_one_ulp_apart_raise_a_value_error():
+    # distinct bytes but expanded distances of exactly 0: k-means++ finds no second seed
+    a = np.array([0.3, 0.3, 0.4])
+    b = a.copy()
+    b[0], b[1] = np.nextafter(a[0], 1.0), np.nextafter(a[1], 0.0)
+    data = _data([a, b, a], weights=[5, 7, 3])
+    for fit in (lambda: fit_kmeans(data, 2), lambda: fit_gdm(data, GdmConfig(K=2))):
+        with pytest.raises(ValueError, match="K=2 exceeds"):
+            fit()
 
 
 def test_ngdm_model_roundtrip(tmp_path):

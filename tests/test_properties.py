@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdmtopics.clustering import _canonical_order
-from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
+from gdmtopics.corpus import Corpus, NormalizedCorpus, load_uci_bag_of_words, normalize
 from gdmtopics.gdm import (
     GdmConfig,
     GdmModel,
@@ -24,7 +24,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import TopicPolytope, project_rows
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import _min_norm_weights, bytes_key_order
+from oracles import _min_norm_weights, bytes_key_order, same_corpus
 
 _common = dict(
     max_iters=st.integers(1, 10**6),
@@ -270,7 +270,11 @@ def _load_outcome(text):
 def test_bulk_uci_parse_agrees_with_the_line_parser(text):
     # the bulk parse takes only what the line parser reads the same way: the
     # same corpus, or the same error, and no warning of its own
-    bulk = _load_outcome(text)
+    bulk, bulk_warnings = _load_outcome(text)
     with mock.patch.object(np, "loadtxt", side_effect=ValueError):
-        lines = _load_outcome(text)
-    assert bulk == lines
+        lines, line_warnings = _load_outcome(text)
+    assert bulk_warnings == line_warnings
+    if isinstance(bulk, Corpus) and isinstance(lines, Corpus):
+        assert same_corpus(bulk, lines)
+    else:
+        assert bulk == lines
