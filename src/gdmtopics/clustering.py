@@ -182,9 +182,10 @@ def fit_kmeans(
 
     The documents are clustered in canonical order, so the result does not
     depend on the order of ``data.rows``; the assignments are indexed like
-    ``data.rows``. The arithmetic runs on the CSR copy ``data.csr_rows()``
-    in that order, which a normalized corpus takes from the counts' sparsity
-    pattern without scanning the dense rows; it is dropped on return.
+    ``data.rows``. The arithmetic runs on the CSR copy
+    ``data.csr_rows(order)``, gathered in that order in one step from the
+    counts' sparsity pattern without scanning the dense rows; it is dropped
+    on return.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -195,7 +196,7 @@ def fit_kmeans(
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)
-    X, weights = data.csr_rows()[order], data.weights[order]
+    X, weights = data.csr_rows(order), data.weights[order]
     xx = np.einsum("ij,ij->i", data.rows, data.rows)[order]
     every_row = np.arange(data.M)
 

@@ -150,19 +150,47 @@ class NormalizedCorpus:
     def V(self):
         return self.rows.shape[1]
 
-    def csr_rows(self) -> sp.csr_matrix:
-        """A new CSR copy of ``rows``, equal to ``sp.csr_matrix(rows)``: sorted
-        indices and no stored zeros.
+    def csr_rows(self, order=None) -> sp.csr_matrix:
+        """A new CSR copy of ``rows[order]`` (of ``rows`` when ``order`` is
+        None), equal to ``sp.csr_matrix(rows[order])``: sorted indices and no
+        stored zeros.
 
         For rows from ``normalize`` only the entries stored in the counts are
-        read from ``rows``; other rows are scanned. The copy is not kept.
+        read from ``rows``, straight into the copy's row order, and no index
+        temporary is larger than the copy; other rows are scanned. The copy
+        is not kept.
         """
         if self._pattern is None:
-            return sp.csr_matrix(self.rows)
+            X = sp.csr_matrix(self.rows)
+            return X if order is None else X[order]
         indptr, indices = self._pattern
-        row_starts = np.repeat(np.arange(self.M) * self.V, np.diff(indptr))
-        values = self.rows.ravel().take(row_starts + indices)  # rows is C-contiguous
-        return sp.csr_matrix((values, indices, indptr), shape=self.rows.shape)
+        if order is None:
+            order = np.arange(self.M)
+        else:
+            order = np.asarray(order)
+            lengths = np.diff(indptr)[order]
+            indices = indices[_runs(indptr[:-1][order], lengths)]
+            indptr = np.zeros(order.size + 1, dtype=indptr.dtype)
+            np.cumsum(lengths, out=indptr[1:])
+        at = np.repeat(order * self.V, np.diff(indptr))  # flat offset of each entry's row
+        at += indices
+        values = self.rows.ravel().take(at)  # rows is C-contiguous
+        return sp.csr_matrix((values, indices, indptr), shape=(order.size, self.V))
+
+
+def _runs(starts, lengths):
+    """The runs ``starts[r] + arange(lengths[r])``, concatenated, as one int64
+    array built in place: each run's first entry holds its step from the end
+    of the previous run, and a cumulative sum fills in the rest."""
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty].astype(np.int64), lengths[nonempty]
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if out.size:
+        steps = starts.copy()
+        steps[1:] -= starts[:-1] + lengths[:-1] - 1
+        out[np.cumsum(lengths) - lengths] = steps
+        np.cumsum(out, out=out)
+    return out
 
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:

@@ -17,10 +17,9 @@ from scipy.optimize import minimize_scalar
 
 from .clustering import fit_dpmeans, fit_kmeans, weighted_means
 from .corpus import NormalizedCorpus, check_integer
-from .geometry import TopicPolytope, geometric_objective
+from .geometry import TopicPolytope, _row_blocks, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
-_RADIUS_BLOCK = 128  # rows per block of the covering-radius distances
 
 
 class DegenerateClusterError(ValueError):
@@ -77,27 +76,32 @@ class GdmModel:
         return self.polytope.K
 
 
+def _distances(rows, center):
+    """Euclidean distance from every row of ``rows`` to ``center``,
+    ``np.linalg.norm(rows - center, axis=1)`` bit for bit, over row blocks
+    in one block buffer."""
+    out = np.empty(len(rows))
+    for block, diff in _row_blocks(*rows.shape):
+        np.subtract(rows[block], center, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=1), out=out[block])
+    return out
+
+
 def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster), taken over blocks of rows so that the only
-    temporary is one block of differences. A single cluster keeps m = 1:
-    the topic minimizing G is the weighted mean, which is its centroid.
+    (0 for an empty cluster). A single cluster keeps m = 1: the topic
+    minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    to_center = np.empty(data.M)
-    for start in range(0, data.M, _RADIUS_BLOCK):
-        # np.linalg.norm(block - center, axis=1), with the squares taken in place
-        diff = data.rows[start : start + _RADIUS_BLOCK] - center
-        np.multiply(diff, diff, out=diff)
-        to_center[start : start + _RADIUS_BLOCK] = np.sqrt(np.add.reduce(diff, axis=1))
     radii = np.zeros(centroids.shape[0])
-    np.maximum.at(radii, assignments, to_center)
+    np.maximum.at(radii, assignments, _distances(data.rows, center))
     if centroids.shape[0] == 1:
         return radii, np.ones(1)
-    dists = np.linalg.norm(centroids - center, axis=1)
+    dists = _distances(centroids, center)
     bad = np.flatnonzero(dists <= _DEGENERATE_EPS)
     if bad.size:
         raise DegenerateClusterError(
@@ -222,15 +226,22 @@ def tune_extensions(
 
 
 def save_model(model: GdmModel, path) -> None:
-    d = {
-        "beta": model.polytope.vertices.tolist(),
+    """Write the model as one line of JSON with sorted keys.
+
+    The file is ``json.dumps(d, sort_keys=True)`` of the five fields, with
+    ``beta``, the first key, written one topic row at a time.
+    """
+    rest = {
         "extensions": model.extensions.tolist(),
         "radii": model.radii.tolist(),
         "objective": model.objective,
         "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(d, sort_keys=True) + "\n")
+        f.write('{"beta": [')
+        for k, row in enumerate(model.polytope.vertices):
+            f.write((", " if k else "") + json.dumps(row.tolist()))
+        f.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
 
 
 def load_model(path) -> GdmModel:

@@ -13,8 +13,14 @@ once:
 2. certificate: every row is checked in word space by the variational
    inequality ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale``
    for every vertex, and its weights must lie on the simplex; the first row
-   that fails raises ProjectionFailure. The certificate works in one M x V
-   buffer, the projected points overwritten by their residuals.
+   that fails raises ProjectionFailure. The certificate works over blocks
+   of rows in one block buffer, the projected points overwritten by their
+   residuals.
+
+Every row-by-row pass over M x V rows (here the finite check and the
+certificate, in ``gdm`` the covering radii, in ``metrics`` the held-out
+perplexity) goes through ``_row_blocks``, so that its working memory is one
+block of rows, not a second M x V array.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from .corpus import NormalizedCorpus
 
 _DROP_EPS = 1e-12
 _TOL = 1e-10  # optimality tolerance of the min-norm-point solve
+# bytes of the one buffer a row-by-row M x V pass works in: 42 rows at
+# V = 12419; much smaller blocks go to other BLAS kernels, which round
+# differently (a one-row block is a gemv)
+_BLOCK_BYTES = 4 * 2**20
 
 
 class ProjectionFailure(RuntimeError):
@@ -57,6 +67,28 @@ class TopicPolytope:
     @property
     def V(self) -> int:
         return self.vertices.shape[1]
+
+
+def _row_blocks(M, V, dtype=np.float64):
+    """Yield ``(block, buf)`` for consecutive row slices ``block`` covering
+    range(M), with ``buf`` a scratch view of shape (rows in the block, V).
+
+    Every view is into one ``dtype`` buffer of at most ``_BLOCK_BYTES`` (but
+    at least one row), allocated once and reused for every block.
+    """
+    step = max(1, min(M, _BLOCK_BYTES // (np.dtype(dtype).itemsize * max(V, 1))))
+    buf = np.empty((step, V), dtype=dtype)
+    for start in range(0, M, step):
+        stop = min(start + step, M)
+        yield slice(start, stop), buf[: stop - start]
+
+
+def _finite_rows(X):
+    """Whether each row of the M x V matrix ``X`` is finite, over row blocks."""
+    finite = np.empty(len(X), dtype=bool)
+    for block, buf in _row_blocks(*X.shape, dtype=bool):
+        finite[block] = np.isfinite(X[block], out=buf).all(axis=1)
+    return finite
 
 
 def _active_set(BBt, BX, xx, nearest, scales):
@@ -126,21 +158,34 @@ def _active_set(BBt, BX, xx, nearest, scales):
     return theta
 
 
+def _distances_and_gaps(X, B, thetas):
+    """Squared distances ||x - p||^2 and gaps max_k (b_k - p) . (x - p) of
+    every row, for p = theta . B.
+
+    The rows are taken in blocks: each block's points are written into the
+    block buffer and overwritten in place by the differences x - p, and the
+    term p . (x - p) is taken as theta . (B (x - p)). The buffer is dropped
+    on return, before ``_certify`` takes the pass flags.
+    """
+    sq, gaps = np.empty(len(X)), np.empty(len(X))
+    for block, diff in _row_blocks(*X.shape):
+        np.matmul(thetas[block], B, out=diff)
+        np.subtract(X[block], diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=sq[block])
+        toward = diff @ B.T  # (b_k . (x - p)) for every row of the block and vertex
+        np.einsum("ij,ij->i", thetas[block], toward, out=gaps[block])
+        np.subtract(toward.max(axis=1), gaps[block], out=gaps[block])
+    return sq, gaps
+
+
 def _certify(X, B, thetas, scales):
     """Word-space certificate of every row: (squared distances, gaps, pass flags).
 
     A row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` for
     p = theta . B, and theta lies on the simplex: no entry below -1e-12 and
     a sum within 1e-9 of 1. A NaN row fails.
-
-    The only M x V array allocated is the points, overwritten in place by the
-    differences x - p; the term p . (x - p) is taken as theta . (B (x - p)).
     """
-    diff = thetas @ B
-    np.subtract(X, diff, out=diff)
-    sq = np.einsum("ij,ij->i", diff, diff)
-    toward = diff @ B.T  # (b_k . (x - p)) for every row and vertex
-    gaps = toward.max(axis=1) - np.einsum("ij,ij->i", thetas, toward)
+    sq, gaps = _distances_and_gaps(X, B, thetas)
     ok = (
         (gaps <= 10.0 * _TOL * scales)
         & (thetas.min(axis=1) >= -1e-12)
@@ -163,7 +208,7 @@ def project_rows(rows, polytope: TopicPolytope):
     B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
         raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}")
-    finite = np.isfinite(X).all(axis=1)
+    finite = _finite_rows(X)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} is not finite")
     BBt = B @ B.T

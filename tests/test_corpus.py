@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdmtopics import corpus as corpus_module
 from gdmtopics.corpus import (
@@ -237,6 +238,39 @@ def test_csr_rows_from_the_pattern_equal_a_dense_scan(counts):
     assert got.has_sorted_indices and (got.data != 0.0).all()
     unpatterned = NormalizedCorpus(rows=data.rows, weights=data.weights).csr_rows()
     assert unpatterned.data.tobytes() == expected.data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=count_matrices(), draw=st.data())
+def test_csr_rows_in_any_order_equal_a_dense_scan(counts, draw):
+    data = normalize(Corpus(counts))
+    order = draw.draw(st.lists(st.integers(0, data.M - 1), max_size=2 * data.M))
+    order = np.array(order, dtype=np.intp)
+    expected = sp.csr_matrix(data.rows[order], shape=(order.size, data.V))
+    unpatterned = NormalizedCorpus(rows=data.rows, weights=data.weights)
+    for got in (data.csr_rows(order), unpatterned.csr_rows(order)):
+        assert got.shape == expected.shape
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert got.data.tobytes() == expected.data.tobytes()
+
+
+def test_csr_rows_gather_in_one_step():
+    # in canonical order the copy is gathered straight from the counts'
+    # pattern: no index temporary is larger than the copy, and no second copy
+    params = LdaParams(K=10, V=2000, M=300, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+    data = normalize(generate_corpus(params)[0])
+    order = np.random.default_rng(0).permutation(data.M)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        X = data.csr_rows(order)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    copy = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    assert peak <= 1.75 * copy
 
 
 def test_pattern_must_fit_the_rows():

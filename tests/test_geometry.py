@@ -222,3 +222,46 @@ def test_certificate_matches_two_buffer_form(K, V):
     sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
     assert sq.tobytes() == sq_ref.tobytes()
     assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
+
+
+@pytest.mark.parametrize("K, V, per_block", [(1, 50, 7), (6, 501, 1), (6, 501, 10), (40, 301, 32)])
+def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_block):
+    # with a block budget of ``per_block`` rows, M = 83 spans several blocks
+    # and the last one is ragged; the blocked certificate must give the pass
+    # flags, squared distances and gaps of separate M x V arrays
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * V * per_block)
+    M = 83
+    assert M % per_block != 0 or per_block == 1
+    rng = np.random.default_rng(K + V + per_block)
+    poly = _random_polytope(rng, K, V)
+    B = poly.vertices
+    g = rng.gamma(0.3, size=(M, V))
+    X = g / g.sum(axis=1, keepdims=True)
+    thetas = rng.dirichlet(np.full(K, 0.5), size=M)
+    solved = rng.random(M) < 0.5
+    solved[-1] = False
+    thetas[solved] = project_rows(X[solved], poly)[0]  # these pass, most others fail
+    thetas[-1] *= 1.0 + 1e-6  # off the simplex
+    scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
+    sq, gaps, ok = geometry._certify(X, B, thetas, scales)
+    sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
+    ok_ref = (
+        (gaps_ref <= 10.0 * geometry._TOL * scales)
+        & (thetas.min(axis=1) >= -1e-12)
+        & (np.abs(thetas.sum(axis=1) - 1.0) <= 1e-9)
+    )
+    assert np.array_equal(ok, ok_ref)
+    assert ok[solved].all() and not ok[-1]
+    assert (np.abs(sq - sq_ref) <= 1e-15 * scales).all()
+    assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_row_in_the_last_block_is_named(monkeypatch, bad):
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 5 * 20)  # 5 rows of 20 bools
+    rng = np.random.default_rng(0)
+    poly = _random_polytope(rng, 3, 20)
+    rows = rng.dirichlet(np.full(20, 0.5), size=13)
+    rows[11, 4] = bad
+    with pytest.raises(ValueError, match="row 11 is not finite"):
+        project_rows(rows, poly)
