@@ -150,10 +150,9 @@ class NormalizedCorpus:
     def V(self):
         return self.rows.shape[1]
 
-    def csr_rows(self, order=None) -> sp.csr_matrix:
-        """A new CSR copy of ``rows[order]`` (of ``rows`` when ``order`` is
-        None), equal to ``sp.csr_matrix(rows[order])``: sorted indices and no
-        stored zeros.
+    def csr_rows(self, order) -> sp.csr_matrix:
+        """A new CSR copy of ``rows[order]``, equal to
+        ``sp.csr_matrix(rows[order])``: sorted indices and no stored zeros.
 
         For rows from ``normalize`` only the entries stored in the counts are
         read from ``rows``, straight into the copy's row order, and no index
@@ -161,18 +160,14 @@ class NormalizedCorpus:
         is not kept.
         """
         if self._pattern is None:
-            X = sp.csr_matrix(self.rows)
-            return X if order is None else X[order]
+            return sp.csr_matrix(self.rows)[order]
         indptr, indices = self._pattern
-        if order is None:
-            order = np.arange(self.M)
-        else:
-            order = np.asarray(order)
-            lengths = np.diff(indptr)[order]
-            indices = indices[_runs(indptr[:-1][order], lengths)]
-            indptr = np.zeros(order.size + 1, dtype=indptr.dtype)
-            np.cumsum(lengths, out=indptr[1:])
-        at = np.repeat(order * self.V, np.diff(indptr))  # flat offset of each entry's row
+        order = np.asarray(order)
+        lengths = np.diff(indptr)[order]
+        indices = indices[_runs(indptr[:-1][order], lengths)]
+        indptr = np.zeros(order.size + 1, dtype=indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        at = np.repeat(order * self.V, lengths)  # flat offset of each entry's row
         at += indices
         values = self.rows.ravel().take(at)  # rows is C-contiguous
         return sp.csr_matrix((values, indices, indptr), shape=(order.size, self.V))

@@ -76,32 +76,27 @@ class GdmModel:
         return self.polytope.K
 
 
-def _distances(rows, center):
-    """Euclidean distance from every row of ``rows`` to ``center``,
-    ``np.linalg.norm(rows - center, axis=1)`` bit for bit, over row blocks
-    in one block buffer."""
-    out = np.empty(len(rows))
-    for block, diff in _row_blocks(*rows.shape):
-        np.subtract(rows[block], center, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=1), out=out[block])
-    return out
-
-
 def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster). A single cluster keeps m = 1: the topic
-    minimizing G is the weighted mean, which is its centroid.
+    (0 for an empty cluster), taken over row blocks so that the only
+    temporary is one block buffer of differences. A single cluster keeps
+    m = 1: the topic minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
+    to_center = np.empty(data.M)
+    for block, diff in _row_blocks(data.M, data.V):
+        # np.linalg.norm(rows - center, axis=1), with the squares taken in place
+        np.subtract(data.rows[block], center, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=1), out=to_center[block])
     radii = np.zeros(centroids.shape[0])
-    np.maximum.at(radii, assignments, _distances(data.rows, center))
+    np.maximum.at(radii, assignments, to_center)
     if centroids.shape[0] == 1:
         return radii, np.ones(1)
-    dists = _distances(centroids, center)
+    dists = np.linalg.norm(centroids - center, axis=1)
     bad = np.flatnonzero(dists <= _DEGENERATE_EPS)
     if bad.size:
         raise DegenerateClusterError(

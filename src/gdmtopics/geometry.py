@@ -17,10 +17,9 @@ once:
    of rows in one block buffer, the projected points overwritten by their
    residuals.
 
-Every row-by-row pass over M x V rows (here the finite check and the
-certificate, in ``gdm`` the covering radii, in ``metrics`` the held-out
-perplexity) goes through ``_row_blocks``, so that its working memory is one
-block of rows, not a second M x V array.
+Every row-by-row pass of a fit over M x V rows (here the certificate, in
+``gdm`` the covering radii) goes through ``_row_blocks``, so that its
+working memory is one block of rows, not a second M x V array.
 """
 
 from __future__ import annotations
@@ -69,26 +68,18 @@ class TopicPolytope:
         return self.vertices.shape[1]
 
 
-def _row_blocks(M, V, dtype=np.float64):
+def _row_blocks(M, V):
     """Yield ``(block, buf)`` for consecutive row slices ``block`` covering
     range(M), with ``buf`` a scratch view of shape (rows in the block, V).
 
-    Every view is into one ``dtype`` buffer of at most ``_BLOCK_BYTES`` (but
+    Every view is into one float64 buffer of at most ``_BLOCK_BYTES`` (but
     at least one row), allocated once and reused for every block.
     """
-    step = max(1, min(M, _BLOCK_BYTES // (np.dtype(dtype).itemsize * max(V, 1))))
-    buf = np.empty((step, V), dtype=dtype)
+    step = max(1, min(M, _BLOCK_BYTES // (8 * max(V, 1))))
+    buf = np.empty((step, V))
     for start in range(0, M, step):
         stop = min(start + step, M)
         yield slice(start, stop), buf[: stop - start]
-
-
-def _finite_rows(X):
-    """Whether each row of the M x V matrix ``X`` is finite, over row blocks."""
-    finite = np.empty(len(X), dtype=bool)
-    for block, buf in _row_blocks(*X.shape, dtype=bool):
-        finite[block] = np.isfinite(X[block], out=buf).all(axis=1)
-    return finite
 
 
 def _active_set(BBt, BX, xx, nearest, scales):
@@ -208,7 +199,7 @@ def project_rows(rows, polytope: TopicPolytope):
     B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
         raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}")
-    finite = _finite_rows(X)
+    finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} is not finite")
     BBt = B @ B.T

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, normalize
-from .geometry import TopicPolytope, _row_blocks, project_rows
+from .geometry import TopicPolytope, project_rows
 
 PROB_FLOOR = 1e-12
 
@@ -40,23 +40,17 @@ def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> P
     Corpus-level: exp(-total log-likelihood / total tokens).
     Zero word probabilities at observed words are floored at PROB_FLOOR (with
     the row renormalized); interventions are counted in ``floored_entries``.
-    The mixture theta . beta is formed over row blocks in one block buffer.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (heldout.M, polytope.K):
         raise ValueError(f"theta must be {heldout.M} x {polytope.K}")
     counts = heldout.counts
-    p = np.empty(counts.nnz)  # floored, renormalized p-hat where a word occurs
-    floored = 0
-    for block, p_hat in _row_blocks(heldout.M, polytope.V):
-        np.matmul(theta[block], polytope.vertices, out=p_hat)
-        indptr = counts.indptr[block.start : block.stop + 1]
-        docs = np.repeat(np.arange(len(p_hat)), np.diff(indptr))
-        q = p_hat[docs, counts.indices[indptr[0] : indptr[-1]]]
-        floored += int(np.count_nonzero(q < PROB_FLOOR))
-        np.maximum(p_hat, PROB_FLOOR, out=p_hat)
-        np.maximum(q, PROB_FLOOR, out=q)
-        np.divide(q, p_hat.sum(axis=1)[docs], out=p[indptr[0] : indptr[-1]])
+    docs = np.repeat(np.arange(heldout.M), np.diff(counts.indptr))
+    p_hat = theta @ polytope.vertices
+    p = p_hat[docs, counts.indices]   # log p-hat is needed only where a word occurs
+    floored = int(np.count_nonzero(p < PROB_FLOOR))
+    np.maximum(p_hat, PROB_FLOOR, out=p_hat)
+    p = np.maximum(p, PROB_FLOOR) / p_hat.sum(axis=1)[docs]
     total_ll = float(counts.data @ np.log(p))
     total_tokens = int(heldout.lengths.sum())
     return PerplexityReport(

@@ -12,9 +12,7 @@ opening) is the reference for the library's batched passes. The
 single-row projection helper recomputes the point, distance and certificate
 gap from the weights the library returns, the per-row min-norm-point active
 set is the reference the batched projection is compared with, and the
-two-buffer certificate the reference for the library's row-block form, and
-the one-shot perplexity, from the whole M x V mixture, the reference for
-the library's row blocks. The
+two-buffer certificate the reference for the library's row-block form. The
 dense normalization is the reference the library's division of the stored
 counts must match bit for bit, and ``in_canonical_order`` runs any clustering
 on a dense copy sorted by ``bytes_key_order``, the order in which the library
@@ -202,19 +200,6 @@ def two_buffer_certify(X, B, thetas):
     sq = np.einsum("ij,ij->i", diff, diff)
     gaps = (diff @ B.T).max(axis=1) - np.einsum("ij,ij->i", points, diff)
     return sq, gaps
-
-
-def one_shot_perplexity(vertices, theta, heldout: Corpus):
-    """(perplexity, total log-likelihood, floored entries) from the whole
-    M x V mixture theta . beta, floored at 1e-12 and renormalized per row."""
-    p_hat = np.maximum(theta @ vertices, 1e-12)
-    counts = heldout.counts
-    docs = np.repeat(np.arange(heldout.M), np.diff(counts.indptr))
-    p = (theta @ vertices)[docs, counts.indices]
-    floored = int(np.count_nonzero(p < 1e-12))
-    p = np.maximum(p, 1e-12) / p_hat.sum(axis=1)[docs]
-    total_ll = float(counts.data @ np.log(p))
-    return float(np.exp(-total_ll / heldout.lengths.sum())), total_ll, floored
 
 
 def extended_vertex(center, centroid, m):

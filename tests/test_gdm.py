@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from gdmtopics import gdm
+from gdmtopics import gdm, geometry
 from gdmtopics.clustering import fit_kmeans
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.gdm import (
@@ -48,6 +48,21 @@ def test_default_extensions_ratio():
     radii, m = default_extensions(data, center, centroids, np.array([0, 1, 1]))
     assert np.allclose(radii, [0.6 * np.sqrt(2), 0.5 * np.sqrt(2)])
     assert np.allclose(m, [3.0, 1.0])
+
+
+def test_default_extensions_over_row_blocks_bitwise(monkeypatch):
+    # with a budget of 7 rows, M = 60 spans 9 blocks, the last one ragged;
+    # each radius is still the largest np.linalg.norm(row - center) bit for bit
+    data = _lda_data(0)
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * data.V * 7)
+    center = data.rows.mean(axis=0)
+    centroids = data.rows[:3] + 0.0
+    assignments = np.arange(data.M) % 3
+    radii, m = default_extensions(data, center, centroids, assignments)
+    to_center = np.linalg.norm(data.rows - center, axis=1)
+    expected = np.array([to_center[assignments == k].max() for k in range(3)])
+    assert radii.tobytes() == expected.tobytes()
+    assert np.array_equal(m, radii / np.linalg.norm(centroids - center, axis=1))
 
 
 def test_default_extensions_degenerate():

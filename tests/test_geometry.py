@@ -102,16 +102,22 @@ def test_barycentric_degenerate_hull_flagged():
     assert np.allclose(theta @ poly.vertices, point, atol=1e-12)
 
 
-def test_project_rows_rejects_bad_input():
+def test_project_rows_rejects_bad_input(monkeypatch):
     poly = TopicPolytope(np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="rows must be an M x V matrix"):
         project_rows(np.array([[0.1, 0.2, 0.7]]), poly)
     with pytest.raises(ValueError, match="rows must be an M x V matrix"):
         project_rows(np.array([0.5, 0.5]), poly)
-    # a non-finite row is rejected before any arithmetic, without a warning
+    # a non-finite row is rejected before any arithmetic, without a warning,
+    # also when it lies in the last of several certificate row blocks
+    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * 2 * 5)  # 5 rows of 2
     for bad in (np.nan, np.inf):
         rows = np.array([[0.3, 0.7], [bad, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="row 1 is not finite"):
+            project_rows(rows, poly)
+        rows = np.full((13, 2), 0.5)
+        rows[11, 0] = bad
+        with pytest.raises(ValueError, match="row 11 is not finite"):
             project_rows(rows, poly)
 
 
@@ -254,14 +260,3 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     assert ok[solved].all() and not ok[-1]
     assert (np.abs(sq - sq_ref) <= 1e-15 * scales).all()
     assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_row_in_the_last_block_is_named(monkeypatch, bad):
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 5 * 20)  # 5 rows of 20 bools
-    rng = np.random.default_rng(0)
-    poly = _random_polytope(rng, 3, 20)
-    rows = rng.dirichlet(np.full(20, 0.5), size=13)
-    rows[11, 4] = bad
-    with pytest.raises(ValueError, match="row 11 is not finite"):
-        project_rows(rows, poly)

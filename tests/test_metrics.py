@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gdmtopics import geometry
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.geometry import TopicPolytope
 from gdmtopics.metrics import infer_theta, min_matching_distance, perplexity
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import check_likelihood_bounds, one_shot_perplexity, spectral_span_check
+from oracles import check_likelihood_bounds, spectral_span_check
 
 
 def test_perplexity_uniform_model_equals_vocab_size():
@@ -195,31 +194,3 @@ def test_normalize_then_infer_consistency():
     for k in range(3):
         d_vert = np.linalg.norm(rows - poly.vertices[k], axis=1)
         assert (d_proj <= d_vert + 1e-9).all()
-
-
-@pytest.mark.parametrize("per_block", [None, 1, 3])
-def test_perplexity_over_row_blocks_matches_the_one_shot_mixture(monkeypatch, per_block):
-    # 20 held-out documents over blocks of ``per_block`` rows (the last one
-    # ragged), with topic zeros at observed words so that some entries are
-    # floored, and theta rows scaled apart so that each row's normalizer is
-    # its own; in one block the arithmetic is the one-shot one, bit for bit
-    V = 40
-    rng = np.random.default_rng(7)
-    beta = rng.dirichlet(np.full(V, 0.3), size=4)
-    beta[:, :3] = 0.0
-    beta /= beta.sum(axis=1, keepdims=True)
-    poly = TopicPolytope(beta)
-    heldout = Corpus(rng.poisson(0.8, size=(20, V)) + np.eye(20, V, dtype=int))
-    theta = rng.dirichlet(np.full(4, 0.5), size=20)
-    theta[0] = [1.0, 0.0, 0.0, 0.0]
-    theta *= rng.uniform(0.5, 2.0, size=(20, 1))
-    if per_block is not None:
-        monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * V * per_block)
-    rep = perplexity(poly, theta, heldout)
-    ppl, total_ll, floored = one_shot_perplexity(beta, theta, heldout)
-    assert rep.floored_entries == floored > 0
-    if per_block is None:
-        assert (rep.perplexity, rep.total_log_likelihood) == (ppl, total_ll)
-    else:
-        assert np.isclose(rep.total_log_likelihood, total_ll, rtol=1e-13, atol=0.0)
-        assert np.isclose(rep.perplexity, ppl, rtol=1e-13, atol=0.0)
