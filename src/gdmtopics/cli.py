@@ -24,7 +24,7 @@ from .corpus import (
     normalize,
     save_uci_bag_of_words,
 )
-from .gdm import GdmConfig, fit_gdm, fit_ngdm, load_model, save_model
+from .gdm import GdmConfig, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
 from .geometry import TopicPolytope
 from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
@@ -164,8 +164,8 @@ def _cmd_eval(args, argv):
         raise ValueError(f"model has V={model.polytope.V} but held-out corpus has V={heldout.V}")
     truth = None
     if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as f:
-            truth = TopicPolytope(np.asarray(json.load(f)["beta"], dtype=np.float64))
+        beta = _read_json_fields(args.truth, "truth", ("beta",))["beta"]
+        truth = TopicPolytope(np.asarray(beta, dtype=np.float64))
         if truth.V != model.polytope.V:
             raise ValueError("truth beta dimensions disagree with model")
     theta = infer_theta(model.polytope, heldout)

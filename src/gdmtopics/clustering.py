@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import NormalizedCorpus
+from .corpus import NormalizedCorpus, _row_blocks
 
 _REL_TOL = 1e-10  # relative objective decrease treated as converged
 _MONOTONE_SLACK = 1e-8
@@ -94,7 +94,7 @@ def _has_distinct_rows(X, k):
 
 def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.ndarray:
     """Weighted k-means++ seeding of the CSR rows ``X``, which must have
-    sorted indices and no stored zeros, as ``NormalizedCorpus.csr_rows`` gives.
+    sorted indices and no stored zeros, as ``NormalizedCorpus.csr`` holds.
 
     ``sq_norms`` holds the squared row norms and ``weights`` the document
     weights N_m. The first seed is drawn with probability proportional to
@@ -160,14 +160,26 @@ def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
 def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
     """Document ordering independent of input row order.
 
-    Documents are sorted by weight, then by the bytes of their row (numpy
-    compares void scalars by memcmp), ties kept in input order. Both
-    clusterers consume the documents in this order, so that permuting the
-    corpus (with matching weights) reproduces the same clustering for a
-    fixed seed.
+    Documents are sorted by weight, then by the bytes of their dense row
+    (memcmp), ties kept in input order. Both clusterers consume the
+    documents in this order, so that permuting the corpus (with matching
+    weights) reproduces the same clustering for a fixed seed.
+
+    The key is read from the CSR rows: per stored entry the big-endian
+    uint32 of V - 1 - column, then the value's own bytes. Rows first differ
+    either at one column's value, where both keys compare those bytes, or
+    where only one row stores an entry; the dense row with the zero (all
+    zero bytes) there sorts first, and so does the key with the higher
+    column or the one that ended.
     """
-    keys = data.rows.view(np.dtype((np.void, 8 * data.V))).ravel()
-    by_row = np.argsort(keys, kind="stable")
+    X = data.csr
+    entries = np.empty(X.nnz, dtype=[("column", ">u4"), ("value", X.data.dtype)])
+    entries["column"] = X.shape[1] - 1 - X.indices
+    entries["value"] = X.data
+    raw, size = entries.tobytes(), entries.itemsize
+    bounds = [size * i for i in X.indptr.tolist()]
+    keys = [raw[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    by_row = np.array(sorted(range(data.M), key=keys.__getitem__), dtype=np.intp)
     return by_row[np.argsort(data.weights[by_row], kind="stable")]
 
 
@@ -181,11 +193,9 @@ def fit_kmeans(
     """Best-of-restarts weighted k-means with k-means++ seeding.
 
     The documents are clustered in canonical order, so the result does not
-    depend on the order of ``data.rows``; the assignments are indexed like
-    ``data.rows``. The arithmetic runs on the CSR copy
-    ``data.csr_rows(order)``, gathered in that order in one step from the
-    counts' sparsity pattern without scanning the dense rows; it is dropped
-    on return.
+    depend on the order of the rows; the assignments are indexed like the
+    rows. The arithmetic runs on a CSR copy of the rows gathered in that
+    order, which is dropped on return.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -196,8 +206,9 @@ def fit_kmeans(
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)
-    X, weights = data.csr_rows(order), data.weights[order]
-    xx = np.einsum("ij,ij->i", data.rows, data.rows)[order]
+    norms = [np.einsum("ij,ij->i", rows, rows) for _, rows in _row_blocks(data.csr)]
+    xx = np.concatenate(norms)[order]  # the block buffer is freed before the gather
+    X, weights = data.csr[order], data.weights[order]
     every_row = np.arange(data.M)
 
     def lloyd_step(d2, centroids):
@@ -275,8 +286,8 @@ def fit_dpmeans(
     The documents are clustered in canonical order, on a dense copy of the
     rows in that order that is dropped on return: the weighted means, the
     start and the objective then sum the rows in an order that does not
-    depend on the order of ``data.rows``. The assignments are indexed like
-    ``data.rows``.
+    depend on the order of the rows. The assignments are indexed like the
+    rows.
     """
     if not 0 < lam < np.inf:
         raise ValueError("lambda must be positive and finite")
@@ -285,7 +296,7 @@ def fit_dpmeans(
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)
-    rows, weights = data.rows[order], data.weights[order]
+    rows, weights = data.csr[order].toarray(), data.weights[order]
     xx = np.einsum("ij,ij->i", rows, rows)
     visit = rng.permutation(data.M)
 

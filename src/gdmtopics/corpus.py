@@ -13,7 +13,6 @@ import os
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -109,100 +108,125 @@ class Corpus:
         return f"Corpus(M={self.M}, V={self.V}, nnz={self.counts.nnz})"
 
 
-@dataclass(frozen=True)
 class NormalizedCorpus:
     """Row-normalized documents with their lengths as weights.
 
-    ``rows[m]`` is the empirical word distribution of document m and
+    Row m is the empirical word distribution of document m and
     ``weights[m]`` its token count, i.e. the diagonal of the weight matrix
-    used by the weighted clustering and geometric objectives.
+    used by the weighted clustering and geometric objectives. The rows are
+    held as ``csr``, a CSR matrix with sorted indices and no stored zeros;
+    ``rows`` gives a new dense copy. Dense input is converted once, and
+    zeros of either sign are not stored. Validation reads only the stored
+    values. Immutable after construction.
     """
 
-    rows: np.ndarray
-    weights: np.ndarray
-    # the CSR (indptr, indices) of the nonzeros of rows, sorted; only
-    # ``normalize`` sets it, to the counts' own arrays
-    _pattern: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("csr", "weights")
 
-    def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.float64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if rows.ndim != 2 or weights.shape != (rows.shape[0],):
+    def __init__(self, rows, weights):
+        if sp.issparse(rows):
+            csr = sp.csr_matrix(rows, dtype=np.float64)
+            if not csr.has_canonical_format or not csr.data.all():
+                csr = csr.copy()
+                csr.sum_duplicates()
+                csr.eliminate_zeros()
+        else:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 2:
+                raise CorpusValidationError("rows must be M x V with M weights")
+            csr = sp.csr_matrix(rows)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        if weights.shape != (csr.shape[0],):
             raise CorpusValidationError("rows must be M x V with M weights")
-        sums = rows.sum(axis=1)
+        sums = np.asarray(csr.sum(axis=1)).ravel()
         if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-12):
             raise CorpusValidationError("normalized rows must sum to 1")
         # a nonnegative row with an entry above 1 + 1e-12 has failed the sum check
-        if rows.min(initial=0.0) < 0.0:
+        if csr.data.min(initial=0.0) < 0.0:
             raise CorpusValidationError("normalized entries must lie in [0, 1]")
         if not ((weights > 0) & (weights < np.inf)).all():  # NaN fails both
             raise CorpusValidationError("weights must be positive and finite")
-        rows.setflags(write=False)
+        csr.data.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "csr", csr)
         object.__setattr__(self, "weights", weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NormalizedCorpus is immutable; cannot set {name!r}")
+
+    @property
+    def rows(self) -> np.ndarray:
+        """A new dense M x V copy of the rows."""
+        return self.csr.toarray()
 
     @property
     def M(self):
-        return self.rows.shape[0]
+        return self.csr.shape[0]
 
     @property
     def V(self):
-        return self.rows.shape[1]
+        return self.csr.shape[1]
 
-    def csr_rows(self, order) -> sp.csr_matrix:
-        """A new CSR copy of ``rows[order]``, equal to
-        ``sp.csr_matrix(rows[order])``: sorted indices and no stored zeros.
+    def __len__(self):
+        return self.M
 
-        For rows from ``normalize`` only the entries stored in the counts are
-        read from ``rows``, straight into the copy's row order, and no index
-        temporary is larger than the copy; other rows are scanned. The copy
-        is not kept.
-        """
-        if self._pattern is None:
-            return sp.csr_matrix(self.rows)[order]
-        indptr, indices = self._pattern
-        order = np.asarray(order)
-        lengths = np.diff(indptr)[order]
-        indices = indices[_runs(indptr[:-1][order], lengths)]
-        indptr = np.zeros(order.size + 1, dtype=indptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        at = np.repeat(order * self.V, lengths)  # flat offset of each entry's row
-        at += indices
-        values = self.rows.ravel().take(at)  # rows is C-contiguous
-        return sp.csr_matrix((values, indices, indptr), shape=(order.size, self.V))
+    def __repr__(self):
+        return f"NormalizedCorpus(M={self.M}, V={self.V}, nnz={self.csr.nnz})"
 
 
-def _runs(starts, lengths):
-    """The runs ``starts[r] + arange(lengths[r])``, concatenated, as one int64
-    array built in place: each run's first entry holds its step from the end
-    of the previous run, and a cumulative sum fills in the rest."""
-    nonempty = lengths > 0
-    starts, lengths = starts[nonempty].astype(np.int64), lengths[nonempty]
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if out.size:
-        steps = starts.copy()
-        steps[1:] -= starts[:-1] + lengths[:-1] - 1
-        out[np.cumsum(lengths) - lengths] = steps
-        np.cumsum(out, out=out)
-    return out
+# bytes of the one buffer a row-by-row M x V pass works in: 42 rows at
+# V = 12419; much smaller blocks go to other BLAS kernels, which round
+# differently (a one-row block is a gemv)
+_BLOCK_BYTES = 4 * 2**20
+
+
+def _row_blocks(X, minus=None):
+    """Yield ``(block, rows)`` for consecutive row slices ``block`` covering
+    the CSR matrix ``X``, with ``rows`` the block's rows densified into one
+    float64 scratch buffer of at most ``_BLOCK_BYTES`` (but at least one
+    row), allocated once and reused, so that a pass over the rows never
+    holds an M x V array. The caller may overwrite ``rows``.
+
+    With ``minus(block, out)``, which writes an array of ``rows``' shape
+    into ``out``, ``rows`` holds ``X[block] - minus`` instead: the buffer
+    takes minus, negated, and the stored entries are added to it, which
+    rounds as the dense difference does (x + (-m) is x - m).
+    """
+    M, V = X.shape
+    step = max(1, min(M, _BLOCK_BYTES // (8 * max(V, 1))))
+    buf = np.empty((step, V))
+    for start in range(0, M, step):
+        block = slice(start, min(start + step, M))
+        rows = buf[: block.stop - start]
+        if minus is None:
+            rows.fill(0.0)
+        else:
+            minus(block, rows)
+            np.negative(rows, out=rows)
+        # flat positions of the stored entries; a block holds fewer than 2**31 values
+        entries = slice(X.indptr[start], X.indptr[block.stop])
+        per_row = np.diff(X.indptr[start : block.stop + 1])
+        at = np.repeat(np.arange(0, rows.size, V, dtype=np.int32), per_row)
+        at += X.indices[entries]
+        np.add.at(rows.ravel(), at, X.data[entries])
+        yield block, rows
 
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
     """Divide each count row by its document length.
 
-    The division runs on the stored counts, so the one dense M x V array
-    allocated is the returned rows. The result shares the counts' sparsity
-    pattern, from which ``csr_rows`` takes a CSR copy without a dense scan.
+    The division runs on the stored counts, and the result holds its rows
+    as CSR over the counts' own ``indices`` and ``indptr``, so the one
+    nnz-sized array allocated is the values. Each row is then divided by
+    its sum, taken over dense row blocks so that it is summed as the dense
+    row would be, to kill rounding residue (row sums hit 1.0 within 1e-12).
     """
     counts = corpus.counts
-    shares = counts.data / np.repeat(corpus.lengths, np.diff(counts.indptr))
-    rows = sp.csr_matrix((shares, counts.indices, counts.indptr), shape=counts.shape).toarray()
-    # kill rounding residue so row sums hit 1.0 within 1e-12
-    rows /= rows.sum(axis=1, keepdims=True)
-    data = NormalizedCorpus(rows=rows, weights=corpus.lengths.astype(np.float64))
-    object.__setattr__(data, "_pattern", (counts.indptr, counts.indices))
-    return data
+    per_row = np.diff(counts.indptr)
+    values = counts.data / np.repeat(corpus.lengths, per_row)
+    shares = sp.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
+    sums = np.concatenate([rows.sum(axis=1) for _, rows in _row_blocks(shares)])
+    shares.data /= np.repeat(sums, per_row)
+    return NormalizedCorpus(rows=shares, weights=corpus.lengths.astype(np.float64))
 
 
 @contextmanager

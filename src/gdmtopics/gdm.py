@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .clustering import fit_dpmeans, fit_kmeans, weighted_means
-from .corpus import NormalizedCorpus, check_integer
-from .geometry import TopicPolytope, _row_blocks, geometric_objective
+from .corpus import NormalizedCorpus, _row_blocks, check_integer
+from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
 
@@ -47,6 +48,8 @@ class GdmConfig:
                 check_integer(name, getattr(self, name))
         if (self.K is None) == (self.lam is None):
             raise ValueError("exactly one of K and lam must be given")
+        if isinstance(self.lam, bool) or not isinstance(self.lam, (Real, type(None))):
+            raise ValueError(f"lam must be a real number, got {self.lam!r}")
         if self.K is not None and self.K < 1:
             raise ValueError("K must be >= 1")
         if self.lam is not None and not 0 < self.lam < np.inf:
@@ -80,16 +83,16 @@ def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster), taken over row blocks so that the only
+    (0 for an empty cluster), taken over dense row blocks so that the only
     temporary is one block buffer of differences. A single cluster keeps
     m = 1: the topic minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     to_center = np.empty(data.M)
-    for block, diff in _row_blocks(data.M, data.V):
-        # np.linalg.norm(rows - center, axis=1), with the squares taken in place
-        np.subtract(data.rows[block], center, out=diff)
+    for block, diff in _row_blocks(data.csr):
+        # np.linalg.norm(rows - center, axis=1), with the differences and squares in place
+        np.subtract(diff, center, out=diff)
         np.multiply(diff, diff, out=diff)
         np.sqrt(np.add.reduce(diff, axis=1), out=to_center[block])
     radii = np.zeros(centroids.shape[0])
@@ -134,7 +137,7 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
 
     Weighted k-means clusters when ``config.K`` is set, DP-means when
     ``config.lam`` is; both take the documents in an order of their own, so
-    the model does not depend on the order of ``data.rows``. The data
+    the model does not depend on the order of the rows. The data
     center, centroids and assignments are working state of this fit and are
     not kept on the model. The reported objective is G plus the nGDM
     penalty lam * K' (zero for GDM).
@@ -147,7 +150,7 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     assignments = clustering.assignments
     k = clustering.n_clusters
     weights = data.weights if config.weighted_center else np.ones(data.M)
-    center = weighted_means(data.rows, weights, np.zeros(data.M, dtype=np.intp), 1)[0]
+    center = weighted_means(data.csr, weights, np.zeros(data.M, dtype=np.intp), 1)[0]
     radii, extensions = default_extensions(data, center, clustering.centroids, assignments)
     polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     objective = geometric_objective(data, polytope)
@@ -203,7 +206,7 @@ def tune_extensions(
         hi = float(extensions[k])
         if members.size == 0 or hi <= 1.0 + 1e-12:
             continue
-        sub = NormalizedCorpus(rows=data.rows[members], weights=data.weights[members])
+        sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
 
         def g_k(m, _k=k, _sub=sub):
             cand = vertices.copy()
@@ -239,15 +242,29 @@ def save_model(model: GdmModel, path) -> None:
         f.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
 
 
+def _read_json_fields(path, kind, fields):
+    """The JSON object in the file at ``path``; raises ValueError naming the
+    ``kind`` of file, its path and the first missing field unless the file
+    holds an object with all of ``fields``."""
+    with open(path, "r", encoding="utf-8") as f:
+        d = json.load(f)
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} file {path} does not hold a JSON object")
+    for key in fields:
+        if key not in d:
+            raise ValueError(f"{kind} file {path} has no {key!r} field")
+    return d
+
+
 def load_model(path) -> GdmModel:
     """Read a model file; keys of older files that are not GdmModel fields are ignored.
 
-    Raises ValueError, naming the field, for a file whose fields disagree:
-    extensions or radii not one value per topic, a non-finite objective, or
-    a config K other than the number of topics.
+    Raises ValueError, naming the file or field, for a file that is not a
+    JSON object with the five fields, or whose fields disagree: extensions
+    or radii not one value per topic, a non-finite objective, or a config K
+    other than the number of topics.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        d = json.load(f)
+    d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
         config = GdmConfig(**d["config"])
     except TypeError as exc:

@@ -13,13 +13,12 @@ once:
 2. certificate: every row is checked in word space by the variational
    inequality ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale``
    for every vertex, and its weights must lie on the simplex; the first row
-   that fails raises ProjectionFailure. The certificate works over blocks
-   of rows in one block buffer, the projected points overwritten by their
-   residuals.
+   that fails raises ProjectionFailure.
 
-Every row-by-row pass of a fit over M x V rows (here the certificate, in
-``gdm`` the covering radii) goes through ``_row_blocks``, so that its
-working memory is one block of rows, not a second M x V array.
+The rows are taken as CSR, and the two passes over them (the cross terms
+and squared norms, then the certificate's residuals) go through
+``corpus._row_blocks``, one dense block of rows at a time, so that the
+projection never holds an M x V array.
 """
 
 from __future__ import annotations
@@ -27,15 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .corpus import NormalizedCorpus
+from .corpus import NormalizedCorpus, _row_blocks
 
 _DROP_EPS = 1e-12
 _TOL = 1e-10  # optimality tolerance of the min-norm-point solve
-# bytes of the one buffer a row-by-row M x V pass works in: 42 rows at
-# V = 12419; much smaller blocks go to other BLAS kernels, which round
-# differently (a one-row block is a gemv)
-_BLOCK_BYTES = 4 * 2**20
 
 
 class ProjectionFailure(RuntimeError):
@@ -66,20 +62,6 @@ class TopicPolytope:
     @property
     def V(self) -> int:
         return self.vertices.shape[1]
-
-
-def _row_blocks(M, V):
-    """Yield ``(block, buf)`` for consecutive row slices ``block`` covering
-    range(M), with ``buf`` a scratch view of shape (rows in the block, V).
-
-    Every view is into one float64 buffer of at most ``_BLOCK_BYTES`` (but
-    at least one row), allocated once and reused for every block.
-    """
-    step = max(1, min(M, _BLOCK_BYTES // (8 * max(V, 1))))
-    buf = np.empty((step, V))
-    for start in range(0, M, step):
-        stop = min(start + step, M)
-        yield slice(start, stop), buf[: stop - start]
 
 
 def _active_set(BBt, BX, xx, nearest, scales):
@@ -151,22 +133,35 @@ def _active_set(BBt, BX, xx, nearest, scales):
 
 def _distances_and_gaps(X, B, thetas):
     """Squared distances ||x - p||^2 and gaps max_k (b_k - p) . (x - p) of
-    every row, for p = theta . B.
+    every CSR row x, for p = theta . B.
 
     The rows are taken in blocks: each block's points are written into the
-    block buffer and overwritten in place by the differences x - p, and the
+    block buffer and turned in place into the differences x - p, and the
     term p . (x - p) is taken as theta . (B (x - p)). The buffer is dropped
     on return, before ``_certify`` takes the pass flags.
     """
-    sq, gaps = np.empty(len(X)), np.empty(len(X))
-    for block, diff in _row_blocks(*X.shape):
-        np.matmul(thetas[block], B, out=diff)
-        np.subtract(X[block], diff, out=diff)
+    sq, gaps = np.empty(X.shape[0]), np.empty(X.shape[0])
+
+    def points(block, out):
+        np.matmul(thetas[block], B, out=out)
+
+    for block, diff in _row_blocks(X, minus=points):
         np.einsum("ij,ij->i", diff, diff, out=sq[block])
         toward = diff @ B.T  # (b_k . (x - p)) for every row of the block and vertex
         np.einsum("ij,ij->i", thetas[block], toward, out=gaps[block])
         np.subtract(toward.max(axis=1), gaps[block], out=gaps[block])
     return sq, gaps
+
+
+def _cross_terms(X, B):
+    """The (M, K) cross terms ``X @ B.T`` and squared norms of the CSR rows,
+    from dense row blocks; the block buffer is freed on return, before the
+    active set runs."""
+    BX, xx = np.empty((X.shape[0], B.shape[0])), np.empty(X.shape[0])
+    for block, x in _row_blocks(X):
+        BX[block] = x @ B.T
+        xx[block] = np.einsum("ij,ij->i", x, x)
+    return BX, xx
 
 
 def _certify(X, B, thetas, scales):
@@ -188,23 +183,25 @@ def _certify(X, B, thetas, scales):
 def project_rows(rows, polytope: TopicPolytope):
     """Project the rows onto the convex hull of the topic rows, certifying every row.
 
-    Returns (theta matrix, squared distances). All rows are solved together
-    by the min-norm-point active set in the K x K Gram geometry, and the
-    word-space certificate runs once over all of them. Raises ValueError
-    unless ``rows`` is an M x V matrix of finite numbers, and
-    ProjectionFailure naming the first row that fails its certificate, with
-    scale = max(1, max_k ||b_k - x||^2) in the bound.
+    ``rows`` is a ``NormalizedCorpus`` or a dense M x V matrix, which is
+    taken as CSR. Returns (theta matrix, squared distances). All rows are
+    solved together by the min-norm-point active set in the K x K Gram
+    geometry, and the word-space certificate runs once over all of them.
+    Raises ValueError unless the rows are an M x V matrix of finite
+    numbers, and ProjectionFailure naming the first row that fails its
+    certificate, with scale = max(1, max_k ||b_k - x||^2) in the bound.
     """
-    X = np.asarray(rows, dtype=np.float64)
+    X = rows.csr if isinstance(rows, NormalizedCorpus) else np.asarray(rows, dtype=np.float64)
     B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
         raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}")
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"row {int(np.argmin(finite))} is not finite")
+    if isinstance(X, np.ndarray):  # a NormalizedCorpus holds finite rows
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"row {int(np.argmin(finite))} is not finite")
+        X = sp.csr_matrix(X)
     BBt = B @ B.T
-    BX = X @ B.T                      # (M, K) cross terms
-    xx = np.einsum("ij,ij->i", X, X)
+    BX, xx = _cross_terms(X, B)
     d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
     scales = np.maximum(1.0, d2.max(axis=1))
     nearest = np.argmin(d2, axis=1)
@@ -227,5 +224,5 @@ def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> floa
     """Weighted sum over documents of squared distance to the polytope."""
     if data.V != polytope.V:
         raise ValueError("vocabulary sizes disagree")
-    _, sq = project_rows(data.rows, polytope)
+    _, sq = project_rows(data, polytope)
     return float(np.sum(data.weights * sq))

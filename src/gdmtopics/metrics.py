@@ -29,8 +29,7 @@ def infer_theta(polytope: TopicPolytope, heldout: Corpus) -> np.ndarray:
     """Topic proportions of held-out documents by projection onto the polytope."""
     if heldout.V != polytope.V:
         raise ValueError("vocabulary sizes disagree")
-    data = normalize(heldout)
-    thetas, _ = project_rows(data.rows, polytope)
+    thetas, _ = project_rows(normalize(heldout), polytope)
     return thetas
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gdmtopics import metrics
 from gdmtopics.cli import main
-from gdmtopics.corpus import load_uci_bag_of_words
+from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words
 from gdmtopics.gdm import GdmConfig, GdmModel, load_model, save_model
 from gdmtopics.geometry import ProjectionFailure, TopicPolytope
 
@@ -63,6 +63,22 @@ def test_fit_and_eval_roundtrip(tmp_path, capsys):
     assert printed["perplexity"] > 1.0
     assert printed["mm_distance"] >= 0.0
     assert printed["total_tokens"] == 40 * 60
+
+
+def test_fit_and_eval_read_no_dense_rows(tmp_path, monkeypatch, capsys):
+    # with the dense ``rows`` accessor raising, fit (with tuning) and eval run
+    out = _simulate(tmp_path)
+    heldout = _simulate(tmp_path, name="heldout", seed=1)
+
+    def dense_rows(self):
+        raise AssertionError("dense rows read")
+
+    monkeypatch.setattr(NormalizedCorpus, "rows", property(dense_rows))
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "tgdm", "--K", "3", "--in", out, "--out", model_path]) == 0
+    truth = os.path.join(out, "truth.json")
+    assert main(["eval", "--model", model_path, "--heldout", heldout, "--truth", truth]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["perplexity"] > 1.0
 
 
 def test_tgdm_objective_no_worse_than_gdm(tmp_path, capsys):
@@ -206,6 +222,54 @@ def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
     rc = main(["eval", "--model", model_path, "--heldout", out, "--truth", truth_path])
     assert rc == 1
     assert "error: vertices must be a K x V matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([1, 2], "does not hold a JSON object"),
+        ("beta", "does not hold a JSON object"),
+        ({"theta": [[1.0]]}, "has no 'beta' field"),
+    ],
+    ids=["list", "string", "no-beta"],
+)
+def test_eval_truth_that_is_not_an_object_with_beta_exits_1(tmp_path, capsys, content, message):
+    out = _simulate(tmp_path)
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
+    truth_path = str(tmp_path / "truth.json")
+    with open(truth_path, "w") as f:
+        json.dump(content, f)
+    capsys.readouterr()
+    rc = main(["eval", "--model", model_path, "--heldout", out, "--truth", truth_path])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: truth file {truth_path} {message}\n"
+
+
+@pytest.mark.parametrize("field", ["config", "beta", "extensions", "radii", "objective"])
+def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
+    heldout = _simulate(tmp_path, name="held", V=6, K=2, seed=7)
+    model_path = str(tmp_path / "m.json")
+    _write_model(model_path, np.full((1, 6), 1.0 / 6))
+    with open(model_path) as f:
+        d = json.load(f)
+    del d[field]
+    with open(model_path, "w") as f:
+        json.dump(d, f)
+    capsys.readouterr()
+    assert main(["eval", "--model", model_path, "--heldout", heldout]) == 1
+    assert capsys.readouterr().err == f"error: model file {model_path} has no {field!r} field\n"
+
+
+def test_eval_model_that_is_not_an_object_exits_1(tmp_path, capsys):
+    heldout = _simulate(tmp_path, name="held", V=6, K=2, seed=7)
+    model_path = str(tmp_path / "m.json")
+    with open(model_path, "w") as f:
+        json.dump([[1.0 / 6] * 6], f)
+    capsys.readouterr()
+    assert main(["eval", "--model", model_path, "--heldout", heldout]) == 1
+    expected = f"error: model file {model_path} does not hold a JSON object\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_eval_checks_truth_before_projecting(tmp_path, monkeypatch, capsys):

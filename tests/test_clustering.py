@@ -34,7 +34,7 @@ def _data(rows, weights=None):
 
 def _seeds(data, K, rng):
     xx = np.einsum("ij,ij->i", data.rows, data.rows)
-    return kmeanspp_init(data.csr_rows(np.arange(data.M)), xx, data.weights, K, rng)
+    return kmeanspp_init(data.csr, xx, data.weights, K, rng)
 
 
 def _random_simplex_rows(rng, M, V):
@@ -198,7 +198,7 @@ def test_weighted_means_equal_the_row_by_row_sums_bitwise(case):
     data, K, seed = case
     labels = np.random.default_rng(seed).permutation(np.arange(data.M) % K)
     expected = dense_weighted_means(data.rows, data.weights, labels, K)
-    for X in (data.csr_rows(np.arange(data.M)), data.rows):
+    for X in (data.csr, data.rows):
         means = clustering.weighted_means(X, data.weights, labels, K)
         assert means.flags.c_contiguous
         assert means.tobytes() == expected.tobytes()
@@ -209,7 +209,7 @@ def test_weighted_means_at_the_nips_shape_bitwise():
     data = normalize(generate_corpus(params)[0])
     labels = np.random.default_rng(1).integers(0, 10, size=data.M)
     expected = dense_weighted_means(data.rows, data.weights, labels, 10)
-    means = clustering.weighted_means(data.csr_rows(np.arange(data.M)), data.weights, labels, 10)
+    means = clustering.weighted_means(data.csr, data.weights, labels, 10)
     assert means.flags.c_contiguous
     assert means.tobytes() == expected.tobytes()
 

@@ -230,35 +230,39 @@ def test_normalize_matches_dense_division_bitwise(counts):
 @settings(max_examples=200, deadline=None)
 @given(counts=count_matrices())
 def test_csr_rows_from_the_pattern_equal_a_dense_scan(counts):
-    data = normalize(Corpus(counts))
-    every_row = np.arange(data.M)
-    got, expected = data.csr_rows(every_row), sp.csr_matrix(data.rows)
-    assert np.array_equal(got.indptr, expected.indptr)
-    assert np.array_equal(got.indices, expected.indices)
-    assert got.data.tobytes() == expected.data.tobytes()
-    assert got.has_sorted_indices and (got.data != 0.0).all()
-    unpatterned = NormalizedCorpus(rows=data.rows, weights=data.weights).csr_rows(every_row)
-    assert unpatterned.data.tobytes() == expected.data.tobytes()
+    # normalize's CSR rows, on the counts' own pattern, and the CSR that the
+    # constructor makes of dense rows both equal a scan of the dense rows
+    c = Corpus(counts)
+    expected = sp.csr_matrix(dense_normalize(c).rows)
+    for got in (normalize(c).csr, dense_normalize(c).csr):
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert got.data.tobytes() == expected.data.tobytes()
+        assert got.has_sorted_indices and (got.data != 0.0).all()
 
 
 @settings(max_examples=200, deadline=None)
 @given(counts=count_matrices(), draw=st.data())
 def test_csr_rows_in_any_order_equal_a_dense_scan(counts, draw):
+    # a fit gathers CSR rows in canonical order (k-means, and DP-means before
+    # densifying) and by cluster (tuning): in any order, repeats allowed, the
+    # gather equals a scan of the dense rows in that order, and densifies to them
     data = normalize(Corpus(counts))
     order = draw.draw(st.lists(st.integers(0, data.M - 1), max_size=2 * data.M))
     order = np.array(order, dtype=np.intp)
-    expected = sp.csr_matrix(data.rows[order], shape=(order.size, data.V))
-    unpatterned = NormalizedCorpus(rows=data.rows, weights=data.weights)
-    for got in (data.csr_rows(order), unpatterned.csr_rows(order)):
-        assert got.shape == expected.shape
-        assert np.array_equal(got.indptr, expected.indptr)
-        assert np.array_equal(got.indices, expected.indices)
-        assert got.data.tobytes() == expected.data.tobytes()
+    rows = data.rows[order]
+    expected = sp.csr_matrix(rows, shape=(order.size, data.V))
+    got = data.csr[order]
+    assert got.shape == expected.shape
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
+    assert got.toarray().tobytes() == rows.tobytes()
 
 
 def test_csr_rows_gather_in_one_step():
-    # in canonical order the copy is gathered straight from the counts'
-    # pattern: no index temporary is larger than the copy, and no second copy
+    # k-means' canonical-order copy is gathered in one step: no index
+    # temporary is larger than the copy, and no second copy
     params = LdaParams(K=10, V=2000, M=300, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
     data = normalize(generate_corpus(params)[0])
     order = np.random.default_rng(0).permutation(data.M)
@@ -266,7 +270,7 @@ def test_csr_rows_gather_in_one_step():
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        X = data.csr_rows(order)
+        X = data.csr[order]
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -277,16 +281,20 @@ def test_csr_rows_gather_in_one_step():
 def test_pattern_must_fit_the_rows():
     c = Corpus(np.array([[1, 0, 2], [0, 3, 0]]))
     data = normalize(c)
-    indptr, indices = data._pattern
-    assert indptr is c.counts.indptr and indices is c.counts.indices  # shared, not copied
-    # only normalize records a pattern, so none can disagree with the rows
+    # the CSR rows are stored on the counts' own indices and indptr, shared,
+    # not copied, and the constructor takes no pattern of its own
+    assert np.shares_memory(data.csr.indices, c.counts.indices)
+    assert np.shares_memory(data.csr.indptr, c.counts.indptr)
+    pattern = (c.counts.indptr, c.counts.indices)
     for name in ("pattern", "_pattern"):
         with pytest.raises(TypeError):
-            NormalizedCorpus(rows=data.rows, weights=data.weights, **{name: (indptr, indices)})
+            NormalizedCorpus(rows=data.csr, weights=data.weights, **{name: pattern})
 
 
 def test_normalize_allocates_only_its_output():
-    # the rows are the one M x V array: a dense copy of the counts would double the peak
+    # normalize allocates the values of its CSR rows (the indices and indptr
+    # are the counts') and one row block for the row sums: a dense copy of
+    # the rows or of the counts would be 20 times the CSR
     params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
     c = generate_corpus(params)[0]
     tracemalloc.start()
@@ -297,7 +305,9 @@ def test_normalize_allocates_only_its_output():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * (data.rows.nbytes + data.weights.nbytes)
+    X = data.csr
+    output = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + data.weights.nbytes
+    assert peak <= 1.2 * output + corpus_module._BLOCK_BYTES
 
 
 def test_split_partition_and_determinism():

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from gdmtopics import gdm, geometry
+from gdmtopics import corpus, gdm
 from gdmtopics.clustering import fit_kmeans
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.gdm import (
@@ -23,6 +23,7 @@ from gdmtopics.gdm import (
     save_model,
 )
 from gdmtopics.geometry import geometric_objective
+from gdmtopics.metrics import infer_theta
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import count_matrices, extended_vertex, grid_tune_extension, in_canonical_order
 
@@ -54,7 +55,7 @@ def test_default_extensions_over_row_blocks_bitwise(monkeypatch):
     # with a budget of 7 rows, M = 60 spans 9 blocks, the last one ragged;
     # each radius is still the largest np.linalg.norm(row - center) bit for bit
     data = _lda_data(0)
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * data.V * 7)
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * data.V * 7)
     center = data.rows.mean(axis=0)
     centroids = data.rows[:3] + 0.0
     assignments = np.arange(data.M) % 3
@@ -215,6 +216,17 @@ def test_config_validation(kwargs):
         GdmConfig(**kwargs)
 
 
+@pytest.mark.parametrize("lam", [True, False, "3", 1 + 1j, [1.0]], ids=repr)
+def test_config_rejects_a_bool_or_non_real_lam(lam):
+    with pytest.raises(ValueError, match="lam must be a real number"):
+        GdmConfig(lam=lam)
+
+
+def test_config_takes_real_lam():
+    for lam in (3, 0.5, np.float64(2.0), np.int64(4), np.float32(1.5)):
+        assert GdmConfig(lam=lam).lam == lam
+
+
 def test_config_takes_numpy_integers():
     config = GdmConfig(K=np.int64(3), restarts=np.int32(2), max_iters=np.uint8(9), seed=np.int64(0))
     assert (config.K, config.restarts, config.max_iters, config.seed) == (3, 2, 9, 0)
@@ -238,24 +250,32 @@ def test_fit_matches_clustering_a_reordered_copy(monkeypatch, tune):
         _assert_same_model(model, reference)
 
 
-def _fit_peak(tune, lam):
-    """Peak traced allocation of one fit at the NIPS vocabulary size, as a
-    multiple of the normalized rows' bytes."""
-    params = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
-    data = normalize(generate_corpus(params)[0])
-    if lam is None:
-        fit, config = fit_gdm, GdmConfig(K=10, restarts=2, tune=tune)
-    else:
-        fit, config = fit_ngdm, GdmConfig(lam=lam, tune=tune)
+_NIPS_WIDE = LdaParams(K=10, V=12419, M=200, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+
+
+def _dense_peak(run, corpus):
+    """Peak traced allocation of ``run()`` above its start, as a multiple of
+    the bytes of the corpus' rows as one dense M x V float64 array."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fit(data, config)
+        run()
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return peak / data.rows.nbytes
+    return peak / (8 * corpus.M * corpus.V)
+
+
+def _fit_peak(tune, lam):
+    """Peak of one fit at the NIPS vocabulary size, as a multiple of one
+    dense copy of the rows."""
+    data = normalize(generate_corpus(_NIPS_WIDE)[0])
+    if lam is None:
+        fit, config = fit_gdm, GdmConfig(K=10, restarts=2, tune=tune)
+    else:
+        fit, config = fit_ngdm, GdmConfig(lam=lam, tune=tune)
+    return _dense_peak(lambda: fit(data, config), data)
 
 
 @pytest.mark.parametrize(
@@ -264,9 +284,10 @@ def _fit_peak(tune, lam):
     ids=["False", "True", "ngdm", "tuned-ngdm"],
 )
 def test_fit_holds_one_working_buffer(tune, lam):
-    # above the normalized rows, a fit holds at most one M x V buffer at a
-    # time: for nGDM, DP-means' canonical-order copy; with tuning, one
-    # cluster's row copy next to the certificate's row block
+    # above the CSR rows, a fit holds at most one dense M x V buffer at a
+    # time: for nGDM, DP-means' canonical-order copy; GDM none, its passes
+    # over the rows (with tuning, one cluster's CSR rows at a time) taking
+    # one row block
     assert _fit_peak(tune, lam) <= 1.2
 
 
@@ -274,6 +295,15 @@ def test_untuned_gdm_fit_works_in_row_blocks():
     # k-means works on a CSR copy and the certificate and covering radii on
     # one row block, so an untuned GDM fit needs well under a copy of the rows
     assert _fit_peak(False, None) <= 0.5
+
+
+def test_normalize_and_tuned_fit_hold_no_dense_rows():
+    # normalize gives CSR rows and a tuned GDM fit densifies them one row
+    # block at a time, so the two together stay well under one dense copy
+    # of the rows (with the dense rows of normalize they took 1.78 copies)
+    c = generate_corpus(_NIPS_WIDE)[0]
+    config = GdmConfig(K=10, restarts=2, tune=True)
+    assert _dense_peak(lambda: fit_gdm(normalize(c), config), c) <= 0.6
 
 
 def test_tuned_never_worse():
@@ -507,8 +537,8 @@ def test_fit_center_is_np_average_bitwise_on_any_counts(counts):
 
 @pytest.mark.parametrize("tune", [False, True])
 def test_fit_scans_no_dense_rows_into_csr(monkeypatch, tune):
-    # k-means takes its CSR rows from the counts' pattern; the center is a
-    # mean of the dense rows, with no CSR copy of them
+    # the rows are CSR from normalize on: k-means gathers them, tuning
+    # slices them, and no step of a fit converts a dense array to CSR
     data = _lda_data(23, K=4, V=40, M=80)
     dense_inputs = []
     csr_matrix = sp.csr_matrix
@@ -521,6 +551,33 @@ def test_fit_scans_no_dense_rows_into_csr(monkeypatch, tune):
     monkeypatch.setattr(sp, "csr_matrix", spy)
     fit_gdm(data, GdmConfig(K=4, restarts=2, tune=tune, seed=2))
     assert dense_inputs == []
+
+
+def test_fit_and_inference_read_no_dense_rows(monkeypatch):
+    # every pass over the documents reads their CSR rows: with the dense
+    # ``rows`` accessor raising, fits with and without tuning, nGDM with
+    # tuning and held-out inference all run
+    params = LdaParams(K=4, V=40, M=100, doc_lengths=60, alpha=0.2, eta=0.3, seed=29)
+    full = generate_corpus(params)[0]
+    train, heldout = full.subset(np.arange(80)), full.subset(np.arange(80, 100))
+    data = normalize(train)
+
+    def dense_rows(self):
+        raise AssertionError("dense rows read")
+
+    monkeypatch.setattr(NormalizedCorpus, "rows", property(dense_rows))
+    gdm_fit = fit_gdm(data, GdmConfig(K=4, restarts=2, seed=1))
+    tuned = fit_gdm(data, GdmConfig(K=4, restarts=2, tune=True, seed=1))
+    ngdm_fit = fit_ngdm(data, GdmConfig(lam=5.0, seed=1))
+    tuned_ngdm = fit_ngdm(data, GdmConfig(lam=5.0, tune=True, seed=1))
+    # the tuned fits moved their extensions, so tuning ran
+    assert (tuned.extensions < gdm_fit.extensions).any()
+    assert (tuned_ngdm.extensions < ngdm_fit.extensions).any()
+    for model in (gdm_fit, tuned, tuned_ngdm):
+        theta = infer_theta(model.polytope, heldout)
+        assert theta.shape == (20, model.K)
+    with pytest.raises(AssertionError, match="dense rows read"):
+        data.rows
 
 
 def test_rows_one_ulp_apart_raise_a_value_error():

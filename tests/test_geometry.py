@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gdmtopics import geometry
+from gdmtopics import corpus, geometry
 from gdmtopics.corpus import NormalizedCorpus
 from gdmtopics.geometry import (
     ProjectionFailure,
@@ -109,8 +110,8 @@ def test_project_rows_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="rows must be an M x V matrix"):
         project_rows(np.array([0.5, 0.5]), poly)
     # a non-finite row is rejected before any arithmetic, without a warning,
-    # also when it lies in the last of several certificate row blocks
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * 2 * 5)  # 5 rows of 2
+    # also when it lies in the last of several row blocks
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * 2 * 5)  # 5 rows of 2
     for bad in (np.nan, np.inf):
         rows = np.array([[0.3, 0.7], [bad, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="row 1 is not finite"):
@@ -224,7 +225,7 @@ def test_certificate_matches_two_buffer_form(K, V):
     thetas = rng.dirichlet(np.full(K, 0.5), size=60)
     thetas[:5] = project_rows(X[:5], TopicPolytope(B))[0]
     scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
-    sq, gaps, _ = geometry._certify(X, B, thetas, scales)
+    sq, gaps, _ = geometry._certify(sp.csr_matrix(X), B, thetas, scales)
     sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
     assert sq.tobytes() == sq_ref.tobytes()
     assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
@@ -235,7 +236,7 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     # with a block budget of ``per_block`` rows, M = 83 spans several blocks
     # and the last one is ragged; the blocked certificate must give the pass
     # flags, squared distances and gaps of separate M x V arrays
-    monkeypatch.setattr(geometry, "_BLOCK_BYTES", 8 * V * per_block)
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * V * per_block)
     M = 83
     assert M % per_block != 0 or per_block == 1
     rng = np.random.default_rng(K + V + per_block)
@@ -249,7 +250,7 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     thetas[solved] = project_rows(X[solved], poly)[0]  # these pass, most others fail
     thetas[-1] *= 1.0 + 1e-6  # off the simplex
     scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
-    sq, gaps, ok = geometry._certify(X, B, thetas, scales)
+    sq, gaps, ok = geometry._certify(sp.csr_matrix(X), B, thetas, scales)
     sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
     ok_ref = (
         (gaps_ref <= 10.0 * geometry._TOL * scales)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import TopicPolytope, project_rows
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import _min_norm_weights, bytes_key_order, same_corpus
+from oracles import _min_norm_weights, bytes_key_order, count_matrices, same_corpus
 
 _common = dict(
     max_iters=st.integers(1, 10**6),
@@ -117,9 +118,28 @@ def rows_and_weights(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=rows_and_weights())
 def test_canonical_order_matches_a_sort_on_row_bytes(case):
+    # the CSR rows store every entry whose bytes are not all zero, so the
+    # signed zeros and NaNs of the dense rows are keyed too
     rows, weights = case
-    data = SimpleNamespace(rows=rows, weights=weights, V=rows.shape[1])
+    stored = rows.view(np.uint64) != 0
+    indptr = np.r_[0, np.cumsum(stored.sum(axis=1))]
+    csr = sp.csr_matrix((rows[stored], np.nonzero(stored)[1], indptr), shape=rows.shape)
+    data = SimpleNamespace(csr=csr, weights=weights, M=rows.shape[0])
     assert np.array_equal(_canonical_order(data), bytes_key_order(rows, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=count_matrices(), draw=st.data())
+def test_canonical_order_of_normalized_rows_matches_a_sort_on_row_bytes(counts, draw):
+    # the key read from the CSR rows orders documents as memcmp orders their
+    # dense rows; rows are drawn with repeats and weights from two values,
+    # so that ties of rows, of weights and of both occur
+    data = normalize(Corpus(counts))
+    picks = draw.draw(st.lists(st.integers(0, data.M - 1), min_size=1, max_size=3 * data.M))
+    tied = st.sampled_from([1.0, 2.0])
+    weights = draw.draw(st.lists(tied, min_size=len(picks), max_size=len(picks)))
+    data = NormalizedCorpus(rows=data.csr[picks], weights=weights)
+    assert np.array_equal(_canonical_order(data), bytes_key_order(data.rows, data.weights))
 
 
 @st.composite
