@@ -24,7 +24,7 @@ from .corpus import (
     normalize,
     save_uci_bag_of_words,
 )
-from .gdm import GdmConfig, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
+from .gdm import GdmConfig, _float_field, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
 from .geometry import TopicPolytope
 from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
@@ -164,8 +164,8 @@ def _cmd_eval(args, argv):
         raise ValueError(f"model has V={model.polytope.V} but held-out corpus has V={heldout.V}")
     truth = None
     if args.truth:
-        beta = _read_json_fields(args.truth, "truth", ("beta",))["beta"]
-        truth = TopicPolytope(np.asarray(beta, dtype=np.float64))
+        d = _read_json_fields(args.truth, "truth", ("beta",))
+        truth = TopicPolytope(_float_field(d, "beta", "truth", args.truth))
         if truth.V != model.polytope.V:
             raise ValueError("truth beta dimensions disagree with model")
     theta = infer_theta(model.polytope, heldout)
@@ -220,9 +220,10 @@ def _cmd_lambda_sweep(args, argv):
 
 
 def _cmd_rerun(args, argv):
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    return main(manifest["argv"])
+    rerun_argv = _read_json_fields(args.manifest, "manifest", ("argv",))["argv"]
+    if not isinstance(rerun_argv, list) or not all(isinstance(a, str) for a in rerun_argv):
+        raise ValueError(f"manifest file {args.manifest} field 'argv' is not a list of strings")
+    return main(rerun_argv)
 
 
 def _build_parser():
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
         return args.run(args, argv)
     except _UsageError as exc:
         parser.error(str(exc))
-    except (CorpusError, ValueError, OSError, KeyError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -100,10 +100,13 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
     weights N_m. The first seed is drawn with probability proportional to
     N_m; each subsequent seed with probability proportional to
     N_m * D(m)^2, D(m) being the distance to the nearest chosen seed.
-    Returns K distinct rows, dense.
+    Returns K distinct rows, dense; raises ValueError when K exceeds the
+    number of distinct rows or no row is left at a positive distance.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    # a row equal to a seed can keep a rounding residue of expanded distance,
+    # so the draws alone would seed a duplicate rather than stop
     if not _has_distinct_rows(X, K):
         raise ValueError(f"K={K} exceeds the number of distinct rows")
     M = X.shape[0]
@@ -113,13 +116,9 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
     for k in range(1, K):
         scores = weights * d2
         total = scores.sum()
-        if total > 0:
-            idx = rng.choice(M, p=scores / total)
-        else:  # all mass on already-chosen points; grab any unseen distinct row
-            unseen = np.flatnonzero(d2 > 0)
-            if unseen.size == 0:  # rows one ulp apart can sit at distance 0
-                raise ValueError(f"K={K} exceeds the number of rows at distinct positions")
-            idx = int(unseen[0])
+        if not total > 0:  # positive weights: every d2 is 0, as rows one ulp apart can be
+            raise ValueError(f"K={K} exceeds the number of rows at distinct positions")
+        idx = rng.choice(M, p=scores / total)
         _csr_row(X, idx, seeds[k])
         d2 = np.minimum(d2, _sq_dists(X, sq_norms, seeds[k : k + 1]).ravel())
     return seeds

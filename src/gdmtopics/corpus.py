@@ -116,8 +116,10 @@ class NormalizedCorpus:
     used by the weighted clustering and geometric objectives. The rows are
     held as ``csr``, a CSR matrix with sorted indices and no stored zeros;
     ``rows`` gives a new dense copy. Dense input is converted once, and
-    zeros of either sign are not stored. Validation reads only the stored
-    values. Immutable after construction.
+    zeros of either sign are not stored. A float64 CSR ``rows`` in that
+    form is adopted, not copied, and its values made read-only: the caller
+    must not write its arrays afterwards. The weights are copied.
+    Validation reads only the stored values. Immutable after construction.
     """
 
     __slots__ = ("csr", "weights")
@@ -134,7 +136,7 @@ class NormalizedCorpus:
             if rows.ndim != 2:
                 raise CorpusValidationError("rows must be M x V with M weights")
             csr = sp.csr_matrix(rows)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         if weights.shape != (csr.shape[0],):
             raise CorpusValidationError("rows must be M x V with M weights")
         sums = np.asarray(csr.sum(axis=1)).ravel()

@@ -46,6 +46,9 @@ class GdmConfig:
         for name in ("K", "restarts", "max_iters", "seed"):
             if name != "K" or self.K is not None:
                 check_integer(name, getattr(self, name))
+        for name in ("weighted_center", "tune"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if (self.K is None) == (self.lam is None):
             raise ValueError("exactly one of K and lam must be given")
         if isinstance(self.lam, bool) or not isinstance(self.lam, (Real, type(None))):
@@ -202,10 +205,10 @@ def tune_extensions(
     vertices = polytope.vertices.copy()
     extensions = extensions.copy()
     for k in range(polytope.K):
-        members = np.flatnonzero(assignments == k)
         hi = float(extensions[k])
-        if members.size == 0 or hi <= 1.0 + 1e-12:
+        if hi <= 1.0 + 1e-12:
             continue
+        members = np.flatnonzero(assignments == k)
         sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
 
         def g_k(m, _k=k, _sub=sub):
@@ -256,27 +259,40 @@ def _read_json_fields(path, kind, fields):
     return d
 
 
+def _float_field(d, key, kind, path):
+    """Field ``key`` of the JSON object ``d`` read from the ``kind`` file at
+    ``path``, as a float64 array; raises ValueError naming the file and the
+    field unless it is a number or a rectangular array of numbers."""
+    try:
+        return np.asarray(d[key], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        expected = "a number or a rectangular array of numbers"
+        raise ValueError(f"{kind} file {path} field {key!r} is not {expected}") from exc
+
+
 def load_model(path) -> GdmModel:
     """Read a model file; keys of older files that are not GdmModel fields are ignored.
 
     Raises ValueError, naming the file or field, for a file that is not a
-    JSON object with the five fields, or whose fields disagree: extensions
-    or radii not one value per topic, a non-finite objective, or a config K
-    other than the number of topics.
+    JSON object with the five fields, for a field of the wrong type, or for
+    fields that disagree: extensions or radii not one value per topic, an
+    objective that is not one finite number, or a config K other than the
+    number of topics.
     """
     d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
         config = GdmConfig(**d["config"])
-    except TypeError as exc:
-        raise ValueError(f"model config does not match GdmConfig ({exc}); refit the model") from exc
-    polytope = TopicPolytope(np.asarray(d["beta"], dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        message = f"model file {path} field 'config' is not a GdmConfig ({exc}); refit the model"
+        raise ValueError(message) from exc
+    polytope = TopicPolytope(_float_field(d, "beta", "model", path))
     if config.K is not None and config.K != polytope.K:
         raise ValueError(f"model config K={config.K} but beta has {polytope.K} topics")
-    per_topic = {key: np.asarray(d[key], dtype=np.float64) for key in ("extensions", "radii")}
+    per_topic = {key: _float_field(d, key, "model", path) for key in ("extensions", "radii")}
     for key, values in per_topic.items():
         if values.shape != (polytope.K,):
             raise ValueError(f"model {key} has shape {values.shape}, expected ({polytope.K},)")
-    objective = float(d["objective"])
-    if not np.isfinite(objective):
-        raise ValueError(f"model objective is {objective}, expected a finite value")
-    return GdmModel(polytope=polytope, objective=objective, config=config, **per_topic)
+    objective = _float_field(d, "objective", "model", path)
+    if objective.shape != () or not np.isfinite(objective):
+        raise ValueError(f"model file {path} field 'objective' is not one finite number")
+    return GdmModel(polytope=polytope, objective=float(objective), config=config, **per_topic)

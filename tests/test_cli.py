@@ -230,8 +230,9 @@ def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
         ([1, 2], "does not hold a JSON object"),
         ("beta", "does not hold a JSON object"),
         ({"theta": [[1.0]]}, "has no 'beta' field"),
+        ({"beta": {"a": 1}}, "field 'beta' is not a number or a rectangular array of numbers"),
     ],
-    ids=["list", "string", "no-beta"],
+    ids=["list", "string", "no-beta", "beta-object"],
 )
 def test_eval_truth_that_is_not_an_object_with_beta_exits_1(tmp_path, capsys, content, message):
     out = _simulate(tmp_path)
@@ -259,6 +260,47 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
     capsys.readouterr()
     assert main(["eval", "--model", model_path, "--heldout", heldout]) == 1
     assert capsys.readouterr().err == f"error: model file {model_path} has no {field!r} field\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "topics"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("objective", [1], "field 'objective' is not one finite number"),
+        ("objective", None, "field 'objective' is not one finite number"),
+        ("objective", "x", "field 'objective' is not a number or a rectangular array"),
+        ("beta", {"a": 1}, "field 'beta' is not a number or a rectangular array"),
+        ("beta", [[0.5, 0.5], [1.0]], "field 'beta' is not a number or a rectangular array"),
+        ("extensions", {"a": 1}, "field 'extensions' is not a number or a rectangular array"),
+        ("radii", [{"a": 1}], "field 'radii' is not a number or a rectangular array"),
+        ("config", 5, "field 'config' is not a GdmConfig"),
+        ("config", {"K": 1, "weighted_center": "false"}, "field 'config' is not a GdmConfig"),
+        ("config", {"K": 1, "tune": 0}, "field 'config' is not a GdmConfig (tune must be a bool"),
+    ],
+    ids=[
+        "objective-list", "objective-null", "objective-string", "beta-object", "beta-ragged",
+        "extensions-object", "radii-objects", "config-int", "config-string-flag", "config-int-flag",
+    ],
+)
+def test_model_with_a_wrong_typed_field_exits_1(tmp_path, capsys, command, field, value, message):
+    heldout = _simulate(tmp_path, name="held", V=6, K=2, seed=7)
+    vocab_path = str(tmp_path / "vocab.txt")
+    with open(vocab_path, "w") as f:
+        f.write("".join(f"w{i}\n" for i in range(6)))
+    model_path = str(tmp_path / "m.json")
+    _write_model(model_path, np.full((1, 6), 1.0 / 6))
+    with open(model_path) as f:
+        d = json.load(f)
+    d[field] = value
+    with open(model_path, "w") as f:
+        json.dump(d, f)
+    capsys.readouterr()
+    if command == "eval":
+        rc = main(["eval", "--model", model_path, "--heldout", heldout])
+    else:
+        rc = main(["topics", "--model", model_path, "--vocab", vocab_path])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: model file {model_path} {message}")
 
 
 def test_eval_model_that_is_not_an_object_exits_1(tmp_path, capsys):
@@ -443,3 +485,21 @@ def test_rerun_reproduces_fit_bit_identically(tmp_path, capsys):
 def test_rerun_missing_manifest_exits_1(tmp_path, capsys):
     rc = main(["rerun", str(tmp_path / "absent.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ([1, 2], "does not hold a JSON object"),
+        ({"command": "fit"}, "has no 'argv' field"),
+        ({"argv": 5}, "field 'argv' is not a list of strings"),
+        ({"argv": ["fit", 3]}, "field 'argv' is not a list of strings"),
+    ],
+    ids=["list", "no-argv", "int-argv", "int-in-argv"],
+)
+def test_rerun_malformed_manifest_exits_1(tmp_path, capsys, content, message):
+    path = str(tmp_path / "manifest.json")
+    with open(path, "w") as f:
+        json.dump(content, f)
+    assert main(["rerun", path]) == 1
+    assert capsys.readouterr().err == f"error: manifest file {path} {message}\n"

@@ -11,7 +11,7 @@ from gdmtopics.clustering import (
     fit_kmeans,
     kmeanspp_init,
 )
-from gdmtopics.corpus import NormalizedCorpus, normalize
+from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import (
     brute_force_kmeans,
@@ -84,6 +84,39 @@ def test_kmeanspp_too_many_clusters():
     data = _data([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="distinct"):
         _seeds(data, 2, np.random.default_rng(0))
+
+
+@st.composite
+def repeated_far_rows(draw):
+    """Documents repeating a few count vectors on disjoint columns, scaled by
+    1 to 3 (which normalizes to the same row), so the distinct rows sit far
+    apart; the number of distinct rows and a K from 1 to two above it."""
+    distinct, width = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    pool = np.zeros((distinct, distinct * width), dtype=np.int64)
+    for j in range(distinct):
+        counts = st.lists(st.integers(1, 9), min_size=width, max_size=width)
+        pool[j, j * width : (j + 1) * width] = draw(counts)
+    repeats = draw(st.lists(st.integers(0, distinct - 1), max_size=12))
+    picks = draw(st.permutations(list(range(distinct)) + repeats))
+    scales = draw(st.lists(st.integers(1, 3), min_size=len(picks), max_size=len(picks)))
+    data = normalize(Corpus(pool[picks] * np.array(scales)[:, None]))
+    return data, distinct, draw(st.integers(1, distinct + 2)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeated_far_rows())
+def test_kmeans_raises_exactly_when_k_exceeds_the_distinct_rows(case):
+    # a row equal to a seed can sit at a positive expanded distance from it,
+    # so the draws alone do not stop k-means++ at the distinct rows
+    data, distinct, K, seed = case
+    rng = np.random.default_rng(seed)
+    if K > distinct:
+        with pytest.raises(ValueError, match="distinct"):
+            fit_kmeans(data, K, restarts=2, rng=rng)
+        return
+    res = fit_kmeans(data, K, restarts=2, rng=rng)
+    assert res.n_clusters == K
+    assert (np.bincount(res.assignments, minlength=K) > 0).all()
 
 
 def test_kmeans_weighted_mean_single_cluster():

@@ -367,6 +367,15 @@ def test_normalized_weights_must_be_positive_and_finite(bad):
         NormalizedCorpus(rows=np.eye(4), weights=[1.0, bad, 1.0, 1.0])
 
 
+def test_normalized_corpus_copies_the_weights():
+    w = np.array([2.0, 5.0])
+    data = NormalizedCorpus(rows=np.eye(2), weights=w)
+    assert data.weights is not w and not data.weights.flags.writeable
+    w[0] = 3.0
+    assert w.flags.writeable
+    assert data.weights.tolist() == [2.0, 5.0]
+
+
 def test_empty_document_rejected_by_constructor():
     with pytest.raises(CorpusValidationError):
         Corpus(np.array([[1, 0], [0, 0]]))

@@ -209,6 +209,12 @@ def test_fit_validates_config_and_sizes():
         dict(K=2, seed=1.5),
         dict(K=2, seed=-1),
         dict(lam=1.0, seed="0"),
+        dict(K=2, weighted_center="false"),
+        dict(K=2, weighted_center=0),
+        dict(K=2, weighted_center=None),
+        dict(K=2, tune="true"),
+        dict(K=2, tune=1),
+        dict(lam=1.0, tune=[True]),
     ],
 )
 def test_config_validation(kwargs):
@@ -225,6 +231,11 @@ def test_config_rejects_a_bool_or_non_real_lam(lam):
 def test_config_takes_real_lam():
     for lam in (3, 0.5, np.float64(2.0), np.int64(4), np.float32(1.5)):
         assert GdmConfig(lam=lam).lam == lam
+
+
+def test_config_takes_numpy_bools():
+    config = GdmConfig(K=2, weighted_center=np.bool_(False), tune=np.bool_(True))
+    assert (config.weighted_center, config.tune) == (False, True)
 
 
 def test_config_takes_numpy_integers():
