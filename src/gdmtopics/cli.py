@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    Corpus,
     CorpusError,
     load_uci_bag_of_words,
     load_vocab,
@@ -69,10 +68,9 @@ def _write_manifest(path, args, argv, inputs, outputs):
 
 def _load_corpus_dir(path):
     docword = os.path.join(path, "docword.txt")
-    vocab = os.path.join(path, "vocab.txt")
     if not os.path.exists(docword):
         raise CorpusError(f"no docword.txt under {path}")
-    return load_uci_bag_of_words(docword, vocab if os.path.exists(vocab) else None)
+    return load_uci_bag_of_words(docword)
 
 
 def _cmd_simulate(args, argv):
@@ -252,7 +250,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unweighted-center", action="store_true")
     p.add_argument("--tune", action="store_true", help="tune extensions after ngdm")
-    p.add_argument("--in", dest="inp", required=True, help="corpus directory (docword.txt [+ vocab.txt])")
+    p.add_argument("--in", dest="inp", required=True, help="corpus directory holding docword.txt")
     p.add_argument("--out", required=True, help="model JSON path")
 
     p = sub.add_parser("eval", help="evaluate a fitted model on held-out documents")

@@ -48,7 +48,7 @@ class Corpus:
     retained document has total length >= 1. Immutable after construction.
     """
 
-    def __init__(self, counts, vocab=None):
+    def __init__(self, counts):
         # duplicate entries stay apart until the document totals are checked:
         # dense and CSR input convert as they are, other sparse input is
         # ordered by row here
@@ -80,16 +80,8 @@ class Corpus:
         if (lengths < 1).any():
             bad = int(np.flatnonzero(lengths < 1)[0])
             raise CorpusValidationError(f"document {bad} has zero total count")
-        if vocab is not None:
-            vocab = list(vocab)
-            if len(vocab) != counts.shape[1]:
-                raise CorpusValidationError(
-                    f"vocabulary has {len(vocab)} entries but corpus has "
-                    f"{counts.shape[1]} words"
-                )
         self.counts = counts
         self.lengths = lengths
-        self.vocab = vocab
 
     @property
     def M(self):
@@ -100,9 +92,9 @@ class Corpus:
         return self.counts.shape[1]
 
     def subset(self, doc_indices):
-        """New corpus restricted to the given document rows (vocab shared)."""
+        """New corpus restricted to the given document rows."""
         idx = np.asarray(doc_indices, dtype=np.int64)
-        return Corpus(self.counts[idx], vocab=self.vocab)
+        return Corpus(self.counts[idx])
 
     def __repr__(self):
         return f"Corpus(M={self.M}, V={self.V}, nnz={self.counts.nnz})"
@@ -296,8 +288,8 @@ def _parse_triples(body: str, lineno: int, D: int, W: int, NNZ: int) -> np.ndarr
     return np.frombuffer(triples, dtype=np.int64).reshape(n, 3)
 
 
-def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
-    """Parse a UCI bag-of-words file (and optional vocabulary) into a Corpus.
+def load_uci_bag_of_words(docword_stream) -> Corpus:
+    """Parse a UCI bag-of-words file into a Corpus.
 
     Duplicate (doc, word) triples are summed. Documents declared in the
     header but carrying no tokens are dropped with a warning and M reduced;
@@ -344,13 +336,7 @@ def load_uci_bag_of_words(docword_stream, vocab_stream=None) -> Corpus:
     dropped = D - present.size
     if dropped:
         warnings.warn(f"dropped {dropped} empty document(s) out of {D}", stacklevel=2)
-
-    vocab = None
-    if vocab_stream is not None:
-        vocab = load_vocab(vocab_stream)
-        if len(vocab) != W:
-            raise CorpusValidationError(f"vocabulary has {len(vocab)} words, header declares {W}")
-    return Corpus(counts, vocab=vocab)
+    return Corpus(counts)
 
 
 def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
@@ -367,8 +353,8 @@ def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
 def split_holdout(corpus: Corpus, n_holdout: int, seed: int):
     """Deterministically partition a corpus into (train, heldout).
 
-    The split is a disjoint, exhaustive partition sharing the vocabulary;
-    identical seeds give identical splits.
+    The split is a disjoint, exhaustive partition of the documents, both
+    parts keeping all V columns; identical seeds give identical splits.
     """
     check_integer("n_holdout", n_holdout)
     check_integer("seed", seed)

@@ -227,22 +227,16 @@ def tune_extensions(
 
 
 def save_model(model: GdmModel, path) -> None:
-    """Write the model as one line of JSON with sorted keys.
-
-    The file is ``json.dumps(d, sort_keys=True)`` of the five fields, with
-    ``beta``, the first key, written one topic row at a time.
-    """
-    rest = {
+    """Write the model as one line of JSON with sorted keys."""
+    d = {
+        "beta": model.polytope.vertices.tolist(),
         "extensions": model.extensions.tolist(),
         "radii": model.radii.tolist(),
         "objective": model.objective,
         "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as f:
-        f.write('{"beta": [')
-        for k, row in enumerate(model.polytope.vertices):
-            f.write((", " if k else "") + json.dumps(row.tolist()))
-        f.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
+        f.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def _read_json_fields(path, kind, fields):
@@ -259,11 +253,22 @@ def _read_json_fields(path, kind, fields):
     return d
 
 
+def _holds_str_or_bool(value):
+    """Whether a value parsed from JSON is, or nests in its lists, a string or
+    a boolean: values numpy would convert to float although they are not numbers."""
+    if isinstance(value, list):
+        kinds = set(map(type, value))
+        return bool(kinds & {str, bool}) or (list in kinds and any(map(_holds_str_or_bool, value)))
+    return isinstance(value, (str, bool))
+
+
 def _float_field(d, key, kind, path):
     """Field ``key`` of the JSON object ``d`` read from the ``kind`` file at
     ``path``, as a float64 array; raises ValueError naming the file and the
     field unless it is a number or a rectangular array of numbers."""
     try:
+        if _holds_str_or_bool(d[key]):
+            raise TypeError("a string or boolean is not a number")
         return np.asarray(d[key], dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "a number or a rectangular array of numbers"

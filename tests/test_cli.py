@@ -231,8 +231,16 @@ def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
         ("beta", "does not hold a JSON object"),
         ({"theta": [[1.0]]}, "has no 'beta' field"),
         ({"beta": {"a": 1}}, "field 'beta' is not a number or a rectangular array of numbers"),
+        (
+            {"beta": [["0.5", 0.5] + [0] * 6]},
+            "field 'beta' is not a number or a rectangular array of numbers",
+        ),
+        (
+            {"beta": [[True, 0.0] + [0] * 6]},
+            "field 'beta' is not a number or a rectangular array of numbers",
+        ),
     ],
-    ids=["list", "string", "no-beta", "beta-object"],
+    ids=["list", "string", "no-beta", "beta-object", "beta-string", "beta-boolean"],
 )
 def test_eval_truth_that_is_not_an_object_with_beta_exits_1(tmp_path, capsys, content, message):
     out = _simulate(tmp_path)
@@ -269,17 +277,25 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
         ("objective", [1], "field 'objective' is not one finite number"),
         ("objective", None, "field 'objective' is not one finite number"),
         ("objective", "x", "field 'objective' is not a number or a rectangular array"),
+        ("objective", "1.5", "field 'objective' is not a number or a rectangular array"),
+        ("objective", True, "field 'objective' is not a number or a rectangular array"),
         ("beta", {"a": 1}, "field 'beta' is not a number or a rectangular array"),
         ("beta", [[0.5, 0.5], [1.0]], "field 'beta' is not a number or a rectangular array"),
+        ("beta", [["0.5", 0.5, 0, 0, 0, 0]], "field 'beta' is not a number or a rectangular array"),
+        ("beta", [[True, 0.0, 0, 0, 0, 0]], "field 'beta' is not a number or a rectangular array"),
         ("extensions", {"a": 1}, "field 'extensions' is not a number or a rectangular array"),
+        ("extensions", [True], "field 'extensions' is not a number or a rectangular array"),
         ("radii", [{"a": 1}], "field 'radii' is not a number or a rectangular array"),
+        ("radii", ["0.0"], "field 'radii' is not a number or a rectangular array"),
         ("config", 5, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "weighted_center": "false"}, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "tune": 0}, "field 'config' is not a GdmConfig (tune must be a bool"),
     ],
     ids=[
-        "objective-list", "objective-null", "objective-string", "beta-object", "beta-ragged",
-        "extensions-object", "radii-objects", "config-int", "config-string-flag", "config-int-flag",
+        "objective-list", "objective-null", "objective-string", "objective-numeric-string",
+        "objective-boolean", "beta-object", "beta-ragged", "beta-numeric-string", "beta-boolean",
+        "extensions-object", "extensions-boolean", "radii-objects", "radii-numeric-string",
+        "config-int", "config-string-flag", "config-int-flag",
     ],
 )
 def test_model_with_a_wrong_typed_field_exits_1(tmp_path, capsys, command, field, value, message):
@@ -459,6 +475,21 @@ def test_topics_top_below_one_exits_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --top must be >= 1, got {top}" in captured.err
+
+
+def test_corpus_commands_read_only_docword(tmp_path, capsys):
+    # a vocab.txt beside the counts is not read: words come from topics --vocab
+    out = _simulate(tmp_path, K=2, V=5)
+    vocab_path = os.path.join(out, "vocab.txt")
+    with open(vocab_path, "w") as f:
+        f.write("alpha\nbravo\n")
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
+    assert main(["eval", "--model", model_path, "--heldout", out]) == 0
+    assert main(["lambda-sweep", "--in", out, "--lambdas", "2,8"]) == 0
+    capsys.readouterr()
+    assert main(["topics", "--model", model_path, "--vocab", vocab_path]) == 1
+    assert capsys.readouterr().err == "error: vocabulary has 2 words, model expects 5\n"
 
 
 def test_topics_vocab_length_mismatch(tmp_path, capsys):

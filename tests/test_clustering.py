@@ -14,6 +14,7 @@ from gdmtopics.clustering import (
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import (
+    _dense_lloyd,
     brute_force_kmeans,
     bytes_key_order,
     dense_kmeans,
@@ -186,6 +187,28 @@ def test_kmeans_matches_dense_reference_bitwise():
     data = normalize(generate_corpus(params)[0])
     fitted = fit_kmeans(data, 8, restarts=3, rng=np.random.default_rng(7))
     reference = in_canonical_order(dense_kmeans, data, 8, 3, 1500, np.random.default_rng(7))
+    assert np.array_equal(fitted.assignments, reference.assignments)
+    assert np.array_equal(fitted.centroids, reference.centroids)
+    assert np.isclose(fitted.objective, reference.objective, rtol=1e-12, atol=0.0)
+
+
+def test_lloyd_reseeds_an_empty_cluster(monkeypatch):
+    # the third seed duplicates the first, so ties leave its cluster empty;
+    # the repair moves the row of largest N_m * d^2 into it
+    rows = np.array(
+        [[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.5, 0.25, 0.25],
+         [0.1, 0.8, 0.1], [0.2, 0.7, 0.1], [0.1, 0.5, 0.4]]
+    )
+    data = _data(rows, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    seeds = rows[[0, 3, 0]]
+    monkeypatch.setattr(clustering, "kmeanspp_init", lambda *args: seeds.copy())
+    fitted = fit_kmeans(data, 3, restarts=1)
+
+    def lloyd(ordered):
+        return _dense_lloyd(ordered.rows, ordered.weights, seeds.copy(), 1500)
+
+    reference = in_canonical_order(lloyd, data)
+    assert (np.bincount(fitted.assignments, minlength=3) > 0).all()
     assert np.array_equal(fitted.assignments, reference.assignments)
     assert np.array_equal(fitted.centroids, reference.centroids)
     assert np.isclose(fitted.objective, reference.objective, rtol=1e-12, atol=0.0)

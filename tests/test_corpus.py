@@ -162,15 +162,11 @@ def test_load_drops_empty_documents_with_warning():
     assert c.counts.toarray().tolist() == [[3, 0], [0, 1]]
 
 
-def test_load_vocab_length_checked():
-    with pytest.raises(CorpusValidationError, match="vocabulary"):
-        load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\nb\n"))
-    c = load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\nb\nc\n"))
-    assert c.vocab == ["a", "b", "c"]
+def test_load_vocab_reads_one_word_per_line():
+    # the corpus layer reads no vocabulary; ``topics`` checks its length
+    assert load_vocab(io.StringIO("a\nb\nc\n")) == ["a", "b", "c"]
     # trailing blank lines are dropped, inner ones are words
     assert load_vocab(io.StringIO("a\n\nc\n\n\n")) == ["a", "", "c"]
-    c = load_uci_bag_of_words(io.StringIO(UCI_SMALL), io.StringIO("a\n\nc\n\n"))
-    assert c.vocab == ["a", "", "c"]
 
 
 def test_roundtrip_uci():
@@ -365,6 +361,26 @@ def test_io_rejects_bytes():
 def test_normalized_weights_must_be_positive_and_finite(bad):
     with pytest.raises(CorpusValidationError, match="weights must be positive and finite"):
         NormalizedCorpus(rows=np.eye(4), weights=[1.0, bad, 1.0, 1.0])
+
+
+def test_non_canonical_csr_rows_are_canonicalized_on_a_copy():
+    dense = np.array([[0.5, 0.0, 0.25, 0.25], [0.0, 0.75, 0.0, 0.25]])
+    # row 0: column 2 stored twice, unsorted, a stored 0.0; row 1: a stored -0.0
+    data = np.array([0.125, 0.5, 0.0, 0.25, 0.125, 0.25, -0.0, 0.75])
+    indices = np.array([2, 0, 1, 3, 2, 3, 0, 1], dtype=np.int32)
+    indptr = np.array([0, 5, 8], dtype=np.int32)
+    rows = sp.csr_matrix((data, indices, indptr), shape=dense.shape)
+    given = [a.copy() for a in (rows.data, rows.indices, rows.indptr)]
+    assert not rows.has_canonical_format
+    got = NormalizedCorpus(rows=rows, weights=[4.0, 4.0]).csr
+    expected = NormalizedCorpus(rows=dense, weights=[4.0, 4.0]).csr
+    assert got.has_canonical_format and got.data.all()
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+    # the caller's matrix is neither reordered nor written
+    for before, after in zip(given, (rows.data, rows.indices, rows.indptr)):
+        assert before.tobytes() == after.tobytes()
+    assert rows.data.flags.writeable and not rows.has_canonical_format
 
 
 def test_normalized_corpus_copies_the_weights():
