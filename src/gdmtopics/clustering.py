@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import NormalizedCorpus, _row_blocks
+from .corpus import NormalizedCorpus
 
 _REL_TOL = 1e-10  # relative objective decrease treated as converged
 _MONOTONE_SLACK = 1e-8
@@ -38,6 +38,13 @@ def _sq_dists(rows, row_sq_norms, centroids):
     d = row_sq_norms[:, None] - 2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)
     np.maximum(d, 0.0, out=d)
     return d
+
+
+def _sq_norms(X):
+    """Squared norms of the CSR rows ``X``, each summed over its stored
+    values in stored order."""
+    squares = sp.csr_matrix((np.square(X.data), X.indices, X.indptr), shape=X.shape)
+    return squares @ np.ones(X.shape[1])
 
 
 def _converged(prev, cur):
@@ -205,9 +212,8 @@ def fit_kmeans(
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)
-    norms = [np.einsum("ij,ij->i", rows, rows) for _, rows in _row_blocks(data.csr)]
-    xx = np.concatenate(norms)[order]  # the block buffer is freed before the gather
     X, weights = data.csr[order], data.weights[order]
+    xx = _sq_norms(X)
     every_row = np.arange(data.M)
 
     def lloyd_step(d2, centroids):

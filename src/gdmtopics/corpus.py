@@ -173,17 +173,16 @@ class NormalizedCorpus:
 _BLOCK_BYTES = 4 * 2**20
 
 
-def _row_blocks(X, minus=None):
+def _row_blocks(X):
     """Yield ``(block, rows)`` for consecutive row slices ``block`` covering
     the CSR matrix ``X``, with ``rows`` the block's rows densified into one
     float64 scratch buffer of at most ``_BLOCK_BYTES`` (but at least one
     row), allocated once and reused, so that a pass over the rows never
     holds an M x V array. The caller may overwrite ``rows``.
 
-    With ``minus(block, out)``, which writes an array of ``rows``' shape
-    into ``out``, ``rows`` holds ``X[block] - minus`` instead: the buffer
-    takes minus, negated, and the stored entries are added to it, which
-    rounds as the dense difference does (x + (-m) is x - m).
+    Its two callers, ``normalize``'s row sums and the projection's cross
+    terms (``geometry._cross_terms``), densify the rows so that their sums
+    and products round as over the dense rows.
     """
     M, V = X.shape
     step = max(1, min(M, _BLOCK_BYTES // (8 * max(V, 1))))
@@ -191,11 +190,7 @@ def _row_blocks(X, minus=None):
     for start in range(0, M, step):
         block = slice(start, min(start + step, M))
         rows = buf[: block.stop - start]
-        if minus is None:
-            rows.fill(0.0)
-        else:
-            minus(block, rows)
-            np.negative(rows, out=rows)
+        rows.fill(0.0)
         # flat positions of the stored entries; a block holds fewer than 2**31 values
         entries = slice(X.indptr[start], X.indptr[block.stop])
         per_row = np.diff(X.indptr[start : block.stop + 1])

@@ -16,8 +16,8 @@ from numbers import Real
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .clustering import fit_dpmeans, fit_kmeans, weighted_means
-from .corpus import NormalizedCorpus, _row_blocks, check_integer
+from .clustering import _sq_dists, _sq_norms, fit_dpmeans, fit_kmeans, weighted_means
+from .corpus import NormalizedCorpus, check_integer
 from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
@@ -86,18 +86,13 @@ def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
     """Covering radii R_k and extension scalars m_k = R_k / ||C - mu_k||.
 
     R_k is the largest distance from the center C to a document of cluster k
-    (0 for an empty cluster), taken over dense row blocks so that the only
-    temporary is one block buffer of differences. A single cluster keeps
+    (0 for an empty cluster), each distance sqrt(||x||^2 - 2 x . C + ||C||^2)
+    taken from the stored entries of the rows. A single cluster keeps
     m = 1: the topic minimizing G is the weighted mean, which is its centroid.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
-    to_center = np.empty(data.M)
-    for block, diff in _row_blocks(data.csr):
-        # np.linalg.norm(rows - center, axis=1), with the differences and squares in place
-        np.subtract(diff, center, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sqrt(np.add.reduce(diff, axis=1), out=to_center[block])
+    to_center = np.sqrt(_sq_dists(data.csr, _sq_norms(data.csr), center[None, :]).ravel())
     radii = np.zeros(centroids.shape[0])
     np.maximum.at(radii, assignments, to_center)
     if centroids.shape[0] == 1:
@@ -280,9 +275,9 @@ def load_model(path) -> GdmModel:
 
     Raises ValueError, naming the file or field, for a file that is not a
     JSON object with the five fields, for a field of the wrong type, or for
-    fields that disagree: extensions or radii not one value per topic, an
-    objective that is not one finite number, or a config K other than the
-    number of topics.
+    fields that disagree: extensions or radii not one finite value per
+    topic, an objective that is not one finite number, or a config K other
+    than the number of topics.
     """
     d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
@@ -297,6 +292,8 @@ def load_model(path) -> GdmModel:
     for key, values in per_topic.items():
         if values.shape != (polytope.K,):
             raise ValueError(f"model {key} has shape {values.shape}, expected ({polytope.K},)")
+        if not np.isfinite(values).all():
+            raise ValueError(f"model file {path} field {key!r} holds a value that is not finite")
     objective = _float_field(d, "objective", "model", path)
     if objective.shape != () or not np.isfinite(objective):
         raise ValueError(f"model file {path} field 'objective' is not one finite number")

@@ -10,15 +10,16 @@ once:
    point in a polytope", Math. Programming 11, 1976), every row started at
    its nearest vertex and all rows stepped in lockstep, their support solves
    batched by support size. It is exact at every K.
-2. certificate: every row is checked in word space by the variational
-   inequality ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale``
-   for every vertex, and its weights must lie on the simplex; the first row
+2. certificate: every row is checked by the variational inequality
+   ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
+   vertex, taken in the same Gram geometry from the cross terms and the
+   Gram matrix, and its weights must lie on the simplex; the first row
    that fails raises ProjectionFailure.
 
-The rows are taken as CSR, and the two passes over them (the cross terms
-and squared norms, then the certificate's residuals) go through
-``corpus._row_blocks``, one dense block of rows at a time, so that the
-projection never holds an M x V array.
+The rows are taken as CSR. The one pass over them, for the cross terms
+``X @ B.T`` and the squared row norms, goes through ``corpus._row_blocks``,
+one dense block of rows at a time, so that the projection never holds an
+M x V array.
 """
 
 from __future__ import annotations
@@ -131,28 +132,6 @@ def _active_set(BBt, BX, xx, nearest, scales):
     return theta
 
 
-def _distances_and_gaps(X, B, thetas):
-    """Squared distances ||x - p||^2 and gaps max_k (b_k - p) . (x - p) of
-    every CSR row x, for p = theta . B.
-
-    The rows are taken in blocks: each block's points are written into the
-    block buffer and turned in place into the differences x - p, and the
-    term p . (x - p) is taken as theta . (B (x - p)). The buffer is dropped
-    on return, before ``_certify`` takes the pass flags.
-    """
-    sq, gaps = np.empty(X.shape[0]), np.empty(X.shape[0])
-
-    def points(block, out):
-        np.matmul(thetas[block], B, out=out)
-
-    for block, diff in _row_blocks(X, minus=points):
-        np.einsum("ij,ij->i", diff, diff, out=sq[block])
-        toward = diff @ B.T  # (b_k . (x - p)) for every row of the block and vertex
-        np.einsum("ij,ij->i", thetas[block], toward, out=gaps[block])
-        np.subtract(toward.max(axis=1), gaps[block], out=gaps[block])
-    return sq, gaps
-
-
 def _cross_terms(X, B):
     """The (M, K) cross terms ``X @ B.T`` and squared norms of the CSR rows,
     from dense row blocks; the block buffer is freed on return, before the
@@ -164,14 +143,23 @@ def _cross_terms(X, B):
     return BX, xx
 
 
-def _certify(X, B, thetas, scales):
-    """Word-space certificate of every row: (squared distances, gaps, pass flags).
+def _certify(BBt, BX, xx, thetas, scales):
+    """Certificate of every row in the Gram geometry: (squared distances,
+    gaps, pass flags), from the Gram matrix ``BBt``, the cross terms ``BX``
+    and the squared norms ``xx``.
 
-    A row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` for
-    p = theta . B, and theta lies on the simplex: no entry below -1e-12 and
-    a sum within 1e-9 of 1. A NaN row fails.
+    With p = theta . B, b_k . (x - p) is ``BX_k - (theta . BBt)_k``, and a
+    row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` and
+    theta lies on the simplex: no entry below -1e-12 and a sum within 1e-9
+    of 1. A NaN row fails. The squared distance ||x - p||^2 is
+    ``xx - 2 theta . BX + theta . BBt . theta``, clamped at 0.
     """
-    sq, gaps = _distances_and_gaps(X, B, thetas)
+    toward = thetas @ BBt
+    np.subtract(BX, toward, out=toward)  # b_k . (x - p) for every row and vertex
+    along = np.einsum("ij,ij->i", thetas, toward)  # p . (x - p)
+    gaps = toward.max(axis=1) - along
+    sq = xx - np.einsum("ij,ij->i", thetas, BX) - along
+    np.maximum(sq, 0.0, out=sq)
     ok = (
         (gaps <= 10.0 * _TOL * scales)
         & (thetas.min(axis=1) >= -1e-12)
@@ -186,7 +174,7 @@ def project_rows(rows, polytope: TopicPolytope):
     ``rows`` is a ``NormalizedCorpus`` or a dense M x V matrix, which is
     taken as CSR. Returns (theta matrix, squared distances). All rows are
     solved together by the min-norm-point active set in the K x K Gram
-    geometry, and the word-space certificate runs once over all of them.
+    geometry, and the certificate checks all of them in that geometry.
     Raises ValueError unless the rows are an M x V matrix of finite
     numbers, and ProjectionFailure naming the first row that fails its
     certificate, with scale = max(1, max_k ||b_k - x||^2) in the bound.
@@ -207,7 +195,7 @@ def project_rows(rows, polytope: TopicPolytope):
     nearest = np.argmin(d2, axis=1)
     del d2  # freed before theta is allocated, to keep the peak down at large K
     thetas = _active_set(BBt, BX, xx, nearest, scales)
-    sq, gaps, ok = _certify(X, B, thetas, scales)
+    sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales)
     if not ok.all():
         m = int(np.argmin(ok))
         bound = 10.0 * _TOL * scales[m]

@@ -287,6 +287,10 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
         ("extensions", [True], "field 'extensions' is not a number or a rectangular array"),
         ("radii", [{"a": 1}], "field 'radii' is not a number or a rectangular array"),
         ("radii", ["0.0"], "field 'radii' is not a number or a rectangular array"),
+        ("extensions", [None], "field 'extensions' holds a value that is not finite"),
+        ("extensions", [float("inf")], "field 'extensions' holds a value that is not finite"),
+        ("radii", [None], "field 'radii' holds a value that is not finite"),
+        ("radii", [float("nan")], "field 'radii' holds a value that is not finite"),
         ("config", 5, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "weighted_center": "false"}, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "tune": 0}, "field 'config' is not a GdmConfig (tune must be a bool"),
@@ -295,6 +299,7 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
         "objective-list", "objective-null", "objective-string", "objective-numeric-string",
         "objective-boolean", "beta-object", "beta-ragged", "beta-numeric-string", "beta-boolean",
         "extensions-object", "extensions-boolean", "radii-objects", "radii-numeric-string",
+        "extensions-null", "extensions-infinity", "radii-null", "radii-nan",
         "config-int", "config-string-flag", "config-int-flag",
     ],
 )

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from gdmtopics import corpus, gdm
+from gdmtopics import gdm
 from gdmtopics.clustering import fit_kmeans
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.gdm import (
@@ -51,18 +51,17 @@ def test_default_extensions_ratio():
     assert np.allclose(m, [3.0, 1.0])
 
 
-def test_default_extensions_over_row_blocks_bitwise(monkeypatch):
-    # with a budget of 7 rows, M = 60 spans 9 blocks, the last one ragged;
-    # each radius is still the largest np.linalg.norm(row - center) bit for bit
+def test_default_extensions_radii_match_dense_norms():
+    # each radius, taken from the stored entries of the rows, is the largest
+    # np.linalg.norm(row - center) of its cluster to rounding
     data = _lda_data(0)
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * data.V * 7)
     center = data.rows.mean(axis=0)
     centroids = data.rows[:3] + 0.0
     assignments = np.arange(data.M) % 3
     radii, m = default_extensions(data, center, centroids, assignments)
     to_center = np.linalg.norm(data.rows - center, axis=1)
     expected = np.array([to_center[assignments == k].max() for k in range(3)])
-    assert radii.tobytes() == expected.tobytes()
+    assert np.allclose(radii, expected, rtol=0.0, atol=1e-12)
     assert np.array_equal(m, radii / np.linalg.norm(centroids - center, axis=1))
 
 
@@ -296,15 +295,17 @@ def _fit_peak(tune, lam):
 )
 def test_fit_holds_one_working_buffer(tune, lam):
     # above the CSR rows, a fit holds at most one dense M x V buffer at a
-    # time: for nGDM, DP-means' canonical-order copy; GDM none, its passes
-    # over the rows (with tuning, one cluster's CSR rows at a time) taking
-    # one row block
+    # time: for nGDM, DP-means' canonical-order copy; GDM none, its one
+    # densifying pass, the projection's cross terms (with tuning, over one
+    # cluster's CSR rows at a time), taking one row block
     assert _fit_peak(tune, lam) <= 1.2
 
 
 def test_untuned_gdm_fit_works_in_row_blocks():
-    # k-means works on a CSR copy and the certificate and covering radii on
-    # one row block, so an untuned GDM fit needs well under a copy of the rows
+    # k-means works on a CSR copy, the covering radii on the stored entries,
+    # the projection's cross terms on one row block and its certificate in
+    # the K x K Gram geometry, so an untuned GDM fit needs well under a copy
+    # of the rows
     assert _fit_peak(False, None) <= 0.5
 
 
@@ -477,6 +478,10 @@ def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
         ("radii", [0.1, 0.2, 0.3, 0.4], "radii"),
         ("radii", [[0.1], [0.2], [0.3]], "radii"),
         ("radii", [], "radii"),
+        ("extensions", [1.0, None, 2.0], "extensions.*not finite"),
+        ("extensions", [1.0, 1.5, float("-inf")], "extensions.*not finite"),
+        ("radii", [0.1, float("nan"), 0.3], "radii.*not finite"),
+        ("radii", [None, 0.2, 0.3], "radii.*not finite"),
         ("objective", float("nan"), "objective"),
         ("K", 4, "K"),
     ],

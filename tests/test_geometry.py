@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from gdmtopics import corpus, geometry
 from gdmtopics.corpus import NormalizedCorpus
@@ -213,33 +212,14 @@ def test_off_simplex_weights_are_rejected(monkeypatch):
         project_rows(rows, poly)
 
 
-@pytest.mark.parametrize("K, V", [(1, 3), (3, 100), (12, 1001), (40, 301)])
+@pytest.mark.parametrize("K, V", [(1, 3), (1, 50), (3, 100), (6, 501), (12, 1001), (40, 301)])
 def test_certificate_matches_two_buffer_form(K, V):
-    # squared distances are bitwise those of separate point and difference
-    # arrays; the gaps, whose second term is now taken in the K-dimensional
-    # weights, agree to rounding
-    rng = np.random.default_rng(K + V)
-    B = _random_polytope(rng, K, V).vertices
-    g = rng.gamma(0.3, size=(60, V))
-    X = g / g.sum(axis=1, keepdims=True)
-    thetas = rng.dirichlet(np.full(K, 0.5), size=60)
-    thetas[:5] = project_rows(X[:5], TopicPolytope(B))[0]
-    scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
-    sq, gaps, _ = geometry._certify(sp.csr_matrix(X), B, thetas, scales)
-    sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
-    assert sq.tobytes() == sq_ref.tobytes()
-    assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
-
-
-@pytest.mark.parametrize("K, V, per_block", [(1, 50, 7), (6, 501, 1), (6, 501, 10), (40, 301, 32)])
-def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_block):
-    # with a block budget of ``per_block`` rows, M = 83 spans several blocks
-    # and the last one is ragged; the blocked certificate must give the pass
-    # flags, squared distances and gaps of separate M x V arrays
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * V * per_block)
+    # the Gram-form certificate gives the pass flags of separate point and
+    # difference arrays in word space, and their squared distances and gaps
+    # to rounding, on solved rows (which pass), random weights (most of
+    # which fail) and weights off the simplex
     M = 83
-    assert M % per_block != 0 or per_block == 1
-    rng = np.random.default_rng(K + V + per_block)
+    rng = np.random.default_rng(K + V)
     poly = _random_polytope(rng, K, V)
     B = poly.vertices
     g = rng.gamma(0.3, size=(M, V))
@@ -250,7 +230,7 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     thetas[solved] = project_rows(X[solved], poly)[0]  # these pass, most others fail
     thetas[-1] *= 1.0 + 1e-6  # off the simplex
     scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
-    sq, gaps, ok = geometry._certify(sp.csr_matrix(X), B, thetas, scales)
+    sq, gaps, ok = geometry._certify(B @ B.T, X @ B.T, np.einsum("ij,ij->i", X, X), thetas, scales)
     sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
     ok_ref = (
         (gaps_ref <= 10.0 * geometry._TOL * scales)
@@ -259,5 +239,5 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     )
     assert np.array_equal(ok, ok_ref)
     assert ok[solved].all() and not ok[-1]
-    assert (np.abs(sq - sq_ref) <= 1e-15 * scales).all()
-    assert (np.abs(gaps - gaps_ref) <= 1e-15 * scales).all()
+    assert (np.abs(sq - sq_ref) <= 1e-14 * scales).all()
+    assert (np.abs(gaps - gaps_ref) <= 1e-14 * scales).all()

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdmtopics import geometry
 from gdmtopics.clustering import _canonical_order
 from gdmtopics.corpus import Corpus, NormalizedCorpus, load_uci_bag_of_words, normalize
 from gdmtopics.gdm import (
@@ -25,7 +26,7 @@ from gdmtopics.gdm import (
 )
 from gdmtopics.geometry import TopicPolytope, project_rows
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import _min_norm_weights, bytes_key_order, count_matrices, same_corpus
+from oracles import _min_norm_weights, bytes_key_order, count_matrices, same_corpus, two_buffer_certify
 
 _common = dict(
     max_iters=st.integers(1, 10**6),
@@ -187,6 +188,10 @@ def test_projection_certified_on_random_and_degenerate_polytopes(case):
     gaps = ((B[None, :, :] - P[:, None, :]) * (X - P)[:, None, :]).sum(axis=2).max(axis=1)
     scale = np.maximum(1.0, ((B[None, :, :] - X[:, None, :]) ** 2).sum(axis=2).max(axis=1))
     assert (gaps <= 10 * 1e-10 * scale).all()
+    # the Gram-form gaps the projection certified agree with the word-space oracle
+    xx = np.einsum("ij,ij->i", X, X)
+    _, gram_gaps, _ = geometry._certify(B @ B.T, X @ B.T, xx, thetas, scale)
+    assert (np.abs(gram_gaps - two_buffer_certify(X, B, thetas)[1]) <= 1e-14 * scale).all()
     for m, x in enumerate(X):
         # one row alone agrees with its row of the batch to rounding only,
         # since BLAS takes a different kernel for a single row (and a
