@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gdmtopics import corpus, geometry
 from gdmtopics.corpus import NormalizedCorpus
@@ -212,14 +213,13 @@ def test_off_simplex_weights_are_rejected(monkeypatch):
         project_rows(rows, poly)
 
 
-@pytest.mark.parametrize("K, V", [(1, 3), (1, 50), (3, 100), (6, 501), (12, 1001), (40, 301)])
-def test_certificate_matches_two_buffer_form(K, V):
+def _check_certificate(K, V, seed, cross_terms):
     # the Gram-form certificate gives the pass flags of separate point and
     # difference arrays in word space, and their squared distances and gaps
     # to rounding, on solved rows (which pass), random weights (most of
     # which fail) and weights off the simplex
     M = 83
-    rng = np.random.default_rng(K + V)
+    rng = np.random.default_rng(seed)
     poly = _random_polytope(rng, K, V)
     B = poly.vertices
     g = rng.gamma(0.3, size=(M, V))
@@ -230,7 +230,7 @@ def test_certificate_matches_two_buffer_form(K, V):
     thetas[solved] = project_rows(X[solved], poly)[0]  # these pass, most others fail
     thetas[-1] *= 1.0 + 1e-6  # off the simplex
     scales = np.maximum(1.0, ((X[:, None, :] - B[None, :, :]) ** 2).sum(axis=2).max(axis=1))
-    sq, gaps, ok = geometry._certify(B @ B.T, X @ B.T, np.einsum("ij,ij->i", X, X), thetas, scales)
+    sq, gaps, ok = geometry._certify(B @ B.T, *cross_terms(X, B), thetas, scales)
     sq_ref, gaps_ref = two_buffer_certify(X, B, thetas)
     ok_ref = (
         (gaps_ref <= 10.0 * geometry._TOL * scales)
@@ -241,3 +241,20 @@ def test_certificate_matches_two_buffer_form(K, V):
     assert ok[solved].all() and not ok[-1]
     assert (np.abs(sq - sq_ref) <= 1e-14 * scales).all()
     assert (np.abs(gaps - gaps_ref) <= 1e-14 * scales).all()
+
+
+@pytest.mark.parametrize("K, V", [(1, 3), (3, 100), (12, 1001), (40, 301)])
+def test_certificate_matches_two_buffer_form(K, V):
+    # cross terms and squared norms from the whole dense rows at once
+    _check_certificate(K, V, K + V, lambda X, B: (X @ B.T, np.einsum("ij,ij->i", X, X)))
+
+
+@pytest.mark.parametrize("K, V, per_block", [(1, 50, 7), (6, 501, 1), (6, 501, 10), (40, 301, 32)])
+def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_block):
+    # with a block budget of ``per_block`` rows, M = 83 spans several blocks
+    # of the cross-terms pass and the last one is ragged
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 8 * V * per_block)
+    assert 83 % per_block != 0 or per_block == 1
+    _check_certificate(
+        K, V, K + V + per_block, lambda X, B: geometry._cross_terms(sp.csr_matrix(X), B)
+    )
