@@ -88,25 +88,9 @@ def _cmd_simulate(args, argv):
     docword = os.path.join(args.out, "docword.txt")
     truth_path = os.path.join(args.out, "truth.json")
     save_uci_bag_of_words(corpus, docword)
+    # the generator's parameters are the argv of the manifest written beside it
     with open(truth_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "beta": truth.beta.tolist(),
-                "theta": truth.theta.tolist(),
-                "params": {
-                    "K": params.K,
-                    "V": params.V,
-                    "M": params.M,
-                    # as typed: "60" or "200:1800"
-                    "Nm": ":".join(str(n) for n in np.atleast_1d(args.Nm)),
-                    "alpha": params.alpha,
-                    "eta": params.eta,
-                    "seed": params.seed,
-                },
-            },
-            f,
-            sort_keys=True,
-        )
+        json.dump({"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}, f, sort_keys=True)
         f.write("\n")
     _write_manifest(os.path.join(args.out, "manifest.json"), args, argv, [], [docword, truth_path])
     print(f"wrote {corpus.M} documents (V={corpus.V}) to {args.out}")

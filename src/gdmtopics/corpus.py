@@ -335,13 +335,13 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
 
 
 def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
-    """Write a corpus in UCI bag-of-words format (1-based indices)."""
+    """Write a corpus in UCI bag-of-words format (1-based indices), in
+    (document, word) order: the counts are canonical CSR."""
     with _text_stream(stream_or_path, "w") as f:
         coo = corpus.counts.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        docs = (coo.row[order].astype(np.int64) + 1).tolist()
-        words = (coo.col[order].astype(np.int64) + 1).tolist()
-        lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data[order].tolist()))
+        docs = (coo.row.astype(np.int64) + 1).tolist()
+        words = (coo.col.astype(np.int64) + 1).tolist()
+        lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data.tolist()))
         f.write(f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n" + "".join(lines))
 
 

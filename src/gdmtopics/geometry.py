@@ -182,7 +182,7 @@ def project_rows(rows, polytope: TopicPolytope):
     X = rows.csr if isinstance(rows, NormalizedCorpus) else np.asarray(rows, dtype=np.float64)
     B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
-        raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}")
+        raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}, got shape {X.shape}")
     if isinstance(X, np.ndarray):  # a NormalizedCorpus holds finite rows
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
@@ -210,7 +210,5 @@ def project_rows(rows, polytope: TopicPolytope):
 
 def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> float:
     """Weighted sum over documents of squared distance to the polytope."""
-    if data.V != polytope.V:
-        raise ValueError("vocabulary sizes disagree")
     _, sq = project_rows(data, polytope)
     return float(np.sum(data.weights * sq))

@@ -19,16 +19,17 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PerplexityReport:
+    """Held-out perplexity over ``total_tokens`` tokens, with the number of
+    observed-word probabilities floored at PROB_FLOOR; the total
+    log-likelihood is ``-total_tokens * log(perplexity)``."""
+
     perplexity: float
-    total_log_likelihood: float
     total_tokens: int
     floored_entries: int
 
 
 def infer_theta(polytope: TopicPolytope, heldout: Corpus) -> np.ndarray:
     """Topic proportions of held-out documents by projection onto the polytope."""
-    if heldout.V != polytope.V:
-        raise ValueError("vocabulary sizes disagree")
     thetas, _ = project_rows(normalize(heldout), polytope)
     return thetas
 
@@ -54,7 +55,6 @@ def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> P
     total_tokens = int(heldout.lengths.sum())
     return PerplexityReport(
         perplexity=float(np.exp(-total_ll / total_tokens)),
-        total_log_likelihood=total_ll,
         total_tokens=total_tokens,
         floored_entries=floored,
     )

@@ -72,12 +72,12 @@ class LdaParams:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Generating parameters of a synthetic corpus: beta, theta and p = theta.beta."""
+    """Generating parameters of a synthetic corpus: the K x V topics ``beta``
+    and the M x K proportions ``theta``; the word probabilities of document m
+    are ``theta[m] @ beta``."""
 
     beta: np.ndarray
     theta: np.ndarray
-    p: np.ndarray
-    params: LdaParams
 
 
 def sample_dirichlet(dim: int, concentration: float, rng: np.random.Generator) -> np.ndarray:
@@ -128,5 +128,4 @@ def generate_corpus(params: LdaParams):
         doc_rng = np.random.default_rng([params.seed, _DOC_STREAM, m])
         pm = p[m] / p[m].sum()
         counts[m] = doc_rng.multinomial(lengths[m], pm)
-    truth = GroundTruth(beta=beta, theta=theta, p=p, params=params)
-    return Corpus(counts), truth
+    return Corpus(counts), GroundTruth(beta=beta, theta=theta)

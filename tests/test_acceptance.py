@@ -54,7 +54,7 @@ def test_criterion_02_vanishing_alpha_trend():
             )
             _, truth = generate_corpus(params)
             # noiseless regime: the document-level mixture probabilities are the data
-            data = NormalizedCorpus(rows=truth.p, weights=np.ones(500))
+            data = NormalizedCorpus(rows=truth.theta @ truth.beta, weights=np.ones(500))
             model = fit_gdm(data, GdmConfig(K=3, seed=seed))
             dists.append(min_matching_distance(model.polytope, TopicPolytope(truth.beta)))
         medians.append(float(np.median(dists)))

@@ -35,8 +35,17 @@ def test_simulate_outputs(tmp_path, capsys):
     corpus = load_uci_bag_of_words(os.path.join(out, "docword.txt"))
     assert corpus.M == 40 and corpus.V == 8
     assert (corpus.lengths == 60).all()
-    truth = json.load(open(os.path.join(out, "truth.json")))
+    # the generator's parameters are the manifest's argv, not repeated here,
+    # and rerunning it draws the same truth
+    truth_path = os.path.join(out, "truth.json")
+    truth = json.load(open(truth_path))
+    assert sorted(truth) == ["beta", "theta"]
     assert np.asarray(truth["beta"]).shape == (3, 8)
+    assert np.asarray(truth["theta"]).shape == (40, 3)
+    written = open(truth_path, "rb").read()
+    os.remove(truth_path)
+    assert main(["rerun", os.path.join(out, "manifest.json")]) == 0
+    assert open(truth_path, "rb").read() == written
 
 
 def test_fit_and_eval_roundtrip(tmp_path, capsys):

@@ -329,6 +329,22 @@ def test_dpmeans_three_separated_clouds():
         assert res.n_clusters == 3
 
 
+@pytest.mark.parametrize(
+    "fit, message",
+    [
+        (lambda data: _seeds(data, 0, np.random.default_rng(0)), "K must be >= 1"),
+        (lambda data: fit_kmeans(data, 0), "K must be >= 1"),
+        (lambda data: fit_kmeans(data, 2, restarts=0), "restarts must be >= 1"),
+        (lambda data: fit_kmeans(data, 2, max_iters=0), "max_iters must be >= 1"),
+        (lambda data: fit_dpmeans(data, lam=1.0, max_iters=0), "max_iters must be >= 1"),
+    ],
+    ids=["seed-K", "kmeans-K", "kmeans-restarts", "kmeans-max-iters", "dpmeans-max-iters"],
+)
+def test_clustering_rejects_counts_below_one(fit, message):
+    with pytest.raises(ValueError, match=message):
+        fit(_data(np.eye(3)))
+
+
 def test_dpmeans_rejects_bad_lambda():
     data = _data(np.eye(3))
     for lam in (0.0, np.inf, np.nan):

@@ -189,6 +189,31 @@ def test_roundtrip_random_corpora():
         assert same_corpus(load_uci_bag_of_words(io.StringIO(buf.getvalue())), c)
 
 
+def test_save_writes_triples_in_document_word_order():
+    # the writer relies on a Corpus holding canonical CSR: built from shuffled
+    # COO with duplicates, loaded from shuffled lines, or split, it writes its
+    # triples sorted by (document, word), one per stored count
+    rng = np.random.default_rng(8)
+    M, V, n = 12, 9, 80
+    row, col = rng.integers(0, M, size=n), rng.integers(0, V, size=n)
+    row[:M] = np.arange(M)  # no empty docs
+    shuffled = Corpus(sp.coo_matrix((rng.integers(1, 4, size=n), (row, col)), shape=(M, V)))
+    buf = io.StringIO()
+    save_uci_bag_of_words(shuffled, buf)
+    lines = buf.getvalue().splitlines()
+    lines = lines[:3] + [lines[3 + i] for i in rng.permutation(len(lines) - 3)]
+    loaded = load_uci_bag_of_words(io.StringIO("\n".join(lines) + "\n"))
+    for c in (shuffled, loaded, *split_holdout(loaded, 5, 3)):
+        buf = io.StringIO()
+        save_uci_bag_of_words(c, buf)
+        text = buf.getvalue().splitlines()
+        assert text[:3] == [str(c.M), str(c.V), str(c.counts.nnz)]
+        triples = [tuple(int(v) for v in line.split()) for line in text[3:]]
+        dense = c.counts.toarray()
+        expected = [(d + 1, w + 1, dense[d, w]) for d, w in zip(*np.nonzero(dense))]
+        assert triples == expected
+
+
 def test_normalize_definition():
     c = load_uci_bag_of_words(io.StringIO(UCI_SMALL))
     n = normalize(c)
@@ -395,3 +420,34 @@ def test_normalized_corpus_copies_the_weights():
 def test_empty_document_rejected_by_constructor():
     with pytest.raises(CorpusValidationError):
         Corpus(np.array([[1, 0], [0, 0]]))
+
+
+def test_negative_counts_rejected_by_constructor():
+    for counts in (np.array([[2, -1]]), sp.csr_matrix([[2, -1]])):
+        with pytest.raises(CorpusValidationError, match="word counts must be positive"):
+            Corpus(counts)
+
+
+@pytest.mark.parametrize(
+    "rows, weights, message",
+    [
+        (np.array([0.5, 0.5]), [1.0], "rows must be M x V with M weights"),
+        (np.eye(2), [1.0, 1.0, 1.0], "rows must be M x V with M weights"),
+        (sp.csr_matrix(np.eye(2)), [1.0], "rows must be M x V with M weights"),
+        (np.array([[0.5, 0.4]]), [1.0], "normalized rows must sum to 1"),
+        (np.array([[1.5, -0.5]]), [1.0], r"normalized entries must lie in \[0, 1\]"),
+        (sp.csr_matrix([[1.5, -0.5]]), [1.0], r"normalized entries must lie in \[0, 1\]"),
+    ],
+    ids=["one-dimensional", "extra-weight", "sparse-missing-weight", "sum", "negative", "sparse-negative"],
+)
+def test_normalized_corpus_rejects_malformed_rows(rows, weights, message):
+    with pytest.raises(CorpusValidationError, match=message):
+        NormalizedCorpus(rows=rows, weights=weights)
+
+
+def test_normalized_corpus_is_immutable():
+    data = normalize(Corpus(np.array([[1, 3]])))
+    for name in ("csr", "weights", "rows", "other"):
+        with pytest.raises(AttributeError, match=f"NormalizedCorpus is immutable; cannot set '{name}'"):
+            setattr(data, name, None)
+    assert data.csr.toarray().tolist() == [[0.25, 0.75]]

@@ -436,9 +436,9 @@ def test_model_roundtrip(tmp_path):
         "objective",
         "config",
     ]
-    # beta is written one row at a time, yet the file is exactly the one-shot
-    # dump of the five fields with sorted keys: for a GDM fit with clipped
-    # vertices and for an nGDM fit, whose config K is null
+    # the file is exactly the one-line dump of the five fields with sorted
+    # keys: for a GDM fit with clipped vertices and for an nGDM fit, whose
+    # config K is null
     assert (fits[0].polytope.vertices == 0.0).any() and fits[1].config.K is None
     for model in fits:
         path = tmp_path / "model.json"

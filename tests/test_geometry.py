@@ -18,6 +18,19 @@ def _random_polytope(rng, K, V):
     return TopicPolytope(g / g.sum(axis=1, keepdims=True))
 
 
+@pytest.mark.parametrize(
+    "vertices, message",
+    [
+        ([[0.5, 0.4], [0.0, 1.0]], "vertex rows must sum to 1"),
+        ([[1.5, -0.5], [0.0, 1.0]], r"vertex entries must lie in \[0, 1\]"),
+    ],
+    ids=["sum", "negative"],
+)
+def test_polytope_rejects_off_simplex_vertices(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        TopicPolytope(np.array(vertices))
+
+
 def test_project_vertex_is_fixed_point():
     poly = TopicPolytope(np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
     theta, point, sq, _ = project_one(poly.vertices[1], poly)
@@ -211,6 +224,31 @@ def test_off_simplex_weights_are_rejected(monkeypatch):
     monkeypatch.setattr(geometry, "_active_set", off_simplex_second_row)
     with pytest.raises(ProjectionFailure, match="row 1: weights leave the simplex"):
         project_rows(rows, poly)
+
+
+def test_singular_support_solve_falls_back_to_pinv(monkeypatch):
+    # the pseudo-inverse route of the active set gives the same certified
+    # weights as the batched solve, on interior rows, rows off the hull and
+    # rows on a duplicated vertex
+    rng = np.random.default_rng(5)
+    poly = _random_polytope(rng, 6, 40)
+    B = np.vstack([poly.vertices, poly.vertices[:1]])
+    poly = TopicPolytope(B)
+    g = rng.gamma(0.4, size=(60, 40))
+    rows = np.vstack([rng.dirichlet(np.ones(7), size=30) @ B, g / g.sum(axis=1, keepdims=True)])
+    rows[0] = B[0]
+    thetas, sq = project_rows(rows, poly)
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    pinv_thetas, pinv_sq = project_rows(rows, poly)
+    assert calls
+    assert np.abs(pinv_thetas - thetas).max() <= 1e-12
+    assert np.abs(pinv_sq - sq).max() <= 1e-12
 
 
 def _check_certificate(K, V, seed, cross_terms):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
-from gdmtopics.geometry import TopicPolytope
+from gdmtopics.geometry import TopicPolytope, geometric_objective
 from gdmtopics.metrics import infer_theta, min_matching_distance, perplexity
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import check_likelihood_bounds, spectral_span_check
@@ -35,7 +35,8 @@ def test_perplexity_two_doc_arithmetic():
     theta = np.ones((2, 1))
     rep = perplexity(poly, theta, heldout)
     assert np.isclose(rep.perplexity, np.sqrt(8.0), rtol=1e-12)
-    assert np.isclose(rep.total_log_likelihood, np.log(0.5) + np.log(0.25))
+    total_ll = -rep.total_tokens * np.log(rep.perplexity)
+    assert np.isclose(total_ll, np.log(0.5) + np.log(0.25))
 
 
 def test_perplexity_floors_only_observed_zeros():
@@ -103,9 +104,14 @@ def test_infer_theta_recovers_exact_mixture():
 
 
 def test_infer_theta_vocab_mismatch():
+    # infer_theta and geometric_objective leave the check to project_rows,
+    # whose message names both vocabulary sizes
     poly = TopicPolytope(np.array([[0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        infer_theta(poly, Corpus(np.array([[1, 1, 1]])))
+    corpus = Corpus(np.array([[1, 1, 1]]))
+    with pytest.raises(ValueError, match=r"V = 2, got shape \(1, 3\)"):
+        infer_theta(poly, corpus)
+    with pytest.raises(ValueError, match=r"V = 2, got shape \(1, 3\)"):
+        geometric_objective(normalize(corpus), poly)
 
 
 def test_bounds_single_doc_arithmetic():
@@ -175,7 +181,9 @@ def test_perplexity_matches_counts_weighted_normalization():
     r1 = perplexity(poly, theta, Corpus(np.array([[1, 1]])))
     r2 = perplexity(poly, theta, Corpus(np.array([[3, 3]])))
     assert np.isclose(r1.perplexity, r2.perplexity, rtol=1e-12)
-    assert np.isclose(r2.total_log_likelihood, 3 * r1.total_log_likelihood)
+    assert r2.total_tokens == 3 * r1.total_tokens
+    total_ll = [-r.total_tokens * np.log(r.perplexity) for r in (r1, r2)]
+    assert np.isclose(total_ll[1], 3 * total_ll[0])
 
 
 def test_normalize_then_infer_consistency():

@@ -28,6 +28,11 @@ def test_dirichlet_rejects_bad_concentration():
         sample_dirichlet(3, np.inf, np.random.default_rng(0))
 
 
+def test_dirichlet_rejects_empty_dimension():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        sample_dirichlet(0, 1.0, np.random.default_rng(0))
+
+
 def test_dirichlet_simplex_and_positive():
     rng = np.random.default_rng(1)
     for conc in (0.1, 1.0, 10.0):
@@ -53,7 +58,8 @@ def test_dirichlet_tiny_concentration_no_underflow():
 
 
 def test_generate_mixing_arithmetic_with_injection(monkeypatch):
-    # inject known beta and theta through the sampler and check p = theta . beta
+    # inject known beta and theta through the sampler: the counts fall only on
+    # the words of theta . beta
     K, V, M = 2, 4, 3
     beta = np.zeros((K, V))
     beta[0, 0] = beta[1, 1] = 1.0
@@ -64,7 +70,7 @@ def test_generate_mixing_arithmetic_with_injection(monkeypatch):
     )
     params = LdaParams(K=K, V=V, M=M, doc_lengths=8, alpha=1.0, eta=1.0, seed=0)
     corpus, truth = generate_corpus(params)
-    assert np.allclose(truth.p, [[0.5, 0.5, 0, 0]] * M)
+    assert np.allclose(truth.theta @ truth.beta, [[0.5, 0.5, 0, 0]] * M)
     assert corpus.counts.toarray()[:, 2:].sum() == 0
 
 
@@ -84,23 +90,22 @@ def test_generate_deterministic():
     assert same_corpus(c1, c2)
     assert np.array_equal(t1.beta, t2.beta)
     assert np.array_equal(t1.theta, t2.theta)
-    assert np.array_equal(t1.p, t1.theta @ t1.beta)
 
 
 def test_generate_law_of_large_numbers():
-    # Monte-Carlo oracle: empirical frequencies converge to p
+    # Monte-Carlo oracle: empirical frequencies converge to theta . beta
     params = LdaParams(K=3, V=6, M=1, doc_lengths=100_000, alpha=0.5, eta=0.5, seed=12)
     corpus, truth = generate_corpus(params)
     wbar = normalize(corpus).rows[0]
-    assert np.abs(wbar - truth.p[0]).max() < 0.01
+    assert np.abs(wbar - truth.theta[0] @ truth.beta).max() < 0.01
 
 
 def test_ground_truth_rows_inside_polytope():
     params = LdaParams(K=4, V=8, M=30, doc_lengths=5, alpha=0.3, eta=0.3, seed=21)
     _, truth = generate_corpus(params)
     polytope = TopicPolytope(truth.beta)
-    for m in range(truth.p.shape[0]):
-        assert project_one(truth.p[m], polytope)[2] < 1e-9
+    for p in truth.theta @ truth.beta:
+        assert project_one(p, polytope)[2] < 1e-9
 
 
 def test_alpha_to_zero_weak_limit():
