@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import NormalizedCorpus
+from .corpus import NormalizedCorpus, _sq_norms
 
 _REL_TOL = 1e-10  # relative objective decrease treated as converged
 _MONOTONE_SLACK = 1e-8
@@ -38,13 +38,6 @@ def _sq_dists(rows, row_sq_norms, centroids):
     d = row_sq_norms[:, None] - 2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)
     np.maximum(d, 0.0, out=d)
     return d
-
-
-def _sq_norms(X):
-    """Squared norms of the CSR rows ``X``, each summed over its stored
-    values in stored order."""
-    squares = sp.csr_matrix((np.square(X.data), X.indices, X.indptr), shape=X.shape)
-    return squares @ np.ones(X.shape[1])
 
 
 def _converged(prev, cur):

@@ -13,6 +13,7 @@ import os
 import warnings
 from array import array
 from contextlib import contextmanager
+from itertools import chain, takewhile
 from numbers import Integral
 
 import numpy as np
@@ -45,8 +46,12 @@ class Corpus:
 
     Rows are documents, columns are vocabulary words. Stored counts are
     strictly positive (zeros are absent from the sparse structure) and every
-    retained document has total length >= 1. Immutable after construction.
+    retained document has total length >= 1. The counts are held as
+    canonical CSR (sorted indices, no duplicates) on a copy of the input,
+    with read-only arrays. Immutable after construction.
     """
+
+    __slots__ = ("counts", "lengths")
 
     def __init__(self, counts):
         # duplicate entries stay apart until the document totals are checked:
@@ -80,8 +85,13 @@ class Corpus:
         if (lengths < 1).any():
             bad = int(np.flatnonzero(lengths < 1)[0])
             raise CorpusValidationError(f"document {bad} has zero total count")
-        self.counts = counts
-        self.lengths = lengths
+        for part in (counts.data, counts.indices, counts.indptr, lengths):
+            part.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "lengths", lengths)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Corpus is immutable; cannot set {name!r}")
 
     @property
     def M(self):
@@ -180,9 +190,10 @@ def _row_blocks(X):
     row), allocated once and reused, so that a pass over the rows never
     holds an M x V array. The caller may overwrite ``rows``.
 
-    Its two callers, ``normalize``'s row sums and the projection's cross
-    terms (``geometry._cross_terms``), densify the rows so that their sums
-    and products round as over the dense rows.
+    Its two callers, ``normalize``'s row sums and the dense branch of the
+    projection's cross terms (``geometry._cross_terms``, where at least
+    ``geometry._SPARSE_SHARE`` of the entries are stored), densify the rows
+    so that their sums and products round as over the dense rows.
     """
     M, V = X.shape
     step = max(1, min(M, _BLOCK_BYTES // (8 * max(V, 1))))
@@ -198,6 +209,13 @@ def _row_blocks(X):
         at += X.indices[entries]
         np.add.at(rows.ravel(), at, X.data[entries])
         yield block, rows
+
+
+def _sq_norms(X):
+    """Squared norms of the CSR rows ``X``, each summed over its stored
+    values in stored order."""
+    squares = sp.csr_matrix((np.square(X.data), X.indices, X.indptr), shape=X.shape)
+    return squares @ np.ones(X.shape[1])
 
 
 def normalize(corpus: Corpus) -> NormalizedCorpus:
@@ -286,6 +304,13 @@ def _parse_triples(body: str, lineno: int, D: int, W: int, NNZ: int) -> np.ndarr
 def load_uci_bag_of_words(docword_stream) -> Corpus:
     """Parse a UCI bag-of-words file into a Corpus.
 
+    The triple lines go to ``np.loadtxt`` straight from the stream, with no
+    copy of the text, and the counts are built as CSR from the triples in
+    one step, sorted by document only when out of document order. Where
+    that read fails, the stream is rewound to the first triple line for the
+    line parser, which names the first bad line; a stream that cannot seek
+    is read into memory first.
+
     Duplicate (doc, word) triples are summed. Documents declared in the
     header but carrying no tokens are dropped with a warning and M reduced;
     the header values bound the indices but size no allocation.
@@ -310,25 +335,47 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
         D, W, NNZ = header
         if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
-        body = f.read()
-    triples = None
-    # loadtxt warns on input without data, and numpy 2.4's parser crashed on
-    # some code points past U+FFFF, so it only reads ASCII bodies with data
-    if NNZ and body.isascii() and body.strip():
-        try:
-            triples = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-        except ValueError:
-            pass
-    if triples is None or not _triples_in_range(triples, D, W, NNZ):
-        # the line parser accepts all loadtxt does and more (``1_000``), and
-        # names the line of the first error
-        triples = _parse_triples(body, lineno, D, W, NNZ)
-    docs, words, vals = triples[:, 0] - 1, triples[:, 1] - 1, triples[:, 2]
+        if not f.seekable():
+            f = io.StringIO(f.read())
+        body = f.tell()
+        lines = iter(f)
+        first = next((line for line in lines if line.strip()), "")
+        triples = None
+        # loadtxt warns on input without data, and numpy 2.4's parser crashed
+        # on some code points past U+FFFF, so it reads only ASCII lines, from
+        # the first with data on: takewhile stops at the first other line,
+        # and the sentinel after the last line tells the end of the input
+        # from such a line
+        if NNZ and first and first.isascii():
+            rest = chain([first], lines, ["\x80"])
+            try:
+                triples = np.loadtxt(takewhile(str.isascii, rest), dtype=np.int64, ndmin=2, comments=None)
+            except ValueError:
+                pass
+            if next(rest, None) is not None:
+                triples = None
+        if triples is None or not _triples_in_range(triples, D, W, NNZ):
+            # the line parser accepts all loadtxt does and more (``1_000``), and
+            # names the line of the first error
+            f.seek(body)
+            triples = _parse_triples(f.read(), lineno, D, W, NNZ)
 
-    # rows are the documents that appear, in index order; every count is >= 1
-    present, rows = np.unique(docs, return_inverse=True)
-    counts = sp.coo_matrix((vals, (rows, words)), shape=(present.size, W), dtype=np.int64)
-    dropped = D - present.size
+    docs = triples[:, 0]
+    if (docs[1:] < docs[:-1]).any():
+        triples = triples[np.argsort(docs, kind="stable")]
+        docs = triples[:, 0]
+    # rows are the documents that appear, in index order; a row starts at
+    # each change of document
+    n = docs.size
+    starts = np.flatnonzero(docs[1:] != docs[:-1]) + 1
+    indptr = np.concatenate(([0], starts, [n])) if n else np.zeros(1, dtype=np.int64)
+    index = np.int32 if max(W, n) <= np.iinfo(np.int32).max else np.int64
+    indices = triples[:, 1].astype(index)
+    indices -= 1
+    values = triples[:, 2].copy()
+    del triples, docs
+    counts = sp.csr_matrix((values, indices, indptr.astype(index)), shape=(indptr.size - 1, W))
+    dropped = D - counts.shape[0]
     if dropped:
         warnings.warn(f"dropped {dropped} empty document(s) out of {D}", stacklevel=2)
     return Corpus(counts)

@@ -16,8 +16,8 @@ from numbers import Real
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .clustering import _sq_dists, _sq_norms, fit_dpmeans, fit_kmeans, weighted_means
-from .corpus import NormalizedCorpus, check_integer
+from .clustering import _sq_dists, fit_dpmeans, fit_kmeans, weighted_means
+from .corpus import NormalizedCorpus, _sq_norms, check_integer
 from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12

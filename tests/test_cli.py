@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gdmtopics
 from gdmtopics import metrics
 from gdmtopics.cli import main
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words
@@ -207,6 +210,24 @@ def test_missing_corpus_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_fit_on_a_non_ascii_line_exits_1_naming_it(tmp_path):
+    # in a child process, where a crash of numpy's text parser fails the test
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "docword.txt").write_text("2\n3\n3\n1 1 2\n\U0010373c 1 1\n2 2 4\n", encoding="utf-8")
+    model_path = tmp_path / "m.json"
+    src = os.path.dirname(os.path.dirname(gdmtopics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["fit", "--algo", "gdm", "--K", "2", "--in", str(corpus), "--out", str(model_path)]
+    child = subprocess.run(
+        [sys.executable, "-m", "gdmtopics.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 1, child.stderr
+    assert "error: line 5: non-integer triple" in child.stderr
+    assert not model_path.exists()
 
 
 def test_eval_vocab_mismatch_exits_1(tmp_path, capsys):

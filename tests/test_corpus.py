@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdmtopics
 from gdmtopics import corpus as corpus_module
 from gdmtopics.corpus import (
     Corpus,
@@ -97,6 +101,7 @@ def test_line_parser_takes_what_the_bulk_parse_rejects(monkeypatch):
         ),
         ("1 1\n1 2 3 4\n", CorpusParseError, "line 4: expected 'docID wordID count', got '1 1'"),
         ("1 1 2\n\U0010373c 1 1\n", CorpusParseError, "line 5: non-integer triple"),
+        ("1 1 2\n2 2 4\n\U0010373c 1 1\n", CorpusParseError, "line 6: non-integer triple"),
     ],
 )
 def test_bulk_parse_errors_name_the_line(body, error, message):
@@ -121,6 +126,61 @@ def test_load_header_sizes_no_allocation():
     with pytest.warns(UserWarning, match="dropped 999999999999 empty"):
         c = load_uci_bag_of_words(io.StringIO("1000000000000\n4\n1\n1 1 2\n"))
     assert c.counts.toarray().tolist() == [[2, 0, 0, 0]]
+
+
+# loads a docword file, given as a path or as an io.StringIO of its text,
+# and prints the CorpusParseError it raises
+_LOAD_IN_CHILD = """
+import io, sys
+from gdmtopics.corpus import CorpusParseError, load_uci_bag_of_words
+path, kind = sys.argv[1:]
+source = path if kind == "path" else io.StringIO(open(path, encoding="utf-8").read())
+try:
+    load_uci_bag_of_words(source)
+except CorpusParseError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("kind", ["path", "stream"])
+@pytest.mark.parametrize("before", [10, 3000], ids=["first-8KiB", "past-8KiB"])
+def test_non_ascii_line_is_a_parse_error_in_a_child(tmp_path, kind, before):
+    # numpy 2.4's loadtxt crashed the interpreter on this code point, so the
+    # load runs in a child process, where a crash fails the test; with
+    # 6-byte lines the bad line lies inside or past the first 8 KiB of text
+    lines = ["1 1 1"] * before + ["\U0010373c 1 1", "1 2 1"]
+    path = tmp_path / "docword.txt"
+    path.write_text(f"1\n2\n{len(lines)}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(gdmtopics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_IN_CHILD, str(path), kind],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith(f"line {before + 4}: non-integer triple '\\U0010373c 1 1'")
+
+
+class _Pipe(io.StringIO):
+    """A text stream that cannot seek."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_load_from_a_stream_that_cannot_seek(monkeypatch):
+    # its body is read into memory first, so the line parser can reread it
+    assert same_corpus(load_uci_bag_of_words(_Pipe(UCI_SMALL)), load_uci_bag_of_words(io.StringIO(UCI_SMALL)))
+    calls = _spy_line_parser(monkeypatch)
+    with pytest.raises(CorpusParseError, match="line 5: non-integer triple 'x 2 4'"):
+        load_uci_bag_of_words(_Pipe("2\n3\n2\n1 1 2\nx 2 4\n"))
+    assert len(calls) == 1
 
 
 def test_token_totals_past_int64_rejected():
@@ -331,6 +391,27 @@ def test_normalize_allocates_only_its_output():
     assert peak <= 1.2 * output + corpus_module._BLOCK_BYTES
 
 
+def test_load_holds_only_the_triples_and_the_counts(tmp_path):
+    # loadtxt reads the triples straight from the file and the CSR is built
+    # from them in one step, so the peak is the int64 triples plus the
+    # output counts: measured 1.00 times their sum on this nips_cli-shaped
+    # file, where a text copy of the body and its StringIO took 2.7 times
+    params = LdaParams(K=10, V=12419, M=320, doc_lengths=(200, 1800), alpha=0.1, eta=0.05, seed=0)
+    path = tmp_path / "docword.txt"
+    save_uci_bag_of_words(generate_corpus(params)[0], path)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        c = load_uci_bag_of_words(path)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    X = c.counts
+    output = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes + c.lengths.nbytes
+    assert peak <= 1.25 * (3 * 8 * X.nnz + output)
+
+
 def test_split_partition_and_determinism():
     counts = np.eye(10, 4, dtype=int) + 1
     c = Corpus(counts)
@@ -451,3 +532,15 @@ def test_normalized_corpus_is_immutable():
         with pytest.raises(AttributeError, match=f"NormalizedCorpus is immutable; cannot set '{name}'"):
             setattr(data, name, None)
     assert data.csr.toarray().tolist() == [[0.25, 0.75]]
+
+
+def test_corpus_is_immutable():
+    c = Corpus(np.array([[1, 3], [2, 0]]))
+    for name in ("counts", "lengths", "other"):
+        with pytest.raises(AttributeError, match=f"Corpus is immutable; cannot set '{name}'"):
+            setattr(c, name, None)
+    for part in (c.counts.data, c.counts.indices, c.counts.indptr, c.lengths):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 0
+    assert c.counts.toarray().tolist() == [[1, 3], [2, 0]]
+    assert c.lengths.tolist() == [4, 2]

@@ -295,24 +295,26 @@ def _fit_peak(tune, lam):
 )
 def test_fit_holds_one_working_buffer(tune, lam):
     # above the CSR rows, a fit holds at most one dense M x V buffer at a
-    # time: for nGDM, DP-means' canonical-order copy; GDM none, its one
-    # densifying pass, the projection's cross terms (with tuning, over one
-    # cluster's CSR rows at a time), taking one row block
+    # time: for nGDM, DP-means' canonical-order copy; GDM none, as the
+    # projection's cross terms (with tuning, over one cluster's CSR rows at a
+    # time) take one CSR product at these sparse rows and one row block at
+    # dense ones
     assert _fit_peak(tune, lam) <= 1.2
 
 
 def test_untuned_gdm_fit_works_in_row_blocks():
     # k-means works on a CSR copy, the covering radii on the stored entries,
-    # the projection's cross terms on one row block and its certificate in
-    # the K x K Gram geometry, so an untuned GDM fit needs well under a copy
-    # of the rows
+    # the projection's cross terms on a CSR product (on one row block above
+    # a tenth of the entries stored) and its certificate in the K x K Gram
+    # geometry, so an untuned GDM fit needs well under a copy of the rows
     assert _fit_peak(False, None) <= 0.5
 
 
 def test_normalize_and_tuned_fit_hold_no_dense_rows():
-    # normalize gives CSR rows and a tuned GDM fit densifies them one row
-    # block at a time, so the two together stay well under one dense copy
-    # of the rows (with the dense rows of normalize they took 1.78 copies)
+    # normalize gives CSR rows, densified only one row block at a time for
+    # its row sums, and a tuned GDM fit keeps them sparse, so the two
+    # together stay well under one dense copy of the rows (with the dense
+    # rows of normalize they took 1.78 copies)
     c = generate_corpus(_NIPS_WIDE)[0]
     config = GdmConfig(K=10, restarts=2, tune=True)
     assert _dense_peak(lambda: fit_gdm(normalize(c), config), c) <= 0.6

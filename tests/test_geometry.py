@@ -251,16 +251,21 @@ def test_singular_support_solve_falls_back_to_pinv(monkeypatch):
     assert np.abs(pinv_sq - sq).max() <= 1e-12
 
 
-def _check_certificate(K, V, seed, cross_terms):
+def _check_certificate(K, V, seed, cross_terms, stored=1.0):
     # the Gram-form certificate gives the pass flags of separate point and
     # difference arrays in word space, and their squared distances and gaps
     # to rounding, on solved rows (which pass), random weights (most of
-    # which fail) and weights off the simplex
+    # which fail) and weights off the simplex; rows keep about ``stored``
+    # of their entries, and at least one
     M = 83
     rng = np.random.default_rng(seed)
     poly = _random_polytope(rng, K, V)
     B = poly.vertices
     g = rng.gamma(0.3, size=(M, V))
+    if stored < 1.0:
+        keep = rng.random((M, V)) < stored
+        keep[np.arange(M), rng.integers(0, V, size=M)] = True
+        g *= keep
     X = g / g.sum(axis=1, keepdims=True)
     thetas = rng.dirichlet(np.full(K, 0.5), size=M)
     solved = rng.random(M) < 0.5
@@ -296,3 +301,33 @@ def test_blocked_certificate_matches_two_buffer_form(monkeypatch, K, V, per_bloc
     _check_certificate(
         K, V, K + V + per_block, lambda X, B: geometry._cross_terms(sp.csr_matrix(X), B)
     )
+
+
+@pytest.mark.parametrize("K, V", [(3, 100), (12, 1001), (40, 301)])
+def test_sparse_certificate_matches_two_buffer_form(monkeypatch, K, V):
+    # rows storing about 4 % of their entries take the cross terms from one
+    # CSR product and their squared norms from the stored entries
+    monkeypatch.setattr(geometry, "_row_blocks", None)
+    _check_certificate(
+        K, V, K + V + 1, lambda X, B: geometry._cross_terms(sp.csr_matrix(X), B), stored=0.04
+    )
+
+
+def test_cross_terms_take_dense_blocks_above_the_stored_share(monkeypatch):
+    # rows storing about 30 % of their entries give the cross terms and
+    # squared norms of the dense-block pass bit for bit; with the share
+    # moved above theirs, those of the CSR product
+    rng = np.random.default_rng(3)
+    B = _random_polytope(rng, 7, 300).vertices
+    g = rng.gamma(0.3, size=(90, 300)) * (rng.random((90, 300)) < 0.3)
+    g[:, 0] += 1.0
+    X = sp.csr_matrix(g / g.sum(axis=1, keepdims=True))
+    share = X.nnz / (90 * 300)
+    assert 0.25 < share < 0.35
+    blocks = [(x @ B.T, np.einsum("ij,ij->i", x, x)) for _, x in corpus._row_blocks(X)]
+    for got, parts in zip(geometry._cross_terms(X, B), zip(*blocks)):
+        assert got.tobytes() == np.concatenate(parts).tobytes()
+    monkeypatch.setattr(geometry, "_SPARSE_SHARE", 1.01 * share)
+    BX, xx = geometry._cross_terms(X, B)
+    assert BX.tobytes() == (X @ B.T).tobytes()
+    assert xx.tobytes() == corpus._sq_norms(X).tobytes()
