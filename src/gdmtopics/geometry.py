@@ -8,8 +8,10 @@ once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
-   its nearest vertex and all rows stepped in lockstep, their support solves
-   batched by support size. It is exact at every K.
+   its nearest vertex and all rows stepped in lockstep. Each row's support
+   is a list of vertex indices, and each minor round is one batched solve
+   over its rows, narrower supports padded to the widest. It is exact at
+   every K.
 2. certificate: every row is checked by the variational inequality
    ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
    vertex, taken in the same Gram geometry from the cross terms and the
@@ -80,13 +82,22 @@ def _active_set(BBt, BX, xx, nearest, scales):
     affine minimizer on the support, ``(1 + G_S) a = 1`` normalized, with G
     the row's Gram matrix of the vertices shifted by x_m; where a weight
     falls to ``_DROP_EPS`` or below, Wolfe's line step toward it, dropping the
-    zeroed vertices. Rows are batched by support size. A row still running
-    after 100 K major steps keeps its current weights for the certificate.
+    zeroed vertices. A row still running after 100 K major steps keeps its
+    current weights for the certificate.
+
+    Each row's support is its ``n`` sorted vertex indices at the front of its
+    row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
+    minor round solves all its rows as one batch of w x w systems, w its
+    widest support. Where supports differ in size, a narrower row's padded
+    slots get identity rows and columns, a zero right-hand side and zero
+    weight, and are never read from or written to theta.
     """
     M, K = BX.shape
-    theta = np.zeros((M, K))
+    flat = np.zeros(M * K)
+    theta = flat.reshape(M, K)  # a view: rows for the major step, cells for the minor
     theta[np.arange(M), nearest] = 1.0
-    support = theta > 0.0
+    S = nearest[:, None].copy()
+    n = np.ones(M, dtype=np.intp)
     active = np.arange(M)
     for _ in range(100 * K):
         # major step: the vertex of steepest descent joins the support
@@ -94,46 +105,93 @@ def _active_set(BBt, BX, xx, nearest, scales):
         r -= BX[active]
         j = np.argmin(r, axis=1)
         bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
-        going = (r[np.arange(active.size), j] < bound) & ~support[active, j]
-        active = active[going]
+        going = (r[np.arange(active.size), j] < bound) & (S[active] != j[:, None]).all(axis=1)
+        active, j = active[going], j[going]
         if active.size == 0:
             break
-        support[active, j[going]] = True
+        size = n[active]
+        if size.max() == S.shape[1]:
+            S = np.hstack([S, np.full((M, min(S.shape[1], K - S.shape[1])), K)])
+        grown = S[active]
+        grown[np.arange(active.size), size] = j
+        grown.sort(axis=1)
+        S[active] = grown
+        n[active] = size + 1
         minor = active
         while minor.size:
-            sizes = support[minor].sum(axis=1)
-            unsettled = []
-            for n in np.unique(sizes):
-                rows = minor[sizes == n]
-                S = np.nonzero(support[rows])[1].reshape(rows.size, n)
-                c = BX[rows[:, None], S]
-                A = 1.0 + BBt[S[:, :, None], S[:, None, :]] - c[:, :, None] - c[:, None, :]
-                A += xx[rows, None, None]
-                ones = np.ones((rows.size, n, 1))
-                try:
-                    alpha = np.linalg.solve(A, ones)[:, :, 0]
-                except np.linalg.LinAlgError:
-                    alpha = (np.linalg.pinv(A) @ ones)[:, :, 0]
-                total = alpha.sum(axis=1, keepdims=True)
-                alpha = np.divide(alpha, total, out=np.full_like(alpha, 1.0 / n), where=total != 0.0)
-                # minor step: to the affine minimizer, or along the line toward it
-                # as far as the weights stay nonnegative
-                lam = theta[rows[:, None], S]
-                drop = alpha <= _DROP_EPS
+            size = n[minor]
+            w = size.max()
+            Sm = S[minor, :w]
+            ragged = size.min() < w
+            if ragged:
+                pad = np.arange(w) >= size[:, None]
+                real = ~pad
+                Sm[pad] = 0  # gathers vertex 0 from BBt and BX; fixed up below
+            cells = minor[:, None] * K + Sm  # flat indices into theta and BX
+            c = BX.take(cells)
+            A = BBt.take(Sm[:, :, None] * K + Sm[:, None, :])
+            A += 1.0
+            A -= c[:, :, None]
+            A -= c[:, None, :]
+            A += xx[minor, None, None]
+            if ragged:  # identity rows and columns, zero right-hand side and weight
+                A[pad] = 0.0
+                A.transpose(0, 2, 1)[pad] = 0.0
+                pr, ps = np.nonzero(pad)
+                A[pr, ps, ps] = 1.0
+                rhs = 1.0 * real[:, :, None]
+                fill = np.where(pad, 0.0, 1.0 / size[:, None])
+            else:
+                rhs = np.ones((minor.size, w, 1))
+                fill = np.full((minor.size, w), 1.0 / w)
+            try:
+                alpha = np.linalg.solve(A, rhs)[:, :, 0]
+            except np.linalg.LinAlgError:
+                alpha = (np.linalg.pinv(A) @ rhs)[:, :, 0]
+            if ragged:
+                alpha[pad] = 0.0
+            total = alpha.sum(axis=1, keepdims=True)
+            # a solution summing to 0 leaves uniform weights on the row's own slots
+            lam = np.divide(alpha, total, out=fill, where=total != 0.0)
+            drop = lam <= _DROP_EPS
+            if ragged:
+                drop[pad] = False
+            moved = np.flatnonzero(drop.any(axis=1))
+            if moved.size:
+                # a weight of the affine minimizer falls to _DROP_EPS: step along
+                # the line toward it as far as the weights stay nonnegative, and
+                # drop the zeroed vertices (padded slots read no weight)
+                if ragged:
+                    old = np.zeros((moved.size, w))
+                    own = real[moved]
+                    old[own] = flat[cells[moved][own]]
+                else:
+                    old = flat[cells[moved]]
+                alpha = lam[moved]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    steps = lam / (lam - alpha)
-                t = np.where(drop & np.isfinite(steps), steps, 1.0).min(axis=1, initial=1.0)
-                moved = drop.any(axis=1)
-                lam = np.where(moved[:, None], lam + t[:, None] * (alpha - lam), alpha)
-                lam[lam < _DROP_EPS] = 0.0
-                keep = lam > 0.0
-                stalled = moved & keep.all(axis=1)  # force-drop the smallest weight
-                keep[stalled, np.argmin(lam[stalled], axis=1)] = False
-                lam[~keep] = 0.0
-                theta[rows[:, None], S] = lam / lam.sum(axis=1, keepdims=True)
-                support[rows[:, None], S] = keep
-                unsettled.append(rows[moved & (keep.sum(axis=1) > 1)])
-            minor = np.concatenate(unsettled)
+                    steps = old / (old - alpha)
+                t = np.where(drop[moved] & np.isfinite(steps), steps, 1.0).min(axis=1, initial=1.0)
+                old += t[:, None] * (alpha - old)
+                old[old < _DROP_EPS] = 0.0
+                keep = old > 0.0
+                kept = keep.sum(axis=1)
+                stalled = kept == size[moved]  # force-drop the smallest weight
+                if stalled.any():  # among its own slots, which are all kept
+                    smallest = np.where(keep[stalled], old[stalled], np.inf)
+                    keep[stalled, np.argmin(smallest, axis=1)] = False
+                    kept[stalled] -= 1
+                old[~keep] = 0.0
+                lam[moved] = old
+                shrunk = minor[moved]
+                S[shrunk, :w] = np.sort(np.where(keep, Sm[moved], K), axis=1)
+                n[shrunk] = kept
+                moved = moved[kept > 1]
+            lam /= lam.sum(axis=1, keepdims=True)
+            if ragged:
+                flat[cells[real]] = lam[real]
+            else:
+                flat[cells] = lam
+            minor = minor[moved]
     return theta
 
 

@@ -251,6 +251,65 @@ def test_singular_support_solve_falls_back_to_pinv(monkeypatch):
     assert np.abs(pinv_sq - sq).max() <= 1e-12
 
 
+def _spy_solve(monkeypatch):
+    # records the systems of the active set's batched solves; a zero in a
+    # right-hand side marks a round of mixed support sizes, padded with identity
+    solve, seen = np.linalg.solve, []
+
+    def spy(A, b):
+        seen.append((A.copy(), b.copy()))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return seen
+
+
+def _own_blocks(A, b):
+    # each row's own system, without its padded slots
+    return {a[: int(r.sum()), : int(r.sum())].tobytes() for a, r in zip(A, b)}
+
+
+def test_padded_slots_leave_theta_alone(monkeypatch):
+    # rows on faces that all hold the last vertex K - 1 settle at different
+    # support sizes, so narrower rows holding K - 1 are padded in some
+    # rounds; each keeps its own weights, and every weight off its face is 0.0
+    rng = np.random.default_rng(0)
+    poly = _random_polytope(rng, 8, 12)
+    T = np.zeros((60, 8))
+    for t in T:
+        face = np.append(rng.choice(7, rng.integers(0, 8), replace=False), 7)
+        t[face] = rng.dirichlet(np.ones(face.size))
+    X = T @ poly.vertices
+    seen = _spy_solve(monkeypatch)
+    thetas, sq = project_rows(X, poly)
+    assert any((b == 0.0).any() for _, b in seen)
+    assert np.abs(thetas - T).max() <= 1e-12
+    assert (thetas[T == 0.0] == 0.0).all()
+    assert sq.max() <= 1e-15
+
+
+@pytest.mark.parametrize("K, V, seed", [(30, 40, s) for s in range(6)] + [(20, 30, 0)])
+def test_stalled_rows_are_force_dropped_in_padded_rounds(monkeypatch, K, V, seed):
+    # with _DROP_EPS at 0, a vertex the line step should zero can keep a
+    # rounding residue above 0, which stalls its row (which rows stall depends
+    # on the rounding, hence several cases); the row then drops its smallest
+    # weight at once, counted against its own support size in padded rounds,
+    # so no row solves the same support in two rounds running, and the
+    # projection is the one of the default tolerance
+    rng = np.random.default_rng(seed)
+    poly = _random_polytope(rng, K, V)
+    X = rng.dirichlet(np.full(V, 0.5), size=400)
+    thetas, sq = project_rows(X, poly)
+    monkeypatch.setattr(geometry, "_DROP_EPS", 0.0)
+    seen = _spy_solve(monkeypatch)
+    stalled_thetas, stalled_sq = project_rows(X, poly)
+    assert any((b == 0.0).any() for _, b in seen)
+    for before, after in zip(seen, seen[1:]):
+        assert not _own_blocks(*before) & _own_blocks(*after)
+    assert np.abs(stalled_sq - sq).max() <= 1e-12
+    assert np.abs(stalled_thetas - thetas).max() <= 1e-9
+
+
 def _check_certificate(K, V, seed, cross_terms, stored=1.0):
     # the Gram-form certificate gives the pass flags of separate point and
     # difference arrays in word space, and their squared distances and gaps

@@ -223,6 +223,46 @@ def test_batched_projection_matches_per_row_exact_solve(case):
         assert np.linalg.matrix_rank(diffs, tol=1e-9) == active.size - 1
 
 
+@st.composite
+def large_simplices_and_face_rows(draw):
+    """A simplex of K = 40 or 150 vertices and rows on its faces.
+
+    Each row is drawn on a random face of 1 to 40 vertices and is pushed off
+    the hull half of the time, so rows settle at different support sizes:
+    the active set's minor rounds mix them, and supports outgrow the first
+    width of its index array.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    K = draw(st.sampled_from([40, 150]))
+    V = K + draw(st.integers(0, 20))
+    M = draw(st.integers(2, 12))
+    rng = np.random.default_rng(seed)
+    g = rng.gamma(0.5, size=(K, V)) + 1e-12
+    B = g / g.sum(axis=1, keepdims=True)
+    X = np.empty((M, V))
+    for m in range(M):
+        face = rng.choice(K, rng.integers(1, 41), replace=False)
+        X[m] = rng.dirichlet(np.ones(face.size)) @ B[face]
+        if rng.random() < 0.5:
+            X[m] += rng.normal(scale=0.02, size=V)
+    return TopicPolytope(B), X
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=large_simplices_and_face_rows())
+def test_large_k_projection_matches_per_row_exact_solve(case):
+    poly, X = case
+    B = poly.vertices
+    K = B.shape[0]
+    thetas, sq = project_rows(X, poly)
+    assert np.linalg.matrix_rank(B[1:] - B[0], tol=1e-9) == K - 1  # the weights are unique
+    for m, x in enumerate(X):
+        G = (B - x) @ (B - x).T
+        ref = _min_norm_weights(G, max(1.0, float(np.diag(G).max())), max_iter=100 * K)
+        assert abs(sq[m] - float(np.sum((x - ref @ B) ** 2))) <= 1e-12
+        assert np.abs(thetas[m] - ref).max() <= 1e-7
+
+
 _uci_ints = st.one_of(st.integers(-2, 6), st.integers(-2, 10**22))
 _uci_lines = st.one_of(
     st.lists(_uci_ints, min_size=3, max_size=3).map(lambda v: " ".join(map(str, v))),
