@@ -76,22 +76,6 @@ def _csr_row(X, m, out):
     out[X.indices[lo:hi]] = X.data[lo:hi]
 
 
-def _has_distinct_rows(X, k):
-    """Whether the CSR rows ``X`` hold at least ``k`` distinct rows; stops at the k-th.
-
-    A row is compared by its column indices and stored values, which in the
-    layout ``kmeanspp_init`` asks for makes -0.0 and 0.0 one value, as in np.unique.
-    """
-    seen = set()
-    indptr, indices, values = X.indptr, X.indices, X.data
-    for m in range(X.shape[0]):
-        lo, hi = indptr[m], indptr[m + 1]
-        seen.add((indices[lo:hi].tobytes(), values[lo:hi].tobytes()))
-        if len(seen) >= k:
-            return True
-    return False
-
-
 def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.ndarray:
     """Weighted k-means++ seeding of the CSR rows ``X``, which must have
     sorted indices and no stored zeros, as ``NormalizedCorpus.csr`` holds.
@@ -99,28 +83,28 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
     ``sq_norms`` holds the squared row norms and ``weights`` the document
     weights N_m. The first seed is drawn with probability proportional to
     N_m; each subsequent seed with probability proportional to
-    N_m * D(m)^2, D(m) being the distance to the nearest chosen seed.
-    Returns K distinct rows, dense; raises ValueError when K exceeds the
-    number of distinct rows or no row is left at a positive distance.
+    N_m * D(m)^2, D(m) being the distance to the nearest chosen seed c,
+    taken as ``(|x_m|^2 - |c|^2) - 2 (x_m . c - c . c)`` with c's own terms
+    read from the same arrays, so a row equal to a seed is at distance
+    exactly 0. Returns K distinct rows, dense; raises ValueError once no row
+    is left at a positive distance, as when K exceeds the distinct rows.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    # a row equal to a seed can keep a rounding residue of expanded distance,
-    # so the draws alone would seed a duplicate rather than stop
-    if not _has_distinct_rows(X, K):
-        raise ValueError(f"K={K} exceeds the number of distinct rows")
     M = X.shape[0]
     seeds = np.empty((K, X.shape[1]))
-    _csr_row(X, rng.choice(M, p=weights / weights.sum()), seeds[0])
-    d2 = _sq_dists(X, sq_norms, seeds[:1]).ravel()
-    for k in range(1, K):
-        scores = weights * d2
+    scores, d2 = weights, np.inf
+    for k in range(K):
         total = scores.sum()
-        if not total > 0:  # positive weights: every d2 is 0, as rows one ulp apart can be
+        if not total > 0:  # positive weights: every row sits at distance 0 from a seed
             raise ValueError(f"K={K} exceeds the number of rows at distinct positions")
         idx = rng.choice(M, p=scores / total)
         _csr_row(X, idx, seeds[k])
-        d2 = np.minimum(d2, _sq_dists(X, sq_norms, seeds[k : k + 1]).ravel())
+        cross = X @ seeds[k]
+        d = (sq_norms - sq_norms[idx]) - 2.0 * (cross - cross[idx])
+        np.maximum(d, 0.0, out=d)
+        d2 = np.minimum(d2, d)
+        scores = weights * d2
     return seeds
 
 

@@ -59,14 +59,14 @@ class LdaParams:
             raise ValueError(f"doc_lengths must be an int or a (lo, hi) pair, got {lengths}")
         for bound in bounds:
             check_integer("doc_lengths", bound)
-        if not 1 <= bounds[0] <= bounds[1]:
-            raise ValueError(f"document length must be >= 1 and lo <= hi, got {lengths}")
+        if not 1 <= bounds[0] <= bounds[1] <= np.iinfo(np.int64).max:
+            raise ValueError(f"document length must be >= 1 and lo <= hi < 2**63, got {lengths}")
 
     def resolve_lengths(self) -> np.ndarray:
         if isinstance(self.doc_lengths, tuple):
             lo, hi = self.doc_lengths
             rng = np.random.default_rng([self.seed, _LENGTH_STREAM])
-            return rng.integers(lo, hi + 1, size=self.M, dtype=np.int64)
+            return rng.integers(lo, hi, size=self.M, dtype=np.int64, endpoint=True)
         return np.full(self.M, int(self.doc_lengths), dtype=np.int64)
 
 

@@ -175,8 +175,9 @@ def test_malformed_numbers_exit_2(tmp_path, capsys):
 
 def test_out_of_range_numbers_exit_1(tmp_path, capsys):
     # values that parse but that the model rejects are data errors
-    assert main(_simulate_argv(str(tmp_path / "zero"), "0")) == 1
-    assert "document length" in capsys.readouterr().err
+    for Nm in ("0", str(2**70), f"1:{2**70}"):
+        assert main(_simulate_argv(str(tmp_path / "out"), Nm)) == 1
+        assert "document length" in capsys.readouterr().err
     corpus = _simulate(tmp_path)
     assert main(["lambda-sweep", "--in", corpus, "--lambdas", "-1"]) == 1
     assert "must be positive" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from gdmtopics.clustering import (
     fit_kmeans,
     kmeanspp_init,
 )
-from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
+from gdmtopics.corpus import Corpus, NormalizedCorpus, _sq_norms, normalize
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import (
     _dense_lloyd,
@@ -107,8 +107,8 @@ def repeated_far_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=repeated_far_rows())
 def test_kmeans_raises_exactly_when_k_exceeds_the_distinct_rows(case):
-    # a row equal to a seed can sit at a positive expanded distance from it,
-    # so the draws alone do not stop k-means++ at the distinct rows
+    # a row equal to a seed is at distance exactly 0 from it, so the draws
+    # alone stop k-means++ once every distinct row is a seed
     data, distinct, K, seed = case
     rng = np.random.default_rng(seed)
     if K > distinct:
@@ -118,6 +118,36 @@ def test_kmeans_raises_exactly_when_k_exceeds_the_distinct_rows(case):
     res = fit_kmeans(data, K, restarts=2, rng=rng)
     assert res.n_clusters == K
     assert (np.bincount(res.assignments, minlength=K) > 0).all()
+
+
+class _RecordingRng:
+    """A generator whose ``choice`` records each probability vector and draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def choice(self, M, p):
+        idx = self._rng.choice(M, p=p)
+        self.draws.append((p, idx))
+        return idx
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeated_far_rows())
+def test_kmeanspp_gives_rows_equal_to_a_seed_probability_zero(case):
+    data, distinct, K, seed = case
+    rng = _RecordingRng(seed)
+    try:
+        kmeanspp_init(data.csr, _sq_norms(data.csr), data.weights, K, rng)
+    except ValueError:
+        assert K > distinct
+    assert len(rng.draws) == min(K, distinct)
+    rows, chosen = data.rows, []
+    for p, idx in rng.draws:
+        for c in chosen:
+            assert (p[(rows == rows[c]).all(axis=1)] == 0.0).all()
+        chosen.append(idx)
 
 
 def test_kmeans_weighted_mean_single_cluster():
