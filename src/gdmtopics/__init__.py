@@ -15,8 +15,8 @@ from .corpus import (
     save_uci_bag_of_words,
     split_holdout,
 )
-from .synth import LdaParams, GroundTruth, generate_corpus, sample_dirichlet
-from .clustering import ClusteringResult, fit_dpmeans, fit_kmeans, kmeanspp_init
+from .synth import LdaParams, GroundTruth, generate_corpus
+from .clustering import fit_dpmeans, fit_kmeans
 from .geometry import TopicPolytope, geometric_objective, project_rows
-from .gdm import GdmConfig, GdmModel, default_extensions, extend, fit_gdm, fit_ngdm
+from .gdm import GdmConfig, GdmModel, fit_gdm, fit_ngdm
 from .metrics import PerplexityReport, infer_theta, min_matching_distance, perplexity

@@ -110,24 +110,17 @@ def default_extensions(data: NormalizedCorpus, center, centroids, assignments):
 def extend(center, centroids, m) -> np.ndarray:
     """Vertices C + m_k (mu_k - C), thresholded back onto the simplex.
 
-    Negative coordinates are zeroed and every row is divided by its sum. A
-    row that had negative coordinates is divided by its new sum a second
-    time, the rounding saved models were fitted with: tuning's bounded line
-    search can settle in another local minimum when a vertex moves by one
-    ulp, so a single division would change tuned fits.
+    Negative coordinates are zeroed and every row is divided by its sum.
     """
     center = np.asarray(center, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     raw = center + m[:, None] * (centroids - center)
-    clipped = raw.min(axis=1) < 0.0
     np.maximum(raw, 0.0, out=raw)
     total = raw.sum(axis=1, keepdims=True)
     if not (total > 0.0).all():
         raise ValueError("extended vertex lost all mass; inputs were not on the simplex")
-    vertices = raw / total
-    vertices[clipped] /= vertices[clipped].sum(axis=1, keepdims=True)
-    return vertices
+    return raw / total
 
 
 def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:

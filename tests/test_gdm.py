@@ -109,6 +109,38 @@ def test_extend_all_rows_at_once():
     assert np.allclose(got.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
 
 
+def _extend_cases():
+    """(center, centroids, m): the hand-written cases above, then seeded
+    random ones at V from 3 to 50 and m in [1, 4], with centroids mixed
+    toward the center by a random share so that some rays stay inside."""
+    third = np.full(3, 1 / 3)
+    yield third, np.array([[0.5, 0.5, 0.0]]), np.array([1.0])
+    yield third, np.array([[0.5, 0.5, 0.0]]), np.array([2.0])
+    yield np.array([0.4, 0.3, 0.3]), np.array([[0.45, 0.275, 0.275]]), np.array([2.0])
+    yield third, np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]]), [1.0, 2.0, 4.0]
+    rng = np.random.default_rng(26)
+    for _ in range(800):
+        V, K = int(rng.integers(3, 51)), int(rng.integers(1, 6))
+        center = rng.dirichlet(np.ones(V))
+        share = rng.uniform(0.0, 1.0, size=(K, 1))
+        centroids = (1.0 - share) * center + share * rng.dirichlet(np.full(V, 0.5), size=K)
+        yield center, centroids, rng.uniform(1.0, 4.0, size=K)
+
+
+def test_extend_is_the_oracle_vertex_bit_for_bit():
+    # one division per row: every vertex has the bytes of the one-vertex
+    # oracle, whether or not its ray left the simplex
+    clipped = unclipped = 0
+    for center, centroids, m in _extend_cases():
+        got = extend(center, centroids, m)
+        for k in range(len(centroids)):
+            want = extended_vertex(center, centroids[k], m[k])
+            assert got[k].tobytes() == want.tobytes(), (center, centroids[k], m[k])
+            left = (center + m[k] * (centroids[k] - center)).min() < 0.0
+            clipped, unclipped = clipped + left, unclipped + (not left)
+    assert clipped > 500 and unclipped > 500
+
+
 def test_extend_rejects_a_row_that_loses_all_mass():
     # only inputs off the simplex can do this: the second row is all nonpositive
     with pytest.raises(ValueError, match="lost all mass"):
