@@ -146,12 +146,12 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     objective = geometric_objective(data, polytope)
     if config.tune and k > 1:
-        tuned, tuned_extensions, tuned_objective = tune_extensions(
-            data, center, clustering.centroids, assignments, polytope, extensions
-        )
+        tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions)
+        tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
+        tuned_objective = geometric_objective(data, tuned)
         # keep the default extensions if the line searches somehow made G worse
         if tuned_objective <= objective + 1e-9:
-            polytope, extensions, objective = tuned, tuned_extensions, tuned_objective
+            polytope, extensions, objective = tuned, tuned_m, tuned_objective
     return GdmModel(
         polytope=polytope,
         extensions=extensions,
@@ -180,38 +180,31 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     return _fit(data, config)
 
 
-def tune_extensions(
-    data: NormalizedCorpus, center, centroids, assignments, polytope: TopicPolytope, extensions
-):
-    """Line-search each extension scalar over [1, default m_k].
+def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions):
+    """Line-search each extension scalar m_k > 1 over [1, m_k]; returns the tuned m.
 
-    Clusters are visited in ascending index order; cluster k's per-cluster
-    geometric objective is minimized by bounded scalar search while the other
-    topics stay at their current vertices. Returns the tuned polytope, its
-    extensions and its objective G over all of ``data``.
+    From the vertices ``extend(center, centroids, extensions)``, clusters go in
+    ascending index order; cluster k's geometric objective is minimized by
+    bounded scalar search while the other topics stay at their current vertices.
     """
-    vertices = polytope.vertices.copy()
+    vertices = extend(center, centroids, extensions)
     extensions = extensions.copy()
-    for k in range(polytope.K):
+    for k in np.flatnonzero(extensions > 1.0 + 1e-12):
         hi = float(extensions[k])
-        if hi <= 1.0 + 1e-12:
-            continue
         members = np.flatnonzero(assignments == k)
         sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
 
-        def g_k(m, _k=k, _sub=sub):
+        def g_k(m):
             cand = vertices.copy()
-            cand[_k] = extend(center, centroids[_k, None], [m])
-            return geometric_objective(_sub, TopicPolytope(cand))
+            cand[k] = extend(center, centroids[k, None], [m])
+            return geometric_objective(sub, TopicPolytope(cand))
 
         res = minimize_scalar(g_k, bounds=(1.0, hi), method="bounded", options={"xatol": 1e-4})
         candidates = [(g_k(hi), hi), (float(res.fun), float(res.x)), (g_k(1.0), 1.0)]
         best_m = min(candidates, key=lambda t: t[0])[1]
         extensions[k] = best_m
         vertices[k] = extend(center, centroids[k, None], [best_m])
-        del sub, g_k  # free the row subset before the next one and the final objective
-    tuned = TopicPolytope(vertices)
-    return tuned, extensions, geometric_objective(data, tuned)
+    return extensions
 
 
 def save_model(model: GdmModel, path) -> None:

@@ -26,8 +26,8 @@ _DOC_STREAM = 3
 class LdaParams:
     """Hyperparameters of the symmetric-Dirichlet LDA generator.
 
-    ``doc_lengths`` is either a single int (constant length) or a tuple
-    ``(lo, hi)`` of ints for i.i.d. uniform integer lengths.
+    ``doc_lengths`` is a tuple ``(lo, hi)`` of ints for i.i.d. uniform integer
+    lengths, or a single int n, read as (n, n): a constant length.
     """
 
     K: int
@@ -63,11 +63,10 @@ class LdaParams:
             raise ValueError(f"document length must be >= 1 and lo <= hi < 2**63, got {lengths}")
 
     def resolve_lengths(self) -> np.ndarray:
-        if isinstance(self.doc_lengths, tuple):
-            lo, hi = self.doc_lengths
-            rng = np.random.default_rng([self.seed, _LENGTH_STREAM])
-            return rng.integers(lo, hi, size=self.M, dtype=np.int64, endpoint=True)
-        return np.full(self.M, int(self.doc_lengths), dtype=np.int64)
+        lengths = self.doc_lengths
+        lo, hi = lengths if isinstance(lengths, tuple) else (lengths, lengths)
+        rng = np.random.default_rng([self.seed, _LENGTH_STREAM])
+        return rng.integers(lo, hi, size=self.M, dtype=np.int64, endpoint=True)
 
 
 @dataclass(frozen=True)

@@ -525,3 +525,37 @@ def test_dpmeans_returns_a_fixpoint():
     labels, centroids, _ = sequential_dpmeans_pass(data.rows, data.weights, res.centroids, order, lam)
     assert centroids.shape == res.centroids.shape  # nothing opened
     assert np.array_equal(labels, res.assignments)
+
+
+def _descend_steps(rows, step, max_iters):
+    """Run the descent on dense ``rows`` of unit weight from their own rows as
+    centroids; returns the labels ``step`` gave, one entry per labelling."""
+    rows = np.asarray(rows, dtype=np.float64)
+    given_labels = []
+
+    def counted(d2, centroids):
+        labels, k = step(len(given_labels))
+        given_labels.append(labels.tolist())
+        return labels, k
+
+    weights = np.ones(rows.shape[0])
+    clustering._descend(rows, (rows**2).sum(axis=1), weights, rows.copy(), counted, 0.0, max_iters)
+    return given_labels
+
+
+def test_descent_stops_once_the_objective_stops_falling():
+    # two equal rows: alternating labels never repeat, but the objective
+    # stays 0, so the relative-decrease rule stops the second labelling
+    def alternate(i):
+        return np.array([0, 1] if i % 2 == 0 else [1, 0]), 2
+
+    assert _descend_steps([[0.5, 0.5]] * 2, alternate, max_iters=1000) == [[0, 1], [1, 0]]
+
+
+def test_descent_raises_when_the_objective_increases():
+    # each row its own cluster (objective 0), then both in one cluster
+    def merge(i):
+        return (np.array([0, 1]), 2) if i == 0 else (np.array([0, 0]), 1)
+
+    with pytest.raises(RuntimeError, match="clustering objective increased"):
+        _descend_steps([[1.0, 0.0], [0.0, 1.0]], merge, max_iters=10)

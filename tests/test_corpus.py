@@ -212,6 +212,8 @@ def test_load_malformed_triple_reports_line():
 def test_load_malformed_header():
     with pytest.raises(CorpusParseError, match="line 2"):
         load_uci_bag_of_words(io.StringIO("2\nx\n2\n"))
+    with pytest.raises(CorpusParseError, match="line 3: missing header line"):
+        load_uci_bag_of_words(io.StringIO("2\n3\n"))
 
 
 def test_load_drops_empty_documents_with_warning():

@@ -387,8 +387,8 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     assert tuned.objective < base.objective - 1e-4
     shrunk = base.extensions - tuned.extensions
     assert shrunk.max() > 0.5
-    (_, center, centroids, assignments, polytope, extensions), = calls
-    assert np.array_equal(polytope.vertices, base.polytope.vertices)
+    (_, center, centroids, assignments, extensions), = calls
+    assert np.array_equal(extend(center, centroids, extensions), base.polytope.vertices)
     assert np.array_equal(extensions, base.extensions)
 
     # dense-grid oracle over each extension scalar, replayed in the same

@@ -5,7 +5,7 @@ from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
 from gdmtopics.geometry import TopicPolytope, geometric_objective
 from gdmtopics.metrics import infer_theta, min_matching_distance, perplexity
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import check_likelihood_bounds, spectral_span_check
+from oracles import blocked_gibbs, check_likelihood_bounds, spectral_span_check
 
 
 def test_perplexity_uniform_model_equals_vocab_size():
@@ -202,3 +202,16 @@ def test_normalize_then_infer_consistency():
     for k in range(3):
         d_vert = np.linalg.norm(rows - poly.vertices[k], axis=1)
         assert (d_proj <= d_vert + 1e-9).all()
+
+
+def test_blocked_gibbs_recovers_separated_topics():
+    # three topics, each spreading 0.9 of its mass on its own three words and
+    # 0.1 on all nine; the largest MM measured over 5 corpora x 5 chains of
+    # 200 sweeps was 0.0126, and beta left at its uniform start is 0.42 away
+    beta = np.kron(np.eye(3), np.full(3, 0.3)) + 0.1 / 9
+    rng = np.random.default_rng(0)
+    theta = rng.dirichlet(np.full(3, 0.1), size=1000)
+    corpus = Corpus(np.stack([rng.multinomial(50, p / p.sum()) for p in theta @ beta]))
+    for chain in range(3):
+        estimate = blocked_gibbs(corpus.counts, 3, 0.1, 0.1, 200, np.random.default_rng(chain))
+        assert min_matching_distance(TopicPolytope(estimate), TopicPolytope(beta)) < 0.02

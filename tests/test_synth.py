@@ -148,3 +148,13 @@ def test_alpha_to_zero_weak_limit():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         LdaParams(**kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 200, 2**63 - 1])
+def test_a_constant_length_is_the_pair_n_n(n):
+    def lengths(doc_lengths):
+        params = LdaParams(K=1, V=2, M=4, doc_lengths=doc_lengths, alpha=1, eta=1, seed=5)
+        return params.resolve_lengths()
+
+    assert lengths(n).dtype == np.int64
+    assert lengths(n).tolist() == lengths((n, n)).tolist() == [n] * 4
