@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import NormalizedCorpus, _sq_norms
+from .corpus import NormalizedCorpus, _sq_norms, check_integer, check_positive
 
 _REL_TOL = 1e-10  # relative objective decrease treated as converged
 _MONOTONE_SLACK = 1e-8
@@ -89,8 +89,7 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
     exactly 0. Returns K distinct rows, dense; raises ValueError once no row
     is left at a positive distance, as when K exceeds the distinct rows.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = check_integer("K", K, 1)
     M = X.shape[0]
     seeds = np.empty((K, X.shape[1]))
     scores, d2 = weights, np.inf
@@ -130,14 +129,14 @@ def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
         assignments = labels
         centroids = weighted_means(X, weights, assignments, k)
         d2 = _sq_dists(X, sq_norms, centroids)
-        obj = float(np.sum(weights * d2[every_row, assignments])) + lam * k
+        sse = float(np.sum(weights * d2[every_row, assignments]))
+        obj = sse + lam * k
         if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
             raise RuntimeError("clustering objective increased")
         if _converged(prev_obj, obj):
             break
         prev_obj = obj
-    obj = float(np.sum(weights * d2[every_row, assignments]))
-    return ClusteringResult(centroids=centroids, assignments=assignments, objective=obj)
+    return ClusteringResult(centroids=centroids, assignments=assignments, objective=sse)
 
 
 def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
@@ -180,12 +179,8 @@ def fit_kmeans(
     rows. The arithmetic runs on a CSR copy of the rows gathered in that
     order, which is dropped on return.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    K, restarts = check_integer("K", K, 1), check_integer("restarts", restarts, 1)
+    check_integer("max_iters", max_iters, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)
@@ -271,10 +266,7 @@ def fit_dpmeans(
     depend on the order of the rows. The assignments are indexed like the
     rows.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError("lambda must be positive and finite")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    lam, max_iters = check_positive("lam", lam), check_integer("max_iters", max_iters, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     order = _canonical_order(data)

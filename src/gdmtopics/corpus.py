@@ -14,7 +14,7 @@ import warnings
 from array import array
 from contextlib import contextmanager
 from itertools import chain, takewhile
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,10 +35,24 @@ class CorpusValidationError(CorpusError):
     """Structurally valid input violating declared ranges or totals."""
 
 
-def check_integer(name, value):
-    """Raise ValueError unless ``value`` is an integer (``numbers.Integral``, not ``bool``)."""
+def check_integer(name, value, low=None):
+    """``value`` as an int; raises ValueError unless it is an integer
+    (``numbers.Integral``, not ``bool``) of at least ``low``, when given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def check_positive(name, value):
+    """``value`` as a float; raises ValueError unless it is a real number
+    (``numbers.Real``, not ``bool``) in (0, inf)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
 
 
 class Corpus:
@@ -398,8 +412,7 @@ def split_holdout(corpus: Corpus, n_holdout: int, seed: int):
     The split is a disjoint, exhaustive partition of the documents, both
     parts keeping all V columns; identical seeds give identical splits.
     """
-    check_integer("n_holdout", n_holdout)
-    check_integer("seed", seed)
+    n_holdout, seed = check_integer("n_holdout", n_holdout), check_integer("seed", seed, 0)
     if not 0 < n_holdout < corpus.M:
         raise ValueError(f"n_holdout must be in (0, {corpus.M}), got {n_holdout}")
     rng = np.random.default_rng(seed)

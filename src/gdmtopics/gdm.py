@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .clustering import _sq_dists, fit_dpmeans, fit_kmeans, weighted_means
-from .corpus import NormalizedCorpus, _sq_norms, check_integer
+from .corpus import NormalizedCorpus, _sq_norms, check_integer, check_positive
 from .geometry import TopicPolytope, geometric_objective
 
 _DEGENERATE_EPS = 1e-12
@@ -43,28 +42,20 @@ class GdmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("K", "restarts", "max_iters", "seed"):
+        # the fields hold plain Python values, which model files write as JSON
+        for name, low in (("K", 1), ("restarts", 1), ("max_iters", 1), ("seed", 0)):
             if name != "K" or self.K is not None:
-                check_integer(name, getattr(self, name))
+                object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
         for name in ("weighted_center", "tune"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, bool(getattr(self, name)))
         if (self.K is None) == (self.lam is None):
             raise ValueError("exactly one of K and lam must be given")
-        if isinstance(self.lam, bool) or not isinstance(self.lam, (Real, type(None))):
-            raise ValueError(f"lam must be a real number, got {self.lam!r}")
-        if self.K is not None and self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ValueError("lam must be positive and finite")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.lam is not None and self.restarts != GdmConfig.restarts:
-            raise ValueError("restarts applies to k-means only; DP-means (lam) has no restarts")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if self.lam is not None:
+            object.__setattr__(self, "lam", check_positive("lam", self.lam))
+            if self.restarts != GdmConfig.restarts:
+                raise ValueError("restarts applies to k-means only; DP-means (lam) has no restarts")
 
 
 @dataclass(frozen=True)

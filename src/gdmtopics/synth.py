@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, check_integer
+from .corpus import Corpus, check_integer, check_positive
 
 # substream tags keeping beta / theta / lengths / documents independent
 _BETA_STREAM = 0
@@ -26,47 +26,36 @@ _DOC_STREAM = 3
 class LdaParams:
     """Hyperparameters of the symmetric-Dirichlet LDA generator.
 
-    ``doc_lengths`` is a tuple ``(lo, hi)`` of ints for i.i.d. uniform integer
-    lengths, or a single int n, read as (n, n): a constant length.
+    ``doc_lengths`` holds the pair ``(lo, hi)`` of ints, lengths being drawn
+    i.i.d. uniform on lo..hi; a single int n is stored as (n, n), a constant
+    length. Every field holds a plain Python value.
     """
 
     K: int
     V: int
     M: int
-    doc_lengths: object
+    doc_lengths: tuple[int, int]
     alpha: float
     eta: float
     seed: int
 
     def __post_init__(self):
-        for name in ("K", "V", "M", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.V < 2:
-            raise ValueError("V must be >= 2")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
-        if not 0 < self.alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
-        if not 0 < self.eta < np.inf:
-            raise ValueError("eta must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("K", 1), ("V", 2), ("M", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), low))
+        for name in ("alpha", "eta"):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
         lengths = self.doc_lengths
         bounds = lengths if isinstance(lengths, tuple) else (lengths, lengths)
         if len(bounds) != 2:
             raise ValueError(f"doc_lengths must be an int or a (lo, hi) pair, got {lengths}")
-        for bound in bounds:
-            check_integer("doc_lengths", bound)
-        if not 1 <= bounds[0] <= bounds[1] <= np.iinfo(np.int64).max:
+        lo, hi = (check_integer("doc_lengths", bound) for bound in bounds)
+        if not 1 <= lo <= hi <= np.iinfo(np.int64).max:
             raise ValueError(f"document length must be >= 1 and lo <= hi < 2**63, got {lengths}")
+        object.__setattr__(self, "doc_lengths", (lo, hi))
 
     def resolve_lengths(self) -> np.ndarray:
-        lengths = self.doc_lengths
-        lo, hi = lengths if isinstance(lengths, tuple) else (lengths, lengths)
         rng = np.random.default_rng([self.seed, _LENGTH_STREAM])
-        return rng.integers(lo, hi, size=self.M, dtype=np.int64, endpoint=True)
+        return rng.integers(*self.doc_lengths, size=self.M, dtype=np.int64, endpoint=True)
 
 
 @dataclass(frozen=True)
@@ -85,10 +74,12 @@ def sample_dirichlet(dim: int, concentration: float, rng: np.random.Generator) -
     Small concentrations are sampled in log space (Gamma(a+1) boost plus a
     log-uniform factor) so that draws do not underflow to an all-zero vector.
     """
-    if not 0 < concentration < np.inf:
-        raise ValueError(f"concentration must be positive and finite, got {concentration}")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    concentration, dim = check_positive("concentration", concentration), check_integer("dim", dim, 1)
+    return _dirichlet(dim, concentration, rng)
+
+
+def _dirichlet(dim, concentration, rng):
+    # sample_dirichlet on checked arguments, without the checks' cost per row
     if dim == 1:
         return np.ones(1)
     if concentration >= 0.05:
@@ -106,7 +97,7 @@ def sample_dirichlet(dim: int, concentration: float, rng: np.random.Generator) -
 
 
 def _sample_stochastic_matrix(n_rows, dim, concentration, rng):
-    return np.stack([sample_dirichlet(dim, concentration, rng) for _ in range(n_rows)])
+    return np.stack([_dirichlet(dim, concentration, rng) for _ in range(n_rows)])
 
 
 def generate_corpus(params: LdaParams):

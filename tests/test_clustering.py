@@ -367,12 +367,38 @@ def test_dpmeans_three_separated_clouds():
         (lambda data: fit_kmeans(data, 2, restarts=0), "restarts must be >= 1"),
         (lambda data: fit_kmeans(data, 2, max_iters=0), "max_iters must be >= 1"),
         (lambda data: fit_dpmeans(data, lam=1.0, max_iters=0), "max_iters must be >= 1"),
+        (lambda data: fit_kmeans(data, 2.5), "K must be an integer"),
+        (lambda data: fit_kmeans(data, True), "K must be an integer"),
+        (lambda data: fit_kmeans(data, 2, restarts=1.5), "restarts must be an integer"),
+        (lambda data: fit_dpmeans(data, "1"), "lam must be a real number"),
     ],
-    ids=["seed-K", "kmeans-K", "kmeans-restarts", "kmeans-max-iters", "dpmeans-max-iters"],
+    ids=[
+        "seed-K",
+        "kmeans-K",
+        "kmeans-restarts",
+        "kmeans-max-iters",
+        "dpmeans-max-iters",
+        "kmeans-float-K",
+        "kmeans-bool-K",
+        "kmeans-float-restarts",
+        "dpmeans-str-lam",
+    ],
 )
 def test_clustering_rejects_counts_below_one(fit, message):
     with pytest.raises(ValueError, match=message):
         fit(_data(np.eye(3)))
+
+
+def test_dpmeans_draws_its_visit_from_seed_0_by_default():
+    params = LdaParams(K=3, V=20, M=60, doc_lengths=(20, 60), alpha=0.2, eta=0.3, seed=1)
+    data = normalize(generate_corpus(params)[0])
+    default = fit_dpmeans(data, 2.0)
+    seeded = fit_dpmeans(data, 2.0, rng=np.random.default_rng(0))
+    # the visit order matters at this lambda: another seed gives another objective
+    assert fit_dpmeans(data, 2.0, rng=np.random.default_rng(1)).objective != default.objective
+    assert np.array_equal(default.centroids, seeded.centroids)
+    assert np.array_equal(default.assignments, seeded.assignments)
+    assert default.objective == seeded.objective
 
 
 def test_dpmeans_rejects_bad_lambda():

@@ -435,6 +435,17 @@ def test_split_bounds(n):
         split_holdout(c, n, seed=0)
 
 
+def test_split_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        split_holdout(Corpus(np.ones((10, 3), dtype=int)), 2, -1)
+
+
+def test_reprs_give_the_shape_and_stored_entries():
+    corpus = Corpus(np.array([[1, 0, 2], [0, 3, 0]]))
+    assert repr(corpus) == "Corpus(M=2, V=3, nnz=3)"
+    assert repr(normalize(corpus)) == "NormalizedCorpus(M=2, V=3, nnz=3)"
+
+
 @pytest.mark.parametrize("n_holdout, seed", [(2.5, 0), (True, 0), (2, 1.5), (2, np.float64(3.0))])
 def test_split_takes_only_integers(n_holdout, seed):
     c = Corpus(np.ones((10, 3), dtype=int))

@@ -260,18 +260,22 @@ def test_config_rejects_a_bool_or_non_real_lam(lam):
 
 
 def test_config_takes_real_lam():
+    # stored as a plain float, which a model file can write
     for lam in (3, 0.5, np.float64(2.0), np.int64(4), np.float32(1.5)):
-        assert GdmConfig(lam=lam).lam == lam
+        stored = GdmConfig(lam=lam).lam
+        assert stored == lam and type(stored) is float
 
 
 def test_config_takes_numpy_bools():
     config = GdmConfig(K=2, weighted_center=np.bool_(False), tune=np.bool_(True))
     assert (config.weighted_center, config.tune) == (False, True)
+    assert type(config.weighted_center) is type(config.tune) is bool
 
 
 def test_config_takes_numpy_integers():
     config = GdmConfig(K=np.int64(3), restarts=np.int32(2), max_iters=np.uint8(9), seed=np.int64(0))
     assert (config.K, config.restarts, config.max_iters, config.seed) == (3, 2, 9, 0)
+    assert {type(v) for v in (config.K, config.restarts, config.max_iters, config.seed)} == {int}
 
 
 @pytest.mark.parametrize("tune", [False, True])
@@ -486,6 +490,31 @@ def test_model_roundtrip(tmp_path):
         }
         assert path.read_bytes() == (json.dumps(d, sort_keys=True) + "\n").encode()
         _assert_same_model(load_model(path), model)
+
+
+@pytest.mark.parametrize(
+    "fit, config",
+    [
+        (
+            fit_gdm,
+            GdmConfig(
+                K=np.int64(3),
+                restarts=np.int32(2),
+                max_iters=np.uint16(50),
+                weighted_center=np.bool_(True),
+                tune=np.bool_(True),
+                seed=np.int64(4),
+            ),
+        ),
+        (fit_ngdm, GdmConfig(lam=np.float32(1.5), seed=6)),
+    ],
+    ids=["numpy-values", "float32-lam"],
+)
+def test_a_config_of_numpy_values_saves_and_reloads(tmp_path, fit, config):
+    model = fit(_lda_data(13), config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    _assert_same_model(load_model(path), model)
 
 
 def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):

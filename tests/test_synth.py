@@ -33,6 +33,11 @@ def test_dirichlet_rejects_empty_dimension():
         sample_dirichlet(0, 1.0, np.random.default_rng(0))
 
 
+def test_dirichlet_rejects_a_float_dimension():
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        sample_dirichlet(2.0, 1.0, np.random.default_rng(0))
+
+
 def test_dirichlet_simplex_and_positive():
     rng = np.random.default_rng(1)
     for conc in (0.1, 1.0, 10.0):
@@ -130,6 +135,8 @@ def test_alpha_to_zero_weak_limit():
         dict(K=1, V=3, M=2, doc_lengths=[1, 2, 3], alpha=1, eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=float("inf"), eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=1, alpha=1, eta=float("nan"), seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha=True, eta=1, seed=0),
+        dict(K=1, V=3, M=1, doc_lengths=1, alpha="0.1", eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=2.5, alpha=1, eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=(1, 2.5), alpha=1, eta=1, seed=0),
         dict(K=1, V=3, M=1, doc_lengths=(1.0, 2), alpha=1, eta=1, seed=0),
@@ -158,3 +165,22 @@ def test_a_constant_length_is_the_pair_n_n(n):
 
     assert lengths(n).dtype == np.int64
     assert lengths(n).tolist() == lengths((n, n)).tolist() == [n] * 4
+    params = dict(K=1, V=2, M=4, alpha=1, eta=1, seed=5)
+    assert LdaParams(doc_lengths=n, **params) == LdaParams(doc_lengths=(n, n), **params)
+
+
+def test_params_hold_plain_python_values():
+    params = LdaParams(
+        K=np.int64(2),
+        V=np.int32(3),
+        M=np.uint8(4),
+        doc_lengths=np.int64(5),
+        alpha=np.float32(0.5),
+        eta=1,
+        seed=np.int64(0),
+    )
+    assert (params.K, params.V, params.M, params.seed) == (2, 3, 4, 0)
+    assert {type(v) for v in (params.K, params.V, params.M, params.seed, *params.doc_lengths)} == {int}
+    assert params.doc_lengths == (5, 5)
+    assert (params.alpha, params.eta) == (0.5, 1.0)
+    assert type(params.alpha) is type(params.eta) is float
