@@ -124,8 +124,7 @@ def _fit_config(args):
 
 def _cmd_fit(args, argv):
     config = _fit_config(args)
-    corpus = _load_corpus_dir(args.inp)
-    data = normalize(corpus)
+    data = normalize(_load_corpus_dir(args.inp))
     if config.K is not None:
         model = fit_gdm(data, config)
     else:
@@ -187,8 +186,7 @@ def _cmd_topics(args, argv):
 
 def _cmd_lambda_sweep(args, argv):
     configs = [GdmConfig(lam=lam, max_iters=args.max_iters, seed=args.seed) for lam in args.lambdas]
-    corpus = _load_corpus_dir(args.inp)
-    data = normalize(corpus)
+    data = normalize(_load_corpus_dir(args.inp))
     rows = ["lambda,seed,n_topics,objective"]
     for config in configs:
         model = fit_ngdm(data, config)

@@ -9,7 +9,9 @@ extended vertex leaves the vocabulary simplex.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -198,17 +200,25 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     return extensions
 
 
+def _encode(array):
+    """``array`` as a model-file field: {"data": base64 of its little-endian
+    float64 bytes in C order, "shape": its shape}."""
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"data": base64.b64encode(array).decode("ascii"), "shape": list(array.shape)}
+
+
 def save_model(model: GdmModel, path) -> None:
-    """Write the model as one line of JSON with sorted keys."""
+    """Write the model as one line of JSON with sorted keys; each array as ``_encode`` gives it."""
     d = {
-        "beta": model.polytope.vertices.tolist(),
-        "extensions": model.extensions.tolist(),
-        "radii": model.radii.tolist(),
+        "beta": _encode(model.polytope.vertices),
+        "extensions": _encode(model.extensions),
+        "radii": _encode(model.radii),
         "objective": model.objective,
         "config": asdict(model.config),
     }
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(d, sort_keys=True) + "\n")
+        f.write(json.dumps(d, sort_keys=True))
+        f.write("\n")
 
 
 def _read_json_fields(path, kind, fields):
@@ -247,14 +257,45 @@ def _float_field(d, key, kind, path):
         raise ValueError(f"{kind} file {path} field {key!r} is not {expected}") from exc
 
 
+def _array_field(d, key, path):
+    """Field ``key`` of the model file at ``path`` as a new float64 array,
+    decoded from the form ``_encode`` writes; raises ValueError naming the
+    file and the field unless the field is an object of exactly a base64
+    string ``data`` and a list ``shape`` of integers >= 0, the data being
+    8 x prod(shape) bytes of finite values."""
+    field, where = d[key], f"model file {path} field {key!r}"
+    if isinstance(field, list):
+        raise ValueError(f"{where} is a list, the old model format; refit the model")
+    if not (
+        isinstance(field, dict)
+        and sorted(field) == ["data", "shape"]
+        and isinstance(field["data"], str)
+        and isinstance(field["shape"], list)
+    ):
+        raise ValueError(f"{where} is not an object of a base64 'data' string and a 'shape' list")
+    shape = [check_integer(f"{where} shape entry", n, 0) for n in field["shape"]]
+    try:
+        raw = base64.b64decode(field["data"], validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{where} data is not base64 ({exc})") from exc
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise ValueError(f"{where} data holds {len(raw)} bytes, expected 8 x {size}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where} holds a value that is not finite")
+    return values
+
+
 def load_model(path) -> GdmModel:
-    """Read a model file; keys of older files that are not GdmModel fields are ignored.
+    """Read a model file that ``save_model`` wrote; keys that are not GdmModel fields are ignored.
 
     Raises ValueError, naming the file or field, for a file that is not a
-    JSON object with the five fields, for a field of the wrong type, or for
-    fields that disagree: extensions or radii not one finite value per
-    topic, an objective that is not one finite number, or a config K other
-    than the number of topics.
+    JSON object with the five fields, for a field of the wrong type (an
+    array field as ``_array_field`` rejects it, a list-form array of older
+    files included), or for fields that disagree: extensions or radii not
+    one value per topic, an objective that is not one finite number, or a
+    config K other than the number of topics.
     """
     d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
@@ -262,15 +303,13 @@ def load_model(path) -> GdmModel:
     except (TypeError, ValueError) as exc:
         message = f"model file {path} field 'config' is not a GdmConfig ({exc}); refit the model"
         raise ValueError(message) from exc
-    polytope = TopicPolytope(_float_field(d, "beta", "model", path))
+    polytope = TopicPolytope(_array_field(d, "beta", path))
     if config.K is not None and config.K != polytope.K:
         raise ValueError(f"model config K={config.K} but beta has {polytope.K} topics")
-    per_topic = {key: _float_field(d, key, "model", path) for key in ("extensions", "radii")}
+    per_topic = {key: _array_field(d, key, path) for key in ("extensions", "radii")}
     for key, values in per_topic.items():
         if values.shape != (polytope.K,):
             raise ValueError(f"model {key} has shape {values.shape}, expected ({polytope.K},)")
-        if not np.isfinite(values).all():
-            raise ValueError(f"model file {path} field {key!r} holds a value that is not finite")
     objective = _float_field(d, "objective", "model", path)
     if objective.shape != () or not np.isfinite(objective):
         raise ValueError(f"model file {path} field 'objective' is not one finite number")

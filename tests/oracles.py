@@ -22,9 +22,13 @@ rows on which the corpus and fit tests compare the library with these
 references, and ``same_corpus`` compares two corpora by shape and counts.
 ``blocked_gibbs`` is a likelihood-based reference estimator of the topics,
 against which GDM's vertex recovery can be judged on the same corpora.
+``model_field`` writes an array in the form model files store it, without
+the library's encoder.
 """
 
+import base64
 import itertools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -514,3 +518,11 @@ def blocked_gibbs(counts, K, alpha, eta, sweeps, rng):
         if sweep >= burn_in:
             beta_sum += beta
     return beta_sum / (sweeps - burn_in)
+
+
+def model_field(values):
+    """``values`` as a model-file array field: the base64 of their float64
+    bytes, little-endian and in C order, with the shape."""
+    values = np.asarray(values, dtype=np.float64)
+    data = struct.pack(f"<{values.size}d", *values.ravel().tolist())
+    return {"data": base64.b64encode(data).decode("ascii"), "shape": list(values.shape)}

@@ -12,6 +12,7 @@ from gdmtopics.cli import main
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words
 from gdmtopics.gdm import GdmConfig, GdmModel, load_model, save_model
 from gdmtopics.geometry import ProjectionFailure, TopicPolytope
+from oracles import model_field
 
 
 def _simulate(tmp_path, name="corpus", seed=0, K=3, V=8, M=40, Nm="60"):
@@ -301,6 +302,9 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
     assert capsys.readouterr().err == f"error: model file {model_path} has no {field!r} field\n"
 
 
+_NOT_AN_ARRAY_FIELD = "is not an object of a base64 'data' string and a 'shape' list"
+
+
 @pytest.mark.parametrize("command", ["eval", "topics"])
 @pytest.mark.parametrize(
     "field, value, message",
@@ -310,18 +314,32 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
         ("objective", "x", "field 'objective' is not a number or a rectangular array"),
         ("objective", "1.5", "field 'objective' is not a number or a rectangular array"),
         ("objective", True, "field 'objective' is not a number or a rectangular array"),
-        ("beta", {"a": 1}, "field 'beta' is not a number or a rectangular array"),
-        ("beta", [[0.5, 0.5], [1.0]], "field 'beta' is not a number or a rectangular array"),
-        ("beta", [["0.5", 0.5, 0, 0, 0, 0]], "field 'beta' is not a number or a rectangular array"),
-        ("beta", [[True, 0.0, 0, 0, 0, 0]], "field 'beta' is not a number or a rectangular array"),
-        ("extensions", {"a": 1}, "field 'extensions' is not a number or a rectangular array"),
-        ("extensions", [True], "field 'extensions' is not a number or a rectangular array"),
-        ("radii", [{"a": 1}], "field 'radii' is not a number or a rectangular array"),
-        ("radii", ["0.0"], "field 'radii' is not a number or a rectangular array"),
-        ("extensions", [None], "field 'extensions' holds a value that is not finite"),
-        ("extensions", [float("inf")], "field 'extensions' holds a value that is not finite"),
-        ("radii", [None], "field 'radii' holds a value that is not finite"),
-        ("radii", [float("nan")], "field 'radii' holds a value that is not finite"),
+        ("beta", {"a": 1}, f"field 'beta' {_NOT_AN_ARRAY_FIELD}"),
+        (
+            "beta",
+            {**model_field(np.full(6, 1.0 / 6)), "shape": [2, 6]},
+            "field 'beta' data holds 48 bytes, expected 8 x 12",
+        ),
+        (
+            "beta",
+            {**model_field(np.full((1, 6), 1.0 / 6)), "shape": ["1", 6]},
+            "field 'beta' shape entry must be an integer, got '1'",
+        ),
+        (
+            "beta",
+            {**model_field(np.full((1, 6), 1.0 / 6)), "shape": [True, 6]},
+            "field 'beta' shape entry must be an integer, got True",
+        ),
+        ("beta", [[1.0 / 6] * 6], "field 'beta' is a list, the old model format; refit the model"),
+        ("beta", model_field([[np.nan] * 6]), "field 'beta' holds a value that is not finite"),
+        ("extensions", {"a": 1}, f"field 'extensions' {_NOT_AN_ARRAY_FIELD}"),
+        ("extensions", {"data": True, "shape": [1]}, f"field 'extensions' {_NOT_AN_ARRAY_FIELD}"),
+        ("radii", [{"a": 1}], "field 'radii' is a list, the old model format; refit the model"),
+        ("radii", {"data": "0.0", "shape": [1]}, "field 'radii' data is not base64"),
+        ("extensions", {"data": None, "shape": [1]}, f"field 'extensions' {_NOT_AN_ARRAY_FIELD}"),
+        ("extensions", model_field([np.inf]), "field 'extensions' holds a value that is not finite"),
+        ("radii", {**model_field([0.0]), "shape": None}, f"field 'radii' {_NOT_AN_ARRAY_FIELD}"),
+        ("radii", model_field([np.nan]), "field 'radii' holds a value that is not finite"),
         ("config", 5, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "weighted_center": "false"}, "field 'config' is not a GdmConfig"),
         ("config", {"K": 1, "tune": 0}, "field 'config' is not a GdmConfig (tune must be a bool"),
@@ -329,9 +347,9 @@ def test_eval_model_without_a_field_exits_1(tmp_path, capsys, field):
     ids=[
         "objective-list", "objective-null", "objective-string", "objective-numeric-string",
         "objective-boolean", "beta-object", "beta-ragged", "beta-numeric-string", "beta-boolean",
-        "extensions-object", "extensions-boolean", "radii-objects", "radii-numeric-string",
-        "extensions-null", "extensions-infinity", "radii-null", "radii-nan",
-        "config-int", "config-string-flag", "config-int-flag",
+        "beta-list", "beta-nan", "extensions-object", "extensions-boolean", "radii-objects",
+        "radii-numeric-string", "extensions-null", "extensions-infinity", "radii-null",
+        "radii-nan", "config-int", "config-string-flag", "config-int-flag",
     ],
 )
 def test_model_with_a_wrong_typed_field_exits_1(tmp_path, capsys, command, field, value, message):
@@ -449,7 +467,7 @@ def test_eval_and_topics_on_an_inconsistent_model_exit_1(tmp_path, capsys):
     _write_model(model_path, [[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]])
     with open(model_path) as f:
         d = json.load(f)
-    d["radii"] = [0.0]
+    d["radii"] = model_field([0.0])
     with open(model_path, "w") as f:
         json.dump(d, f)
     vocab_path = str(tmp_path / "vocab.txt")

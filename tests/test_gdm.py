@@ -1,5 +1,7 @@
+import base64
 import dataclasses
 import json
+import re
 import tracemalloc
 from functools import partial
 
@@ -25,7 +27,13 @@ from gdmtopics.gdm import (
 from gdmtopics.geometry import geometric_objective
 from gdmtopics.metrics import infer_theta
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import count_matrices, extended_vertex, grid_tune_extension, in_canonical_order
+from oracles import (
+    count_matrices,
+    extended_vertex,
+    grid_tune_extension,
+    in_canonical_order,
+    model_field,
+)
 
 
 def _data(rows, weights=None):
@@ -455,9 +463,14 @@ def test_ngdm_order_invariant():
 
 
 def _assert_same_model(loaded, model):
-    assert np.array_equal(loaded.polytope.vertices, model.polytope.vertices)
-    assert np.array_equal(loaded.extensions, model.extensions)
-    assert np.array_equal(loaded.radii, model.radii)
+    # every array comes back with the same float64 bytes, -0.0 and subnormals included
+    for a, b in [
+        (loaded.polytope.vertices, model.polytope.vertices),
+        (loaded.extensions, model.extensions),
+        (loaded.radii, model.radii),
+    ]:
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
     assert loaded.objective == model.objective
     assert loaded.config == model.config
 
@@ -475,16 +488,17 @@ def test_model_roundtrip(tmp_path):
         "config",
     ]
     # the file is exactly the one-line dump of the five fields with sorted
-    # keys: for a GDM fit with clipped vertices and for an nGDM fit, whose
+    # keys, each array as base64 of its little-endian float64 bytes with its
+    # shape: for a GDM fit with clipped vertices and for an nGDM fit, whose
     # config K is null
     assert (fits[0].polytope.vertices == 0.0).any() and fits[1].config.K is None
     for model in fits:
         path = tmp_path / "model.json"
         save_model(model, path)
         d = {
-            "beta": model.polytope.vertices.tolist(),
-            "extensions": model.extensions.tolist(),
-            "radii": model.radii.tolist(),
+            "beta": model_field(model.polytope.vertices),
+            "extensions": model_field(model.extensions),
+            "radii": model_field(model.radii),
             "objective": model.objective,
             "config": dataclasses.asdict(model.config),
         }
@@ -518,18 +532,28 @@ def test_a_config_of_numpy_values_saves_and_reloads(tmp_path, fit, config):
 
 
 def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
-    # older files also stored the data center and the cluster centroids
+    # older files also stored the data center and the cluster centroids:
+    # such keys are ignored, but the arrays of those files were lists of
+    # numbers, which no longer load
     model = fit_gdm(_lda_data(19), GdmConfig(K=3, seed=1))
     path = tmp_path / "model.json"
     save_model(model, path)
     with open(path) as f:
         d = json.load(f)
     assert sorted(d) == ["beta", "config", "extensions", "objective", "radii"]
-    d["center"] = [0.125] * 8
+    d["center"] = model_field([0.125] * 8)
     d["centroids"] = d["beta"]
     with open(path, "w") as f:
         json.dump(d, f)
     _assert_same_model(load_model(path), model)
+    beta = model.polytope.vertices.tolist()
+    extensions, radii = model.extensions.tolist(), model.radii.tolist()
+    old = dict(d, beta=beta, extensions=extensions, radii=radii, center=[0.125] * 8, centroids=beta)
+    with open(path, "w") as f:
+        json.dump(old, f)
+    message = f"model file {path} field 'beta' is a list, the old model format; refit the model"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(path)
 
 
 @pytest.mark.parametrize(
@@ -557,11 +581,73 @@ def test_load_model_rejects_inconsistent_files(tmp_path, key, value, field):
         d = json.load(f)
     if key == "K":
         d["config"]["K"] = value
-    else:
+    elif key == "objective":
         d[key] = value
+    else:
+        d[key] = model_field(np.array(value, dtype=np.float64))  # a null entry is NaN
     with open(path, "w") as f:
         json.dump(d, f)
     with pytest.raises(ValueError, match=field):
+        load_model(path)
+
+
+def _decoded(field):
+    values = np.frombuffer(base64.b64decode(field["data"]), dtype="<f8")
+    return values.reshape(field["shape"]).copy()
+
+
+def _with_first_entry(x):
+    def edit(field):
+        values = _decoded(field)
+        values.flat[0] = x
+        return model_field(values)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "key, edit, message",
+    [
+        ("beta", lambda f: {**f, "data": "*\n" + f["data"]}, "data is not base64"),
+        ("radii", lambda f: {**f, "data": f["data"][:-1]}, "data is not base64"),
+        ("radii", lambda f: {**f, "data": "é" + f["data"]}, "data is not base64"),
+        ("beta", lambda f: {**f, "data": f["data"][:-4]}, "data holds 189 bytes, expected 8 x 24"),
+        ("extensions", lambda f: {**f, "shape": [4]}, "data holds 24 bytes, expected 8 x 4"),
+        ("beta", lambda f: {**f, "shape": [True, 8]}, "shape entry must be an integer, got True"),
+        ("beta", lambda f: {**f, "shape": [-1, -24]}, "shape entry must be >= 0"),
+        ("radii", lambda f: {**f, "shape": [1.5]}, "shape entry must be an integer, got 1.5"),
+        ("radii", lambda f: {**f, "shape": 3}, "is not an object of a base64 'data' string"),
+        ("extensions", lambda f: {**f, "dtype": "<f8"}, "is not an object of a base64 'data'"),
+        ("extensions", lambda f: {"data": f["data"]}, "is not an object of a base64 'data'"),
+        ("beta", lambda f: f["data"], "is not an object of a base64 'data' string"),
+        ("beta", lambda f: _decoded(f).tolist(), "is a list, the old model format; refit"),
+        ("radii", lambda f: _decoded(f).tolist(), "is a list, the old model format; refit"),
+        ("beta", _with_first_entry(np.nan), "holds a value that is not finite"),
+        ("beta", _with_first_entry(np.inf), "holds a value that is not finite"),
+        ("extensions", _with_first_entry(np.nan), "holds a value that is not finite"),
+        ("extensions", _with_first_entry(-np.inf), "holds a value that is not finite"),
+        ("radii", _with_first_entry(np.inf), "holds a value that is not finite"),
+        ("radii", _with_first_entry(-np.inf), "holds a value that is not finite"),
+    ],
+    ids=[
+        "beta-not-base64", "radii-bad-padding", "radii-non-ascii", "beta-short",
+        "extensions-long-shape", "beta-shape-true", "beta-shape-negative",
+        "radii-shape-fraction", "radii-shape-not-a-list", "extensions-dtype-key",
+        "extensions-no-shape", "beta-bare-string", "beta-list", "radii-list", "beta-nan",
+        "beta-infinity", "extensions-nan", "extensions-negative-infinity", "radii-infinity",
+        "radii-negative-infinity",
+    ],
+)
+def test_load_model_rejects_malformed_array_fields(tmp_path, key, edit, message):
+    model = fit_gdm(_lda_data(19), GdmConfig(K=3, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with open(path) as f:
+        d = json.load(f)
+    d[key] = edit(d[key])
+    with open(path, "w") as f:
+        json.dump(d, f)
+    with pytest.raises(ValueError, match=re.escape(f"model file {path} field {key!r} {message}")):
         load_model(path)
 
 
@@ -600,6 +686,28 @@ def test_fit_center_is_np_average_bitwise(monkeypatch, shape):
         expected = np.average(data.rows, axis=0, weights=data.weights)
         assert weighted.tobytes() == ngdm.tobytes() == expected.tobytes()
         assert unweighted.tobytes() == np.average(data.rows, axis=0).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, config",
+    list(
+        zip(
+            PERFBENCH_SHAPES,
+            [
+                GdmConfig(K=10, restarts=2, seed=1),
+                GdmConfig(K=5, tune=True, seed=1),
+                GdmConfig(lam=8.0, seed=1),
+            ],
+        )
+    ),
+    ids=["nips_cli", "tgdm_large_m", "ngdm_sweep"],
+)
+def test_fitted_models_reload_bitwise_at_the_benchmark_shapes(tmp_path, shape, config):
+    data = normalize(generate_corpus(LdaParams(**shape, seed=0))[0])
+    model = (fit_gdm if config.lam is None else fit_ngdm)(data, config)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    _assert_same_model(load_model(path), model)
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,8 +10,9 @@ from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gdmtopics import geometry
 from gdmtopics.clustering import _canonical_order
@@ -60,6 +61,52 @@ def test_model_file_roundtrips_config(config):
         path = os.path.join(tmp, "model.json")
         save_model(model, path)
         assert load_model(path).config == config
+
+
+def _model(beta, extensions, radii):
+    K = beta.shape[0]
+    return GdmModel(
+        polytope=TopicPolytope(beta),
+        extensions=extensions,
+        radii=radii,
+        objective=1.0,
+        config=GdmConfig(K=K),
+    )
+
+
+@st.composite
+def models(draw):
+    """Models of K = 1..4 topics whose arrays hold -0.0, subnormals and any finite float."""
+    K, V = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    special = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, np.nextafter(0.0, 1.0) * 3])
+    entries = st.one_of(special, st.floats(0.0, 1.0 / V))
+    head = draw(hnp.arrays(np.float64, (K, V - 1), elements=entries))
+    beta = np.column_stack([head, 1.0 - head.sum(axis=1)])  # rows on the simplex
+    finite = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+    extensions, radii = (draw(hnp.arrays(np.float64, K, elements=finite)) for _ in range(2))
+    return _model(beta, extensions, radii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=models())
+@example(model=_model(np.array([[-0.0, 5e-324, 1.0]]), np.array([-0.0]), np.array([5e-324])))
+def test_model_file_roundtrips_arrays_bitwise(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")]
+        for path in paths:
+            save_model(model, path)
+        first, second = (open(path, "rb").read() for path in paths)
+        # two saves of one model give the same bytes, which a byte-identical rerun rests on
+        assert first == second
+        loaded = load_model(paths[0])
+    for a, b in [
+        (loaded.polytope.vertices, model.polytope.vertices),
+        (loaded.extensions, model.extensions),
+        (loaded.radii, model.radii),
+    ]:
+        assert a.dtype == np.float64 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert loaded.extensions.flags.writeable and loaded.radii.flags.writeable
 
 
 @settings(max_examples=6, deadline=None)
