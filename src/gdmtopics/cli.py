@@ -23,8 +23,9 @@ from .corpus import (
     normalize,
     save_uci_bag_of_words,
 )
-from .gdm import GdmConfig, _float_field, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
-from .geometry import TopicPolytope
+from .gdm import (
+    GdmConfig, _beta_polytope, _float_field, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
+)
 from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
 
@@ -146,9 +147,10 @@ def _cmd_eval(args, argv):
     truth = None
     if args.truth:
         d = _read_json_fields(args.truth, "truth", ("beta",))
-        truth = TopicPolytope(_float_field(d, "beta", "truth", args.truth))
+        truth = _beta_polytope(_float_field(d, "beta", "truth", args.truth), "truth", args.truth)
         if truth.V != model.polytope.V:
-            raise ValueError("truth beta dimensions disagree with model")
+            V = model.polytope.V
+            raise ValueError(f"truth file {args.truth} field 'beta' has V={truth.V} but the model has V={V}")
     theta = infer_theta(model.polytope, heldout)
     report = perplexity(model.polytope, theta, heldout)
     out = {

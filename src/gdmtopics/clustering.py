@@ -159,6 +159,7 @@ def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
     entries["column"] = X.shape[1] - 1 - X.indices
     entries["value"] = X.data
     raw, size = entries.tobytes(), entries.itemsize
+    del entries  # freed before the keys copy raw's bytes a row at a time
     bounds = [size * i for i in X.indptr.tolist()]
     keys = [raw[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     by_row = np.array(sorted(range(data.M), key=keys.__getitem__), dtype=np.intp)

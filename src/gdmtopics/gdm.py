@@ -287,15 +287,26 @@ def _array_field(d, key, path):
     return values
 
 
+def _beta_polytope(values, kind, path):
+    """The ``beta`` field of the ``kind`` file at ``path``, decoded to
+    ``values``, as a TopicPolytope; its ValueError names the file, the field
+    and the array's shape."""
+    try:
+        return TopicPolytope(values)
+    except ValueError as exc:
+        raise ValueError(f"{exc} ({kind} file {path} field 'beta', shape {values.shape})") from exc
+
+
 def load_model(path) -> GdmModel:
     """Read a model file that ``save_model`` wrote; keys that are not GdmModel fields are ignored.
 
-    Raises ValueError, naming the file or field, for a file that is not a
-    JSON object with the five fields, for a field of the wrong type (an
-    array field as ``_array_field`` rejects it, a list-form array of older
-    files included), or for fields that disagree: extensions or radii not
-    one value per topic, an objective that is not one finite number, or a
-    config K other than the number of topics.
+    Raises ValueError, naming the file and any field at fault, for a file
+    that is not a JSON object with the five fields, for a field of the
+    wrong type (an array field as ``_array_field`` rejects it, a list-form
+    array of older files included, or a ``beta`` that is not a matrix of
+    topics), or for fields that disagree: extensions or radii not one value
+    per topic, an objective that is not one finite number, or a config K
+    other than the number of topics.
     """
     d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
@@ -303,13 +314,16 @@ def load_model(path) -> GdmModel:
     except (TypeError, ValueError) as exc:
         message = f"model file {path} field 'config' is not a GdmConfig ({exc}); refit the model"
         raise ValueError(message) from exc
-    polytope = TopicPolytope(_array_field(d, "beta", path))
+    polytope = _beta_polytope(_array_field(d, "beta", path), "model", path)
     if config.K is not None and config.K != polytope.K:
-        raise ValueError(f"model config K={config.K} but beta has {polytope.K} topics")
+        message = f"model file {path} field 'config' has K={config.K} but 'beta' has {polytope.K} topics"
+        raise ValueError(message)
     per_topic = {key: _array_field(d, key, path) for key in ("extensions", "radii")}
     for key, values in per_topic.items():
         if values.shape != (polytope.K,):
-            raise ValueError(f"model {key} has shape {values.shape}, expected ({polytope.K},)")
+            raise ValueError(
+                f"model file {path} field {key!r} has shape {values.shape}, expected ({polytope.K},)"
+            )
     objective = _float_field(d, "objective", "model", path)
     if objective.shape != () or not np.isfinite(objective):
         raise ValueError(f"model file {path} field 'objective' is not one finite number")

@@ -23,6 +23,13 @@ The rows are taken as CSR. The one pass over them forms the cross terms
 the M x V entries are stored, it is one CSR product and a sum over the stored
 values, O(nnz); otherwise it goes through ``corpus._row_blocks``, one dense
 block of rows at a time, where BLAS is faster. Neither holds an M x V array.
+
+The weights multiply the Gram matrix twice: ``theta . BBt`` in every major
+step and in the certificate. Each is one CSR product over theta's stored
+weights where fewer than ``_SPARSE_THETA`` of its entries are stored (the
+major step reads them off the supports, the certificate off theta's
+nonzeros), O(nnz K), and one dense BLAS product otherwise, O(M K^2). At
+K <= 20 the product is always dense.
 """
 
 from __future__ import annotations
@@ -40,6 +47,14 @@ _TOL = 1e-10  # optimality tolerance of the min-norm-point solve
 # product: at 10 % it took 0.26-0.90 of the dense blocks' time (K from 10 to
 # 438, one BLAS thread), at 20 % up to 1.56
 _SPARSE_SHARE = 0.1
+# share of theta's M x K weights stored below which theta . BBt is one CSR
+# product over the stored weights: at K = 437 it took 0.05-0.45 of the
+# dense product's time up to a 5.7 % share (100 and 500 rows), at K = 100
+# and 100 rows 1.3-1.5 (one BLAS thread). Over the major steps of six
+# ngdm_sweep ops a 5 % cut-off took 0.61 of the dense time, less than any
+# other tried from 2 to 15 %. Every row holds a weight, so at
+# K <= 1 / _SPARSE_THETA the products are always dense
+_SPARSE_THETA = 0.05
 
 
 class ProjectionFailure(RuntimeError):
@@ -83,7 +98,9 @@ def _active_set(BBt, BX, xx, nearest, scales):
     the row's Gram matrix of the vertices shifted by x_m; where a weight
     falls to ``_DROP_EPS`` or below, Wolfe's line step toward it, dropping the
     zeroed vertices. A row still running after 100 K major steps keeps its
-    current weights for the certificate.
+    current weights for the certificate. The major step's ``theta . BBt`` is
+    one CSR product over the running rows' supports when they hold fewer
+    than ``_SPARSE_THETA`` of the rows' K entries, and dense otherwise.
 
     Each row's support is its ``n`` sorted vertex indices at the front of its
     row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
@@ -101,7 +118,10 @@ def _active_set(BBt, BX, xx, nearest, scales):
     active = np.arange(M)
     for _ in range(100 * K):
         # major step: the vertex of steepest descent joins the support
-        r = theta[active] @ BBt
+        if K * _SPARSE_THETA > 1 and n[active].sum() < _SPARSE_THETA * active.size * K:
+            r = _support_gram(theta, active, S, n, BBt)
+        else:
+            r = theta[active] @ BBt
         r -= BX[active]
         j = np.argmin(r, axis=1)
         bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
@@ -195,6 +215,19 @@ def _active_set(BBt, BX, xx, nearest, scales):
     return theta
 
 
+def _support_gram(theta, rows, S, n, BBt):
+    """``theta[rows] @ BBt`` as one CSR product over the rows' supports: the
+    columns are each row's first n entries of ``S``, the weights gathered
+    from theta. Only the product is returned, so the CSR arrays are freed
+    before the major step gathers ``theta[rows]`` for its bound."""
+    size = n[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(size, out=indptr[1:])
+    cols = S[rows][np.arange(S.shape[1]) < size[:, None]]
+    weights = theta[rows.repeat(size), cols]
+    return sp.csr_matrix((weights, cols, indptr), shape=(rows.size, BBt.shape[0])) @ BBt
+
+
 def _cross_terms(X, B):
     """The (M, K) cross terms ``X @ B.T`` and squared norms of the CSR rows:
     one CSR product below ``_SPARSE_SHARE`` stored entries, else from dense
@@ -218,9 +251,15 @@ def _certify(BBt, BX, xx, thetas, scales):
     row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` and
     theta lies on the simplex: no entry below -1e-12 and a sum within 1e-9
     of 1. A NaN row fails. The squared distance ||x - p||^2 is
-    ``xx - 2 theta . BX + theta . BBt . theta``, clamped at 0.
+    ``xx - 2 theta . BX + theta . BBt . theta``, clamped at 0. ``theta . BBt``
+    is one CSR product over theta's nonzeros when they are fewer than
+    ``_SPARSE_THETA`` of its entries.
     """
-    toward = thetas @ BBt
+    K = BBt.shape[0]
+    if K * _SPARSE_THETA > 1 and np.count_nonzero(thetas) < _SPARSE_THETA * thetas.size:
+        toward = sp.csr_matrix(thetas) @ BBt
+    else:
+        toward = thetas @ BBt
     np.subtract(BX, toward, out=toward)  # b_k . (x - p) for every row and vertex
     along = np.einsum("ij,ij->i", thetas, toward)  # p . (x - p)
     gaps = toward.max(axis=1) - along

@@ -253,7 +253,10 @@ def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["eval", "--model", model_path, "--heldout", out, "--truth", truth_path])
     assert rc == 1
-    assert "error: vertices must be a K x V matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: vertices must be a K x V matrix" in err
+    where = f"truth file {truth_path} field 'beta', shape (8,)"
+    assert err == f"error: vertices must be a K x V matrix with K >= 1 ({where})\n"
 
 
 @pytest.mark.parametrize(
@@ -400,7 +403,8 @@ def test_eval_checks_truth_before_projecting(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     truth = os.path.join(other, "truth.json")
     assert main(["eval", "--model", model_path, "--heldout", out, "--truth", truth]) == 1
-    assert capsys.readouterr().err == "error: truth beta dimensions disagree with model\n"
+    message = f"truth file {truth} field 'beta' has V=5 but the model has V=8"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert projected == []
     assert main(["eval", "--model", model_path, "--heldout", out]) == 0
     assert projected == [1]

@@ -591,6 +591,34 @@ def test_load_model_rejects_inconsistent_files(tmp_path, key, value, field):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("extensions", [1.0, 1.5], "{file} field 'extensions' has shape (2,), expected (3,)"),
+        ("radii", [[0.1], [0.2], [0.3]], "{file} field 'radii' has shape (3, 1), expected (3,)"),
+        ("K", 4, "{file} field 'config' has K=4 but 'beta' has 3 topics"),
+        ("beta", [0.125] * 8, "vertices must be a K x V matrix with K >= 1 ({file} field 'beta', shape (8,))"),
+        ("beta", [[0.0625] * 8] * 3, "vertex rows must sum to 1 ({file} field 'beta', shape (3, 8))"),
+    ],
+    ids=["extensions-shape", "radii-shape", "config-K", "beta-one-dimensional", "beta-rows"],
+)
+def test_load_model_errors_name_the_file_and_field(tmp_path, key, value, message):
+    model = fit_gdm(_lda_data(19), GdmConfig(K=3, seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with open(path) as f:
+        d = json.load(f)
+    if key == "K":
+        d["config"]["K"] = value
+    else:
+        d[key] = model_field(np.array(value, dtype=np.float64))
+    with open(path, "w") as f:
+        json.dump(d, f)
+    with pytest.raises(ValueError) as raised:
+        load_model(path)
+    assert str(raised.value) == message.format(file=f"model file {path}")
+
+
 def _decoded(field):
     values = np.frombuffer(base64.b64decode(field["data"]), dtype="<f8")
     return values.reshape(field["shape"]).copy()

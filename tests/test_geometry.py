@@ -390,3 +390,69 @@ def test_cross_terms_take_dense_blocks_above_the_stored_share(monkeypatch):
     BX, xx = geometry._cross_terms(X, B)
     assert BX.tobytes() == (X @ B.T).tobytes()
     assert xx.tobytes() == corpus._sq_norms(X).tobytes()
+
+
+def _face_rows(rng, B, M, widest=40):
+    """M rows, each on a random face of 1 to ``widest`` vertices of B and
+    pushed off the hull half of the time."""
+    K, V = B.shape
+    X = np.empty((M, V))
+    for m in range(M):
+        face = rng.choice(K, rng.integers(1, widest + 1), replace=False)
+        X[m] = rng.dirichlet(np.ones(face.size)) @ B[face]
+        if rng.random() < 0.5:
+            X[m] += rng.normal(scale=0.02, size=V)
+    return X
+
+
+def _spy_on_csr_weights(monkeypatch, K):
+    """Patch scipy's CSR constructor to count the CSR matrices of K columns
+    (weights; the rows have V != K columns) that the projection builds."""
+    built = []
+    csr = sp.csr_matrix
+
+    def spy(arg, *args, **kwargs):
+        shape = kwargs.get("shape") or np.shape(arg)
+        built.append(shape[1] == K)
+        return csr(arg, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.sp, "csr_matrix", spy)
+    return built
+
+
+def test_sparse_and_dense_weight_products_give_the_same_certified_weights(monkeypatch):
+    # with the stored share at 0 every theta . BBt product is dense BLAS,
+    # at 1 every one is a CSR product over the stored weights: the major
+    # step's over the supports and the certificate's over theta's nonzeros
+    rng = np.random.default_rng(30)
+    K, V, M = 150, 170, 440
+    poly = _random_polytope(rng, K, V)
+    X = _face_rows(rng, poly.vertices, M)
+    B = poly.vertices
+    BX, xx = X @ B.T, np.einsum("ij,ij->i", X, X)
+    scales = np.maximum(1.0, (np.diag(B @ B.T) - 2.0 * BX + xx[:, None]).max(axis=1))
+    built, results = _spy_on_csr_weights(monkeypatch, K), []
+    for share in (0.0, 1.0):
+        monkeypatch.setattr(geometry, "_SPARSE_THETA", share)
+        built.clear()
+        thetas, sq = project_rows(X, poly)
+        assert any(built) == (share == 1.0)
+        _, gaps, ok = geometry._certify(B @ B.T, BX, xx, thetas, scales)
+        assert ok.all() and (gaps <= 10.0 * geometry._TOL * scales).all()
+        results.append((thetas, sq))
+    (dense, dense_sq), (stored, stored_sq) = results
+    assert np.abs(dense - stored).max() <= 1e-12
+    assert np.abs(dense_sq - stored_sq).max() <= 1e-12
+
+
+@pytest.mark.parametrize("K", [2, 10, 20])
+def test_small_k_never_builds_csr_weights(monkeypatch, K):
+    # every row holds a weight, so at K <= 1 / _SPARSE_THETA the stored
+    # share is never below it: even rows at single vertices stay dense
+    rng = np.random.default_rng(K)
+    poly = _random_polytope(rng, K, 60)
+    X = np.vstack([poly.vertices, _face_rows(rng, poly.vertices, 200, widest=min(K, 3))])
+    built = _spy_on_csr_weights(monkeypatch, K)
+    thetas, _ = project_rows(X, poly)
+    assert built and not any(built)  # only the rows were made CSR
+    assert np.allclose(thetas[:K], np.eye(K), atol=1e-12)
