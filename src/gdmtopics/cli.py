@@ -23,9 +23,7 @@ from .corpus import (
     normalize,
     save_uci_bag_of_words,
 )
-from .gdm import (
-    GdmConfig, _beta_polytope, _float_field, _read_json_fields, fit_gdm, fit_ngdm, load_model, save_model
-)
+from .gdm import GdmConfig, fit_gdm, fit_ngdm, load_model, load_truth, save_model
 from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
 
@@ -141,16 +139,13 @@ def _cmd_fit(args, argv):
 
 def _cmd_eval(args, argv):
     model = load_model(args.model)
+    V = model.polytope.V
     heldout = _load_corpus_dir(args.heldout)
-    if heldout.V != model.polytope.V:
-        raise ValueError(f"model has V={model.polytope.V} but held-out corpus has V={heldout.V}")
-    truth = None
-    if args.truth:
-        d = _read_json_fields(args.truth, "truth", ("beta",))
-        truth = _beta_polytope(_float_field(d, "beta", "truth", args.truth), "truth", args.truth)
-        if truth.V != model.polytope.V:
-            V = model.polytope.V
-            raise ValueError(f"truth file {args.truth} field 'beta' has V={truth.V} but the model has V={V}")
+    if heldout.V != V:
+        raise ValueError(f"model has V={V} but held-out corpus has V={heldout.V}")
+    truth = load_truth(args.truth) if args.truth else None
+    if truth is not None and truth.V != V:
+        raise ValueError(f"truth file {args.truth} field 'beta' has V={truth.V} but the model has V={V}")
     theta = infer_theta(model.polytope, heldout)
     report = perplexity(model.polytope, theta, heldout)
     out = {
@@ -202,9 +197,16 @@ def _cmd_lambda_sweep(args, argv):
 
 
 def _cmd_rerun(args, argv):
-    rerun_argv = _read_json_fields(args.manifest, "manifest", ("argv",))["argv"]
+    where = f"manifest file {args.manifest}"
+    with open(args.manifest, "r", encoding="utf-8") as f:
+        manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{where} does not hold a JSON object")
+    if "argv" not in manifest:
+        raise ValueError(f"{where} has no 'argv' field")
+    rerun_argv = manifest["argv"]
     if not isinstance(rerun_argv, list) or not all(isinstance(a, str) for a in rerun_argv):
-        raise ValueError(f"manifest file {args.manifest} field 'argv' is not a list of strings")
+        raise ValueError(f"{where} field 'argv' is not a list of strings")
     return main(rerun_argv)
 
 

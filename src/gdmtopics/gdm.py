@@ -297,6 +297,14 @@ def _beta_polytope(values, kind, path):
         raise ValueError(f"{exc} ({kind} file {path} field 'beta', shape {values.shape})") from exc
 
 
+def load_truth(path) -> TopicPolytope:
+    """The topics in the ``beta`` field of a truth file, a K x V list of lists as
+    ``simulate`` writes it; raises ValueError naming the file and the field
+    unless the file is a JSON object whose ``beta`` is a matrix of topics."""
+    d = _read_json_fields(path, "truth", ("beta",))
+    return _beta_polytope(_float_field(d, "beta", "truth", path), "truth", path)
+
+
 def load_model(path) -> GdmModel:
     """Read a model file that ``save_model`` wrote; keys that are not GdmModel fields are ignored.
 

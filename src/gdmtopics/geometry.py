@@ -10,8 +10,8 @@ once:
    point in a polytope", Math. Programming 11, 1976), every row started at
    its nearest vertex and all rows stepped in lockstep. Each row's support
    is a list of vertex indices, and each minor round is one batched solve
-   over its rows, narrower supports padded to the widest. It is exact at
-   every K.
+   over its rows in one form, every support padded to the round's widest.
+   It is exact at every K.
 2. certificate: every row is checked by the variational inequality
    ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
    vertex, taken in the same Gram geometry from the cross terms and the
@@ -105,9 +105,10 @@ def _active_set(BBt, BX, xx, nearest, scales):
     Each row's support is its ``n`` sorted vertex indices at the front of its
     row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
     minor round solves all its rows as one batch of w x w systems, w its
-    widest support. Where supports differ in size, a narrower row's padded
-    slots get identity rows and columns, a zero right-hand side and zero
-    weight, and are never read from or written to theta.
+    widest support. A row's slots past its own support get identity rows
+    and columns, a zero right-hand side and zero weight, and are never read
+    from or written to theta; a round whose supports all have width w has
+    no such slots and runs the same steps.
     """
     M, K = BX.shape
     flat = np.zeros(M * K)
@@ -142,11 +143,9 @@ def _active_set(BBt, BX, xx, nearest, scales):
             size = n[minor]
             w = size.max()
             Sm = S[minor, :w]
-            ragged = size.min() < w
-            if ragged:
-                pad = np.arange(w) >= size[:, None]
-                real = ~pad
-                Sm[pad] = 0  # gathers vertex 0 from BBt and BX; fixed up below
+            pad = Sm == K  # S holds K past each row's support
+            real = ~pad
+            Sm[pad] = 0  # gathers vertex 0 from BBt and BX; fixed up below
             cells = minor[:, None] * K + Sm  # flat indices into theta and BX
             c = BX.take(cells)
             A = BBt.take(Sm[:, :, None] * K + Sm[:, None, :])
@@ -154,39 +153,26 @@ def _active_set(BBt, BX, xx, nearest, scales):
             A -= c[:, :, None]
             A -= c[:, None, :]
             A += xx[minor, None, None]
-            if ragged:  # identity rows and columns, zero right-hand side and weight
-                A[pad] = 0.0
-                A.transpose(0, 2, 1)[pad] = 0.0
-                pr, ps = np.nonzero(pad)
-                A[pr, ps, ps] = 1.0
-                rhs = 1.0 * real[:, :, None]
-                fill = np.where(pad, 0.0, 1.0 / size[:, None])
-            else:
-                rhs = np.ones((minor.size, w, 1))
-                fill = np.full((minor.size, w), 1.0 / w)
+            # padded slots: identity rows and columns, zero right-hand side and weight
+            A[pad] = 0.0
+            A.transpose(0, 2, 1)[pad] = 0.0
+            A.reshape(minor.size, w * w)[:, :: w + 1][pad] = 1.0  # their diagonal; A is contiguous
+            rhs = 1.0 * real[:, :, None]
             try:
                 alpha = np.linalg.solve(A, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
                 alpha = (np.linalg.pinv(A) @ rhs)[:, :, 0]
-            if ragged:
-                alpha[pad] = 0.0
+            alpha[pad] = 0.0
             total = alpha.sum(axis=1, keepdims=True)
             # a solution summing to 0 leaves uniform weights on the row's own slots
-            lam = np.divide(alpha, total, out=fill, where=total != 0.0)
-            drop = lam <= _DROP_EPS
-            if ragged:
-                drop[pad] = False
+            lam = np.divide(alpha, total, out=real / size[:, None], where=total != 0.0)
+            drop = real & (lam <= _DROP_EPS)
             moved = np.flatnonzero(drop.any(axis=1))
             if moved.size:
                 # a weight of the affine minimizer falls to _DROP_EPS: step along
                 # the line toward it as far as the weights stay nonnegative, and
                 # drop the zeroed vertices (padded slots read no weight)
-                if ragged:
-                    old = np.zeros((moved.size, w))
-                    own = real[moved]
-                    old[own] = flat[cells[moved][own]]
-                else:
-                    old = flat[cells[moved]]
+                old = np.where(real[moved], flat[cells[moved]], 0.0)
                 alpha = lam[moved]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     steps = old / (old - alpha)
@@ -207,10 +193,7 @@ def _active_set(BBt, BX, xx, nearest, scales):
                 n[shrunk] = kept
                 moved = moved[kept > 1]
             lam /= lam.sum(axis=1, keepdims=True)
-            if ragged:
-                flat[cells[real]] = lam[real]
-            else:
-                flat[cells] = lam
+            flat[cells[real]] = lam[real]
             minor = minor[moved]
     return theta
 

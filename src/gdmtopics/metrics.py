@@ -40,7 +40,10 @@ def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> P
     Corpus-level: exp(-total log-likelihood / total tokens).
     Zero word probabilities at observed words are floored at PROB_FLOOR (with
     the row renormalized); interventions are counted in ``floored_entries``.
+    Raises ValueError when the polytope and the held-out corpus differ in V.
     """
+    if heldout.V != polytope.V:
+        raise ValueError(f"polytope has V={polytope.V} but held-out corpus has V={heldout.V}")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (heldout.M, polytope.K):
         raise ValueError(f"theta must be {heldout.M} x {polytope.K}")

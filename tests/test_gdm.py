@@ -22,6 +22,7 @@ from gdmtopics.gdm import (
     fit_gdm,
     fit_ngdm,
     load_model,
+    load_truth,
     save_model,
 )
 from gdmtopics.geometry import geometric_objective
@@ -554,6 +555,17 @@ def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
     message = f"model file {path} field 'beta' is a list, the old model format; refit the model"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_model(path)
+
+
+def test_load_truth_reads_the_list_form_beta(tmp_path):
+    beta = generate_corpus(LdaParams(K=3, V=8, M=5, doc_lengths=20, alpha=0.5, eta=0.5, seed=2))[1].beta
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"beta": beta.tolist(), "theta": [[1.0, 0.0, 0.0]]}))
+    assert load_truth(path).vertices.tobytes() == beta.tobytes()
+    path.write_text(json.dumps({"beta": [[0.5, "x"]]}))
+    message = f"truth file {path} field 'beta' is not a number or a rectangular array of numbers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_truth(path)
 
 
 @pytest.mark.parametrize(

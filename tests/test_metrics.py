@@ -56,6 +56,14 @@ def test_perplexity_rejects_bad_theta_shape():
         perplexity(poly, np.ones((3, 1)), Corpus(np.array([[1, 1]])))
 
 
+@pytest.mark.parametrize("counts", [[[1, 1, 1]], [[1, 1, 1, 1, 1]]], ids=["smaller", "larger"])
+def test_perplexity_rejects_heldout_vocabulary_mismatch(counts):
+    poly = TopicPolytope(np.full((1, 4), 0.25))
+    V = len(counts[0])
+    with pytest.raises(ValueError, match=f"polytope has V=4 but held-out corpus has V={V}"):
+        perplexity(poly, np.ones((1, 1)), Corpus(np.array(counts)))
+
+
 def test_mm_distance_identical_and_permuted():
     rng = np.random.default_rng(2)
     g = rng.gamma(1.0, size=(4, 6))
