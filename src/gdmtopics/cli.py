@@ -141,8 +141,6 @@ def _cmd_eval(args, argv):
     model = load_model(args.model)
     V = model.polytope.V
     heldout = _load_corpus_dir(args.heldout)
-    if heldout.V != V:
-        raise ValueError(f"model has V={V} but held-out corpus has V={heldout.V}")
     truth = load_truth(args.truth) if args.truth else None
     if truth is not None and truth.V != V:
         raise ValueError(f"truth file {args.truth} field 'beta' has V={truth.V} but the model has V={V}")
@@ -160,7 +158,7 @@ def _cmd_eval(args, argv):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
-        inputs = [args.model, args.heldout]
+        inputs = [args.model, args.heldout] + ([args.truth] if args.truth else [])
         _write_manifest(args.out + ".manifest.json", args, argv, inputs, [args.out])
     return 0
 

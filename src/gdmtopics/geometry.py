@@ -24,12 +24,12 @@ the M x V entries are stored, it is one CSR product and a sum over the stored
 values, O(nnz); otherwise it goes through ``corpus._row_blocks``, one dense
 block of rows at a time, where BLAS is faster. Neither holds an M x V array.
 
-The weights multiply the Gram matrix twice: ``theta . BBt`` in every major
-step and in the certificate. Each is one CSR product over theta's stored
-weights where fewer than ``_SPARSE_THETA`` of its entries are stored (the
-major step reads them off the supports, the certificate off theta's
-nonzeros), O(nnz K), and one dense BLAS product otherwise, O(M K^2). At
-K <= 20 the product is always dense.
+The weights multiply the Gram matrix, ``theta . BBt``, in every major step
+and in the certificate. The major step takes one CSR product over the
+running rows' supports where they hold fewer than ``_SPARSE_THETA`` of the
+rows' entries, O(nnz K), and one dense BLAS product otherwise, O(M K^2); at
+K <= 20 it is always dense. The certificate, run once per projection,
+always multiplies densely.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ _TOL = 1e-10  # optimality tolerance of the min-norm-point solve
 # product: at 10 % it took 0.26-0.90 of the dense blocks' time (K from 10 to
 # 438, one BLAS thread), at 20 % up to 1.56
 _SPARSE_SHARE = 0.1
-# share of theta's M x K weights stored below which theta . BBt is one CSR
-# product over the stored weights: at K = 437 it took 0.05-0.45 of the
-# dense product's time up to a 5.7 % share (100 and 500 rows), at K = 100
-# and 100 rows 1.3-1.5 (one BLAS thread). Over the major steps of six
-# ngdm_sweep ops a 5 % cut-off took 0.61 of the dense time, less than any
-# other tried from 2 to 15 %. Every row holds a weight, so at
-# K <= 1 / _SPARSE_THETA the products are always dense
+# share of the running rows' M x K weights held by their supports below
+# which the major step's theta . BBt is one CSR product over the supports:
+# at K = 437 it took 0.05-0.45 of the dense product's time up to a 5.7 %
+# share (100 and 500 rows), at K = 100 and 100 rows 1.3-1.5 (one BLAS
+# thread). Over the major steps of six ngdm_sweep ops a 5 % cut-off took
+# 0.61 of the dense time, less than any other tried from 2 to 15 %. Every
+# row holds a weight, so at K <= 1 / _SPARSE_THETA the product is always
+# dense. The certificate's product is always dense
 _SPARSE_THETA = 0.05
 
 
@@ -68,7 +69,7 @@ class TopicPolytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vertices, dtype=np.float64)
+        v = np.array(self.vertices, dtype=np.float64, order="C")  # a copy: the caller's stays writable
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("vertices must be a K x V matrix with K >= 1")
         if not np.allclose(v.sum(axis=1), 1.0, rtol=0.0, atol=1e-10):
@@ -99,8 +100,7 @@ def _active_set(BBt, BX, xx, nearest, scales):
     falls to ``_DROP_EPS`` or below, Wolfe's line step toward it, dropping the
     zeroed vertices. A row still running after 100 K major steps keeps its
     current weights for the certificate. The major step's ``theta . BBt`` is
-    one CSR product over the running rows' supports when they hold fewer
-    than ``_SPARSE_THETA`` of the rows' K entries, and dense otherwise.
+    ``_theta_gram``'s.
 
     Each row's support is its ``n`` sorted vertex indices at the front of its
     row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
@@ -119,10 +119,7 @@ def _active_set(BBt, BX, xx, nearest, scales):
     active = np.arange(M)
     for _ in range(100 * K):
         # major step: the vertex of steepest descent joins the support
-        if K * _SPARSE_THETA > 1 and n[active].sum() < _SPARSE_THETA * active.size * K:
-            r = _support_gram(theta, active, S, n, BBt)
-        else:
-            r = theta[active] @ BBt
+        r = _theta_gram(theta, active, S, n, BBt)
         r -= BX[active]
         j = np.argmin(r, axis=1)
         bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
@@ -198,17 +195,20 @@ def _active_set(BBt, BX, xx, nearest, scales):
     return theta
 
 
-def _support_gram(theta, rows, S, n, BBt):
-    """``theta[rows] @ BBt`` as one CSR product over the rows' supports: the
-    columns are each row's first n entries of ``S``, the weights gathered
-    from theta. Only the product is returned, so the CSR arrays are freed
-    before the major step gathers ``theta[rows]`` for its bound."""
+def _theta_gram(theta, rows, S, n, BBt):
+    """``theta[rows] @ BBt``: dense, unless the rows' supports hold fewer than
+    ``_SPARSE_THETA`` of their K entries; then one CSR product over each row's
+    first n entries of ``S`` with weights from theta, returned alone so its
+    arrays are freed before the major step gathers ``theta[rows]``."""
+    K = BBt.shape[0]
+    if K * _SPARSE_THETA <= 1 or n[rows].sum() >= _SPARSE_THETA * rows.size * K:
+        return theta[rows] @ BBt
     size = n[rows]
     indptr = np.zeros(rows.size + 1, dtype=np.intp)
     np.cumsum(size, out=indptr[1:])
     cols = S[rows][np.arange(S.shape[1]) < size[:, None]]
     weights = theta[rows.repeat(size), cols]
-    return sp.csr_matrix((weights, cols, indptr), shape=(rows.size, BBt.shape[0])) @ BBt
+    return sp.csr_matrix((weights, cols, indptr), shape=(rows.size, K)) @ BBt
 
 
 def _cross_terms(X, B):
@@ -235,14 +235,9 @@ def _certify(BBt, BX, xx, thetas, scales):
     theta lies on the simplex: no entry below -1e-12 and a sum within 1e-9
     of 1. A NaN row fails. The squared distance ||x - p||^2 is
     ``xx - 2 theta . BX + theta . BBt . theta``, clamped at 0. ``theta . BBt``
-    is one CSR product over theta's nonzeros when they are fewer than
-    ``_SPARSE_THETA`` of its entries.
+    is one dense product, run once per projection.
     """
-    K = BBt.shape[0]
-    if K * _SPARSE_THETA > 1 and np.count_nonzero(thetas) < _SPARSE_THETA * thetas.size:
-        toward = sp.csr_matrix(thetas) @ BBt
-    else:
-        toward = thetas @ BBt
+    toward = thetas @ BBt
     np.subtract(BX, toward, out=toward)  # b_k . (x - p) for every row and vertex
     along = np.einsum("ij,ij->i", thetas, toward)  # p . (x - p)
     gaps = toward.max(axis=1) - along

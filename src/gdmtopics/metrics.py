@@ -29,7 +29,10 @@ class PerplexityReport:
 
 
 def infer_theta(polytope: TopicPolytope, heldout: Corpus) -> np.ndarray:
-    """Topic proportions of held-out documents by projection onto the polytope."""
+    """Topic proportions of held-out documents by projection onto the polytope;
+    raises ValueError when the polytope and the held-out corpus differ in V."""
+    if heldout.V != polytope.V:
+        raise ValueError(f"polytope has V={polytope.V} but held-out corpus has V={heldout.V}")
     thetas, _ = project_rows(normalize(heldout), polytope)
     return thetas
 

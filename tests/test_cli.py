@@ -238,9 +238,23 @@ def test_eval_vocab_mismatch_exits_1(tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
     assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
     capsys.readouterr()
-    rc = main(["eval", "--model", model_path, "--heldout", other])
+    report = str(tmp_path / "report.json")
+    rc = main(["eval", "--model", model_path, "--heldout", other, "--out", report])
     assert rc == 1
-    assert "V=" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: polytope has V=8 but held-out corpus has V=5\n"
+    assert not os.path.exists(report) and not os.path.exists(report + ".manifest.json")
+
+
+def test_eval_manifest_lists_the_truth_file(tmp_path, capsys):
+    out = _simulate(tmp_path)
+    model_path = str(tmp_path / "model.json")
+    assert main(["fit", "--algo", "gdm", "--K", "2", "--in", out, "--out", model_path]) == 0
+    truth, report = os.path.join(out, "truth.json"), str(tmp_path / "report.json")
+    argv = ["eval", "--model", model_path, "--heldout", out, "--truth", truth, "--out", report]
+    assert main(argv) == 0
+    manifest = json.load(open(report + ".manifest.json"))
+    assert manifest["inputs"] == sorted([model_path, out, truth])
+    assert manifest["outputs"] == [report]
 
 
 def test_eval_truth_with_one_dimensional_beta_exits_1(tmp_path, capsys):

@@ -31,6 +31,14 @@ def test_polytope_rejects_off_simplex_vertices(vertices, message):
         TopicPolytope(np.array(vertices))
 
 
+def test_polytope_copies_the_callers_array():
+    beta = np.array([[0.5, 0.5], [0.0, 1.0]])
+    poly = TopicPolytope(beta)
+    assert beta.flags.writeable and not poly.vertices.flags.writeable
+    beta[0, 0] = 0.25
+    assert poly.vertices[0, 0] == 0.5
+
+
 def test_project_vertex_is_fixed_point():
     poly = TopicPolytope(np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]]))
     theta, point, sq, _ = project_one(poly.vertices[1], poly)
@@ -421,9 +429,9 @@ def _spy_on_csr_weights(monkeypatch, K):
 
 
 def test_sparse_and_dense_weight_products_give_the_same_certified_weights(monkeypatch):
-    # with the stored share at 0 every theta . BBt product is dense BLAS,
-    # at 1 every one is a CSR product over the stored weights: the major
-    # step's over the supports and the certificate's over theta's nonzeros
+    # with the stored share at 0 every major step's theta . BBt is dense
+    # BLAS, at 1 every one is a CSR product over the supports; the
+    # certificate's product is dense at both
     rng = np.random.default_rng(30)
     K, V, M = 150, 170, 440
     poly = _random_polytope(rng, K, V)
@@ -437,8 +445,10 @@ def test_sparse_and_dense_weight_products_give_the_same_certified_weights(monkey
         built.clear()
         thetas, sq = project_rows(X, poly)
         assert any(built) == (share == 1.0)
+        built.clear()
         _, gaps, ok = geometry._certify(B @ B.T, BX, xx, thetas, scales)
         assert ok.all() and (gaps <= 10.0 * geometry._TOL * scales).all()
+        assert built == []
         results.append((thetas, sq))
     (dense, dense_sq), (stored, stored_sq) = results
     assert np.abs(dense - stored).max() <= 1e-12

@@ -60,8 +60,11 @@ def test_perplexity_rejects_bad_theta_shape():
 def test_perplexity_rejects_heldout_vocabulary_mismatch(counts):
     poly = TopicPolytope(np.full((1, 4), 0.25))
     V = len(counts[0])
-    with pytest.raises(ValueError, match=f"polytope has V=4 but held-out corpus has V={V}"):
+    message = f"polytope has V=4 but held-out corpus has V={V}"
+    with pytest.raises(ValueError, match=message):
         perplexity(poly, np.ones((1, 1)), Corpus(np.array(counts)))
+    with pytest.raises(ValueError, match=message):
+        infer_theta(poly, Corpus(np.array(counts)))
 
 
 def test_mm_distance_identical_and_permuted():
@@ -112,11 +115,11 @@ def test_infer_theta_recovers_exact_mixture():
 
 
 def test_infer_theta_vocab_mismatch():
-    # infer_theta and geometric_objective leave the check to project_rows,
-    # whose message names both vocabulary sizes
+    # infer_theta checks V with perplexity's message; geometric_objective
+    # leaves the check to project_rows, whose message names both sizes
     poly = TopicPolytope(np.array([[0.5, 0.5]]))
     corpus = Corpus(np.array([[1, 1, 1]]))
-    with pytest.raises(ValueError, match=r"V = 2, got shape \(1, 3\)"):
+    with pytest.raises(ValueError, match="polytope has V=2 but held-out corpus has V=3"):
         infer_theta(poly, corpus)
     with pytest.raises(ValueError, match=r"V = 2, got shape \(1, 3\)"):
         geometric_objective(normalize(corpus), poly)
