@@ -15,11 +15,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .clustering import _sq_dists, fit_dpmeans, fit_kmeans, weighted_means
 from .corpus import NormalizedCorpus, _sq_norms, check_integer, check_positive
-from .geometry import TopicPolytope, geometric_objective
+from .geometry import TopicPolytope, geometric_objective, objective_slope
 
 _DEGENERATE_EPS = 1e-12
 
@@ -177,27 +176,70 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     """Line-search each extension scalar m_k > 1 over [1, m_k]; returns the tuned m.
 
     From the vertices ``extend(center, centroids, extensions)``, clusters go in
-    ascending index order; cluster k's geometric objective is minimized by
-    bounded scalar search while the other topics stay at their current vertices.
+    ascending index order; cluster k's geometric objective g_k over its own
+    rows is minimized by ``_slope_search`` while the other topics stay at
+    their current vertices. Each evaluation gives g_k and its slope, for
+    which the vertex moves with v' = (r' - v sum r') / sum r on the
+    coordinates where the ray r = C + m (mu_k - C) is positive, r' = mu_k - C
+    and the sums over those coordinates, and not at all where r is clipped.
     """
     vertices = extend(center, centroids, extensions)
     extensions = extensions.copy()
     for k in np.flatnonzero(extensions > 1.0 + 1e-12):
-        hi = float(extensions[k])
         members = np.flatnonzero(assignments == k)
         sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
+        ray = centroids[k] - center
 
         def g_k(m):
             cand = vertices.copy()
             cand[k] = extend(center, centroids[k, None], [m])
-            return geometric_objective(sub, TopicPolytope(cand))
+            raw = center + m * ray
+            kept = raw > 0.0
+            velocity = np.where(kept, ray - cand[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
+            return objective_slope(sub, TopicPolytope(cand), k, velocity)
 
-        res = minimize_scalar(g_k, bounds=(1.0, hi), method="bounded", options={"xatol": 1e-4})
-        candidates = [(g_k(hi), hi), (float(res.fun), float(res.x)), (g_k(1.0), 1.0)]
-        best_m = min(candidates, key=lambda t: t[0])[1]
-        extensions[k] = best_m
-        vertices[k] = extend(center, centroids[k, None], [best_m])
+        extensions[k] = _slope_search(g_k, 1.0, float(extensions[k]))
+        vertices[k] = extend(center, centroids[k, None], extensions[k, None])
     return extensions
+
+
+def _slope_search(f, lo, hi):
+    """The evaluated point of least f in a search for f's minimum over
+    [lo, hi]; ``f(x)`` returns (value, slope).
+
+    Both ends are evaluated, hi first. Values that differ by at most
+    ``tie``, 1e-12 of the larger end value, are equal, and slopes within
+    ``tie`` of 0 are 0. While the slope is negative at lo and not at hi, a
+    step goes to the minimizer of the Hermite cubic on the bracket (Nocedal
+    & Wright, Numerical Optimization, 2nd ed., eq. 3.59), kept 5 % of the
+    bracket inside it, and replaces lo where the slope is negative, else
+    hi. The search stops when the bracket is 1e-4 wide or a step lands
+    within 1e-4 of an end, which ends the cubic's creep toward a kink of f.
+    f need not be unimodal, so the least value evaluated wins, and of equal
+    values the least x: where f is flat to rounding, the search closes in
+    on the flat stretch's lower end.
+    """
+    b, (fb, db) = hi, f(hi)
+    a, (fa, da) = lo, f(lo)
+    tie = 1e-12 * max(abs(fa), abs(fb))
+    da, db = (0.0 if abs(d) <= tie else d for d in (da, db))
+    best_f, best_x = (fa, a) if fa <= fb + tie else (fb, b)
+    while da < 0.0 <= db and b - a > 1e-4:
+        d1 = da + db - 3.0 * (fa - fb) / (a - b)
+        d2 = math.sqrt(d1 * d1 - da * db)  # da * db <= 0
+        x = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
+        x = min(max(x, a + 0.05 * (b - a)), b - 0.05 * (b - a))
+        fx, dx = f(x)
+        dx = 0.0 if abs(dx) <= tie else dx
+        if fx < best_f - tie or (fx <= best_f + tie and x < best_x):
+            best_f, best_x = fx, x
+        if min(x - a, b - x) <= 1e-4:
+            break
+        if dx < 0.0:
+            a, fa, da = x, fx, dx
+        else:
+            b, fb, db = x, fx, dx
+    return best_x
 
 
 def _encode(array):

@@ -1,10 +1,10 @@
-"""Convex-polytope primitives: projection and the geometric objective.
+"""Convex-polytope primitives: projection, the geometric objective and its slope.
 
 ``project_rows`` is the one projection onto the convex hull of the topic
-rows; the geometric objective and held-out inference both call it. It works
-in the K x K Gram geometry, so per-row cost is independent of the vocabulary
-size once the cross terms are formed, and runs in two steps over all rows at
-once:
+rows; the geometric objective, its slope and held-out inference call it. It
+works in the K x K Gram geometry, so per-row cost is independent of the
+vocabulary size once the cross terms are formed, and runs in two steps over
+all rows at once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
@@ -295,3 +295,17 @@ def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> floa
     """Weighted sum over documents of squared distance to the polytope."""
     _, sq = project_rows(data, polytope)
     return float(np.sum(data.weights * sq))
+
+
+def objective_slope(data: NormalizedCorpus, polytope: TopicPolytope, k, velocity):
+    """G and its derivative as vertex ``k`` moves with ``velocity``: (G, dG).
+
+    G is ``geometric_objective``'s. By Danskin's theorem the projection's
+    weights theta may be held fixed, so dG = sum_m 2 N_m theta_mk
+    (theta_m . (B v') - x_m . v'), with v' the velocity: one K x V and one
+    CSR mat-vec on top of the projection. ``project_rows`` is this module's,
+    looked up at each call.
+    """
+    theta, sq = project_rows(data, polytope)
+    along = theta @ (polytope.vertices @ velocity) - data.csr @ velocity
+    return float(np.sum(data.weights * sq)), 2.0 * float(np.sum(data.weights * theta[:, k] * along))

@@ -10,9 +10,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 
-from gdmtopics import gdm
+from gdmtopics import gdm, geometry
 from gdmtopics.clustering import fit_kmeans
-from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize
+from gdmtopics.corpus import Corpus, NormalizedCorpus, normalize, split_holdout
 from gdmtopics.gdm import (
     DegenerateClusterError,
     GdmConfig,
@@ -424,6 +424,75 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
         )
         assert abs(tuned.extensions[k] - m) < 2e-3
         vertices[k] = extended_vertex(center, centroids[k], tuned.extensions[k])
+
+
+def test_tuning_slope_matches_central_differences(monkeypatch):
+    # each cluster's line search gets g_k and its slope from one projection;
+    # the slope must be the derivative of g_k, also where the ray is clipped
+    # (there the vertex's renormalization moves the kept coordinates)
+    data = _lda_data(0, V=12, M=80)
+    real_tune, real_search = gdm.tune_extensions, gdm._slope_search
+    state, checked = {}, []
+
+    def tune_spy(data, center, centroids, assignments, extensions):
+        state.update(center=center, centroids=centroids, todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)))
+        return real_tune(data, center, centroids, assignments, extensions)
+
+    def search_spy(f, lo, hi):
+        center, k = state["center"], state["todo"].pop(0)
+        ray = state["centroids"][k] - center
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = -center / ray  # where a coordinate of the ray crosses 0
+        for m in lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo):
+            if np.nanmin(np.abs(kinks - m)) < 1e-3:
+                continue
+            h = 1e-6
+            differences = (f(m + h)[0] - f(m - h)[0]) / (2.0 * h)
+            checked.append((k, int((center + m * ray < 0.0).sum())))
+            assert f(m)[1] == pytest.approx(differences, rel=1e-5, abs=0.0)
+        return real_search(f, lo, hi)
+
+    monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
+    monkeypatch.setattr(gdm, "_slope_search", search_spy)
+    fit_gdm(data, GdmConfig(K=3, tune=True))
+    assert len({k for k, _ in checked}) >= 2
+    assert any(clipped for _, clipped in checked)
+    assert any(not clipped for _, clipped in checked)
+
+
+def test_tuning_takes_the_least_extension_where_the_objective_is_flat():
+    # criterion 4's outlier corpus: once the first cluster's vertex passes
+    # m of about 1.02 all its rows lie inside the hull, so its objective is
+    # flat to rounding up to the default m of 2.99, and tuning must take
+    # the flat stretch's lower end rather than a point that rounding favours
+    rows = np.array(
+        [[0.6, 0.2, 0.1, 0.1]] * 3
+        + [[0.25, 0.45, 0.2, 0.1]] * 8
+        + [[0.2, 0.35, 0.05, 0.4]]
+    )
+    data = _data(rows)
+    base = fit_gdm(data, GdmConfig(K=2, seed=0))
+    tuned = fit_gdm(data, GdmConfig(K=2, seed=0, tune=True))
+    (k,) = np.flatnonzero(base.extensions > 2.0)
+    assert tuned.objective == pytest.approx(base.objective, rel=1e-12)
+    assert 1.0 < tuned.extensions[k] < 1.05
+
+
+def test_tuned_fit_projects_half_as_often_as_a_derivative_free_search(monkeypatch):
+    # perfbench's tgdm_large_m corpus (data seed 0), fit seed 0: bounded
+    # Brent took 70 projections here, the slope search 39
+    params = LdaParams(K=5, V=100, M=1500, doc_lengths=200, alpha=0.1, eta=0.1, seed=0)
+    train, _ = split_holdout(generate_corpus(params)[0], 500, 0)
+    calls = []
+    real = geometry.project_rows
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "project_rows", spy)
+    fit_gdm(normalize(train), GdmConfig(K=5, tune=True, seed=0))
+    assert len(calls) <= 42
 
 
 def test_ngdm_finds_separated_clouds():
