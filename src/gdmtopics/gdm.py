@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import geometry
 from .clustering import _sq_dists, fit_dpmeans, fit_kmeans, weighted_means
 from .corpus import NormalizedCorpus, _sq_norms, check_integer, check_positive
 from .geometry import TopicPolytope, geometric_objective, objective_slope
@@ -123,7 +124,8 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     the model does not depend on the order of the rows. The data
     center, centroids and assignments are working state of this fit and are
     not kept on the model. The reported objective is G plus the nGDM
-    penalty lam * K' (zero for GDM).
+    penalty lam * K' (zero for GDM). The default polytope's projection
+    gives G and the weights that tuning starts from.
     """
     rng = np.random.default_rng(config.seed)
     if config.K is not None:
@@ -136,9 +138,11 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     center = weighted_means(data.csr, weights, np.zeros(data.M, dtype=np.intp), 1)[0]
     radii, extensions = default_extensions(data, center, clustering.centroids, assignments)
     polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
-    objective = geometric_objective(data, polytope)
+    theta, sq = geometry.project_rows(data, polytope)
+    objective = float(np.sum(data.weights * sq))  # geometric_objective's sum
     if config.tune and k > 1:
-        tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions)
+        tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions, theta)
+        del theta, sq  # freed before the tuned polytope is scored, from a cold start
         tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
         tuned_objective = geometric_objective(data, tuned)
         # keep the default extensions if the line searches somehow made G worse
@@ -172,7 +176,7 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     return _fit(data, config)
 
 
-def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions):
+def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions, theta):
     """Line-search each extension scalar m_k > 1 over [1, m_k]; returns the tuned m.
 
     From the vertices ``extend(center, centroids, extensions)``, clusters go in
@@ -182,6 +186,10 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     which the vertex moves with v' = (r' - v sum r') / sum r on the
     coordinates where the ray r = C + m (mu_k - C) is positive, r' = mu_k - C
     and the sums over those coordinates, and not at all where r is clipped.
+    Each evaluation's projection starts from weights near its answer:
+    cluster k's first from its rows of ``theta``, the rows' projection onto
+    those vertices, and each later one from the weights of the evaluated m
+    nearest the new m.
     """
     vertices = extend(center, centroids, extensions)
     extensions = extensions.copy()
@@ -189,6 +197,7 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
         members = np.flatnonzero(assignments == k)
         sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
         ray = centroids[k] - center
+        evaluated = {}  # m -> the weights of its projection
 
         def g_k(m):
             cand = vertices.copy()
@@ -196,7 +205,9 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
             raw = center + m * ray
             kept = raw > 0.0
             velocity = np.where(kept, ray - cand[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
-            return objective_slope(sub, TopicPolytope(cand), k, velocity)
+            start = evaluated[min(evaluated, key=lambda e: abs(e - m))] if evaluated else theta[members]
+            value, slope, evaluated[m] = objective_slope(sub, TopicPolytope(cand), k, velocity, start)
+            return value, slope
 
         extensions[k] = _slope_search(g_k, 1.0, float(extensions[k]))
         vertices[k] = extend(center, centroids[k, None], extensions[k, None])

@@ -8,10 +8,11 @@ all rows at once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
-   its nearest vertex and all rows stepped in lockstep. Each row's support
-   is a list of vertex indices, and each minor round is one batched solve
-   over its rows in one form, every support padded to the round's widest.
-   It is exact at every K.
+   its nearest vertex, or at given weights, from which the method resumes
+   (extension tuning starts each projection from an earlier one's weights),
+   and all rows stepped in lockstep. Each row's support is a list of vertex
+   indices, and each minor round is one batched solve over its rows in one
+   form, every support padded to the round's widest. It is exact at every K.
 2. certificate: every row is checked by the variational inequality
    ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
    vertex, taken in the same Gram geometry from the cross terms and the
@@ -88,19 +89,30 @@ class TopicPolytope:
         return self.vertices.shape[1]
 
 
-def _active_set(BBt, BX, xx, nearest, scales):
+def _active_set(BBt, BX, xx, theta, scales):
     """Min-norm-point weights of every row, Wolfe's active set run in lockstep.
 
-    Row m solves ``min_theta ||theta . B - x_m||^2`` over the simplex from its
-    nearest vertex. Major step: with r = theta . BBt - BX_m, the row retires
-    when ``min_j r_j >= theta . r - _TOL * scale`` or the argmin vertex is
-    already in its support, and otherwise adds that vertex. Minor step: the
+    Row m solves ``min_theta ||theta . B - x_m||^2`` over the simplex from
+    its row of ``theta``, a point of the simplex that the solve overwrites;
+    the row's support starts as that point's nonzero entries. Each row runs
+    minor rounds, then a major step, until it retires. Minor step: the
     affine minimizer on the support, ``(1 + G_S) a = 1`` normalized, with G
     the row's Gram matrix of the vertices shifted by x_m; where a weight
-    falls to ``_DROP_EPS`` or below, Wolfe's line step toward it, dropping the
-    zeroed vertices. A row still running after 100 K major steps keeps its
-    current weights for the certificate. The major step's ``theta . BBt`` is
-    ``_theta_gram``'s.
+    falls to ``_DROP_EPS`` or below, Wolfe's line step toward it, dropping
+    the zeroed vertices. A row's minor rounds end at a minimizer whose
+    weights all exceed ``_DROP_EPS``, or at one vertex. Every solution a of
+    the system sums to 1 / (1 + d^2) > 0, with d the distance from x_m to
+    the support's affine hull, so a row whose LU solution sums to 0 is
+    solved again by the pseudo-inverse, as are all the round's rows where
+    the LU solve raises. Both happen only on a singular system, as from a
+    start whose support is not affinely independent. Major step: with
+    r = theta . BBt - BX_m, the row retires when
+    ``min_j r_j >= theta . r - _TOL * scale`` or the argmin vertex is
+    already in its support, and otherwise adds that vertex. A row that
+    starts at one vertex has no minor round before its first major step,
+    so a start at each row's nearest vertex is the cold start. A row still
+    running after 100 K major steps keeps its current weights for the
+    certificate. The major step's ``theta . BBt`` is ``_theta_gram``'s.
 
     Each row's support is its ``n`` sorted vertex indices at the front of its
     row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
@@ -111,31 +123,16 @@ def _active_set(BBt, BX, xx, nearest, scales):
     no such slots and runs the same steps.
     """
     M, K = BX.shape
-    flat = np.zeros(M * K)
-    theta = flat.reshape(M, K)  # a view: rows for the major step, cells for the minor
-    theta[np.arange(M), nearest] = 1.0
-    S = nearest[:, None].copy()
-    n = np.ones(M, dtype=np.intp)
+    flat = theta.reshape(-1)  # a view: rows for the major step, cells for the minor
+    stored = np.flatnonzero(flat)  # row by row, each row's vertices ascending
+    rows = stored // K
+    n = np.bincount(rows, minlength=M)
+    S = np.full((M, n.max(initial=1)), K)
+    S[rows, np.arange(stored.size) - (np.cumsum(n) - n)[rows]] = stored % K
+    del stored, rows  # freed before the solve, to keep the peak down
     active = np.arange(M)
+    minor = np.flatnonzero(n > 1)
     for _ in range(100 * K):
-        # major step: the vertex of steepest descent joins the support
-        r = _theta_gram(theta, active, S, n, BBt)
-        r -= BX[active]
-        j = np.argmin(r, axis=1)
-        bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
-        going = (r[np.arange(active.size), j] < bound) & (S[active] != j[:, None]).all(axis=1)
-        active, j = active[going], j[going]
-        if active.size == 0:
-            break
-        size = n[active]
-        if size.max() == S.shape[1]:
-            S = np.hstack([S, np.full((M, min(S.shape[1], K - S.shape[1])), K)])
-        grown = S[active]
-        grown[np.arange(active.size), size] = j
-        grown.sort(axis=1)
-        S[active] = grown
-        n[active] = size + 1
-        minor = active
         while minor.size:
             size = n[minor]
             w = size.max()
@@ -158,11 +155,14 @@ def _active_set(BBt, BX, xx, nearest, scales):
             try:
                 alpha = np.linalg.solve(A, rhs)[:, :, 0]
             except np.linalg.LinAlgError:
-                alpha = (np.linalg.pinv(A) @ rhs)[:, :, 0]
+                alpha = np.zeros((minor.size, w))  # every row to the pseudo-inverse
             alpha[pad] = 0.0
-            total = alpha.sum(axis=1, keepdims=True)
-            # a solution summing to 0 leaves uniform weights on the row's own slots
-            lam = np.divide(alpha, total, out=real / size[:, None], where=total != 0.0)
+            total = alpha.sum(axis=1)
+            zero = np.flatnonzero(total == 0.0)
+            if zero.size:  # no solution sums to 0: LU gone wrong on a singular A
+                alpha[zero] = np.where(real[zero], (np.linalg.pinv(A[zero]) @ rhs[zero])[:, :, 0], 0.0)
+                total[zero] = alpha[zero].sum(axis=1)
+            lam = alpha / total[:, None]
             drop = real & (lam <= _DROP_EPS)
             moved = np.flatnonzero(drop.any(axis=1))
             if moved.size:
@@ -192,6 +192,24 @@ def _active_set(BBt, BX, xx, nearest, scales):
             lam /= lam.sum(axis=1, keepdims=True)
             flat[cells[real]] = lam[real]
             minor = minor[moved]
+        # major step: the vertex of steepest descent joins the support
+        r = _theta_gram(theta, active, S, n, BBt)
+        r -= BX[active]
+        j = np.argmin(r, axis=1)
+        bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
+        going = (r[np.arange(active.size), j] < bound) & (S[active] != j[:, None]).all(axis=1)
+        active, j = active[going], j[going]
+        if active.size == 0:
+            break
+        size = n[active]
+        if size.max() == S.shape[1]:
+            S = np.hstack([S, np.full((M, min(S.shape[1], K - S.shape[1])), K)])
+        grown = S[active]
+        grown[np.arange(active.size), size] = j
+        grown.sort(axis=1)
+        S[active] = grown
+        n[active] = size + 1
+        minor = active
     return theta
 
 
@@ -251,21 +269,38 @@ def _certify(BBt, BX, xx, thetas, scales):
     return sq, gaps, ok
 
 
-def project_rows(rows, polytope: TopicPolytope):
+def project_rows(rows, polytope: TopicPolytope, start=None):
     """Project the rows onto the convex hull of the topic rows, certifying every row.
 
     ``rows`` is a ``NormalizedCorpus`` or a dense M x V matrix, which is
     taken as CSR. Returns (theta matrix, squared distances). All rows are
     solved together by the min-norm-point active set in the K x K Gram
     geometry, and the certificate checks all of them in that geometry.
+    Each row starts at its nearest vertex, or, given ``start``, an M x K
+    matrix of weights such as an earlier projection's theta, at its row of
+    ``start`` divided by its sum: Wolfe's method resumes from any point of
+    the simplex, so a start near the answer saves major steps.
     Raises ValueError unless the rows are an M x V matrix of finite
-    numbers, and ProjectionFailure naming the first row that fails its
-    certificate, with scale = max(1, max_k ||b_k - x||^2) in the bound.
+    numbers and ``start``, if given, is an M x K matrix of finite,
+    nonnegative weights whose rows sum to 1 within 1e-9, and
+    ProjectionFailure naming the first row that fails its certificate, with
+    scale = max(1, max_k ||b_k - x||^2) in the bound.
     """
     X = rows.csr if isinstance(rows, NormalizedCorpus) else np.asarray(rows, dtype=np.float64)
     B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
         raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}, got shape {X.shape}")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (X.shape[0], polytope.K):
+            expected = (X.shape[0], polytope.K)
+            raise ValueError(f"start must be an M x K matrix of shape {expected}, got {start.shape}")
+        if not (
+            np.isfinite(start).all()
+            and start.min(initial=0.0) >= 0.0
+            and np.abs(start.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9
+        ):
+            raise ValueError("start must hold finite, nonnegative weights whose rows sum to 1")
     if isinstance(X, np.ndarray):  # a NormalizedCorpus holds finite rows
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
@@ -277,7 +312,12 @@ def project_rows(rows, polytope: TopicPolytope):
     scales = np.maximum(1.0, d2.max(axis=1))
     nearest = np.argmin(d2, axis=1)
     del d2  # freed before theta is allocated, to keep the peak down at large K
-    thetas = _active_set(BBt, BX, xx, nearest, scales)
+    if start is None:
+        thetas = np.zeros(BX.shape)
+        thetas[np.arange(X.shape[0]), nearest] = 1.0
+    else:
+        thetas = start / start.sum(axis=1, keepdims=True)
+    thetas = _active_set(BBt, BX, xx, thetas, scales)
     sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales)
     if not ok.all():
         m = int(np.argmin(ok))
@@ -297,15 +337,17 @@ def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> floa
     return float(np.sum(data.weights * sq))
 
 
-def objective_slope(data: NormalizedCorpus, polytope: TopicPolytope, k, velocity):
-    """G and its derivative as vertex ``k`` moves with ``velocity``: (G, dG).
+def objective_slope(data: NormalizedCorpus, polytope: TopicPolytope, k, velocity, start=None):
+    """G, its derivative as vertex ``k`` moves with ``velocity``, and the
+    projection's weights: (G, dG, theta).
 
-    G is ``geometric_objective``'s. By Danskin's theorem the projection's
-    weights theta may be held fixed, so dG = sum_m 2 N_m theta_mk
-    (theta_m . (B v') - x_m . v'), with v' the velocity: one K x V and one
-    CSR mat-vec on top of the projection. ``project_rows`` is this module's,
-    looked up at each call.
+    G is ``geometric_objective``'s, from a projection that ``start`` is passed
+    to. By Danskin's theorem the weights theta may be held fixed, so dG =
+    sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'), with v' the velocity:
+    one K x V and one CSR mat-vec on top of the projection. ``project_rows``
+    is this module's, looked up at each call.
     """
-    theta, sq = project_rows(data, polytope)
+    theta, sq = project_rows(data, polytope, start)
     along = theta @ (polytope.vertices @ velocity) - data.csr @ velocity
-    return float(np.sum(data.weights * sq)), 2.0 * float(np.sum(data.weights * theta[:, k] * along))
+    G = float(np.sum(data.weights * sq))
+    return G, 2.0 * float(np.sum(data.weights * theta[:, k] * along)), theta

@@ -400,9 +400,11 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     assert tuned.objective < base.objective - 1e-4
     shrunk = base.extensions - tuned.extensions
     assert shrunk.max() > 0.5
-    (_, center, centroids, assignments, extensions), = calls
+    (_, center, centroids, assignments, extensions, theta), = calls
     assert np.array_equal(extend(center, centroids, extensions), base.polytope.vertices)
     assert np.array_equal(extensions, base.extensions)
+    # and the rows' weights on those vertices, which the line search starts from
+    assert np.array_equal(theta, geometry.project_rows(data, base.polytope)[0])
 
     # dense-grid oracle over each extension scalar, replayed in the same
     # sequential order the line search uses
@@ -434,9 +436,9 @@ def test_tuning_slope_matches_central_differences(monkeypatch):
     real_tune, real_search = gdm.tune_extensions, gdm._slope_search
     state, checked = {}, []
 
-    def tune_spy(data, center, centroids, assignments, extensions):
+    def tune_spy(data, center, centroids, assignments, extensions, theta):
         state.update(center=center, centroids=centroids, todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)))
-        return real_tune(data, center, centroids, assignments, extensions)
+        return real_tune(data, center, centroids, assignments, extensions, theta)
 
     def search_spy(f, lo, hi):
         center, k = state["center"], state["todo"].pop(0)
@@ -478,11 +480,16 @@ def test_tuning_takes_the_least_extension_where_the_objective_is_flat():
     assert 1.0 < tuned.extensions[k] < 1.05
 
 
+def _tgdm_large_m_corpus():
+    """perfbench's tgdm_large_m training corpus at data seed 0."""
+    params = LdaParams(K=5, V=100, M=1500, doc_lengths=200, alpha=0.1, eta=0.1, seed=0)
+    return normalize(split_holdout(generate_corpus(params)[0], 500, 0)[0])
+
+
 def test_tuned_fit_projects_half_as_often_as_a_derivative_free_search(monkeypatch):
     # perfbench's tgdm_large_m corpus (data seed 0), fit seed 0: bounded
     # Brent took 70 projections here, the slope search 39
-    params = LdaParams(K=5, V=100, M=1500, doc_lengths=200, alpha=0.1, eta=0.1, seed=0)
-    train, _ = split_holdout(generate_corpus(params)[0], 500, 0)
+    data = _tgdm_large_m_corpus()
     calls = []
     real = geometry.project_rows
 
@@ -491,8 +498,45 @@ def test_tuned_fit_projects_half_as_often_as_a_derivative_free_search(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(geometry, "project_rows", spy)
-    fit_gdm(normalize(train), GdmConfig(K=5, tune=True, seed=0))
+    fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
     assert len(calls) <= 42
+
+
+def test_warm_started_tuning_picks_the_cold_search_extensions(monkeypatch):
+    # each projection of the line search starts from earlier weights, which
+    # changes how the active set gets to each projection but not where:
+    # the searches see the same objectives and slopes and pick the same m_k
+    cases = [(_lda_data(40 + seed), 3, seed) for seed in range(6)]
+    cases += [(_lda_data(seed, K=4, V=12, M=80), 4, seed) for seed in range(3)]
+    cases.append((_tgdm_large_m_corpus(), 5, 0))
+
+    def fits():
+        return [fit_gdm(data, GdmConfig(K=K, seed=seed, tune=True)) for data, K, seed in cases]
+
+    warm = fits()
+    real = geometry.project_rows
+    monkeypatch.setattr(geometry, "project_rows", lambda rows, polytope, start=None: real(rows, polytope))
+    for w, cold in zip(warm, fits()):  # every projection started at the nearest vertices
+        assert np.array_equal(w.extensions, cold.extensions)
+        assert np.array_equal(w.polytope.vertices, cold.polytope.vertices)
+        assert w.objective == cold.objective
+
+
+def test_warm_started_tuning_takes_under_a_third_of_the_cold_major_steps(monkeypatch):
+    # perfbench's tgdm_large_m corpus (data seed 0), fit seed 0: with every
+    # projection started at the nearest vertices the fit took 195 major
+    # steps of the active set, started from earlier weights 59
+    data = _tgdm_large_m_corpus()
+    steps = []
+    real = geometry._theta_gram
+
+    def spy(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_theta_gram", spy)
+    fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
+    assert len(steps) <= 65
 
 
 def test_ngdm_finds_separated_clouds():
