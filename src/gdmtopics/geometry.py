@@ -1,15 +1,16 @@
-"""Convex-polytope primitives: projection, the geometric objective and its slope.
+"""Convex-polytope primitives: projection and the geometric objective.
 
 ``project_rows`` is the one projection onto the convex hull of the topic
-rows; the geometric objective, its slope and held-out inference call it. It
-works in the K x K Gram geometry, so per-row cost is independent of the
-vocabulary size once the cross terms are formed, and runs in two steps over
-all rows at once:
+rows; the geometric objective and held-out inference call it. It forms
+its inputs, then runs one solve-and-certify step, ``_solve``, which
+extension tuning also calls on inputs it keeps per cluster. Both work in
+the K x K Gram geometry, so per-row cost is independent of the vocabulary
+size once the cross terms are formed, over all rows at once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
    its nearest vertex, or at given weights, from which the method resumes
-   (extension tuning starts each projection from an earlier one's weights),
+   (extension tuning starts each evaluation from an earlier one's weights),
    and all rows stepped in lockstep. Each row's support is a list of vertex
    indices, and each minor round is one batched solve over its rows in one
    form, every support padded to the round's widest. It is exact at every K.
@@ -269,6 +270,24 @@ def _certify(BBt, BX, xx, thetas, scales):
     return sq, gaps, ok
 
 
+def _solve(BBt, BX, xx, thetas, scales):
+    """(theta, squared distances) of every projection: ``_active_set`` from
+    ``thetas``, which it overwrites, then ``_certify``; raises
+    ProjectionFailure naming the first row that fails its certificate."""
+    thetas = _active_set(BBt, BX, xx, thetas, scales)
+    sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales)
+    if not ok.all():
+        m = int(np.argmin(ok))
+        bound = 10.0 * _TOL * scales[m]
+        if not gaps[m] <= bound:
+            raise ProjectionFailure(
+                f"row {m}: projection certificate gap {gaps[m]:.3e} exceeds tolerance {bound:.3e}"
+            )
+        lo, total = thetas[m].min(), thetas[m].sum()
+        raise ProjectionFailure(f"row {m}: weights leave the simplex (min {lo:.3e}, sum {total:.17g})")
+    return thetas, sq
+
+
 def project_rows(rows, polytope: TopicPolytope, start=None):
     """Project the rows onto the convex hull of the topic rows, certifying every row.
 
@@ -280,6 +299,12 @@ def project_rows(rows, polytope: TopicPolytope, start=None):
     matrix of weights such as an earlier projection's theta, at its row of
     ``start`` divided by its sum: Wolfe's method resumes from any point of
     the simplex, so a start near the answer saves major steps.
+    A row's weights can depend in their last bits on the other rows
+    projected with it: a minor round solves its rows' systems as one batch
+    padded to the widest support, and the LU solve (OpenBLAS 0.3.31) of a
+    padded system can round differently from the unpadded one where a
+    support holds 4 vertices or more. Compare theta bit for bit only for
+    the same rows in the same call.
     Raises ValueError unless the rows are an M x V matrix of finite
     numbers and ``start``, if given, is an M x K matrix of finite,
     nonnegative weights whose rows sum to 1 within 1e-9, and
@@ -317,37 +342,10 @@ def project_rows(rows, polytope: TopicPolytope, start=None):
         thetas[np.arange(X.shape[0]), nearest] = 1.0
     else:
         thetas = start / start.sum(axis=1, keepdims=True)
-    thetas = _active_set(BBt, BX, xx, thetas, scales)
-    sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales)
-    if not ok.all():
-        m = int(np.argmin(ok))
-        bound = 10.0 * _TOL * scales[m]
-        if not gaps[m] <= bound:
-            raise ProjectionFailure(
-                f"row {m}: projection certificate gap {gaps[m]:.3e} exceeds tolerance {bound:.3e}"
-            )
-        lo, total = thetas[m].min(), thetas[m].sum()
-        raise ProjectionFailure(f"row {m}: weights leave the simplex (min {lo:.3e}, sum {total:.17g})")
-    return thetas, sq
+    return _solve(BBt, BX, xx, thetas, scales)
 
 
 def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> float:
     """Weighted sum over documents of squared distance to the polytope."""
     _, sq = project_rows(data, polytope)
     return float(np.sum(data.weights * sq))
-
-
-def objective_slope(data: NormalizedCorpus, polytope: TopicPolytope, k, velocity, start=None):
-    """G, its derivative as vertex ``k`` moves with ``velocity``, and the
-    projection's weights: (G, dG, theta).
-
-    G is ``geometric_objective``'s, from a projection that ``start`` is passed
-    to. By Danskin's theorem the weights theta may be held fixed, so dG =
-    sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'), with v' the velocity:
-    one K x V and one CSR mat-vec on top of the projection. ``project_rows``
-    is this module's, looked up at each call.
-    """
-    theta, sq = project_rows(data, polytope, start)
-    along = theta @ (polytope.vertices @ velocity) - data.csr @ velocity
-    G = float(np.sum(data.weights * sq))
-    return G, 2.0 * float(np.sum(data.weights * theta[:, k] * along)), theta

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import gdmtopics
-from gdmtopics import metrics
+from gdmtopics import geometry, metrics
 from gdmtopics.cli import main
-from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words
-from gdmtopics.gdm import GdmConfig, GdmModel, load_model, save_model
+from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
+from gdmtopics.gdm import GdmConfig, GdmModel, fit_gdm, load_model, save_model
 from gdmtopics.geometry import ProjectionFailure, TopicPolytope
 from oracles import model_field
 
@@ -446,6 +446,32 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "error: row " in err and "projection certificate gap" in err
+
+
+def test_an_uncertified_tuning_row_fails_the_fit_and_exits_1(tmp_path, monkeypatch, capsys):
+    # extension tuning solves on projection inputs it keeps per cluster,
+    # through the same certified step as project_rows: a wrong weight row in
+    # a tuning evaluation raises ProjectionFailure, and `fit` exits 1
+    out = _simulate(tmp_path)
+    data = normalize(load_uci_bag_of_words(os.path.join(out, "docword.txt")))
+    solve, rows = geometry._active_set, []
+
+    def wrong_in_tuning(BBt, BX, xx, theta, scales):
+        theta = solve(BBt, BX, xx, theta, scales)
+        rows.append(BX.shape[0])
+        if len(rows) > 1:  # the fit's projection of all the rows stays correct
+            theta[0] = np.roll(theta[0], 1)
+        return theta
+
+    monkeypatch.setattr(geometry, "_active_set", wrong_in_tuning)
+    with pytest.raises(ProjectionFailure, match="row 0: projection certificate gap"):
+        fit_gdm(data, GdmConfig(K=3, tune=True))
+    assert len(rows) == 2 and rows[1] < rows[0]  # the first evaluation, on one cluster's rows
+    rows.clear()
+    args = ["fit", "--algo", "tgdm", "--K", "3", "--in", out, "--out", str(tmp_path / "m.json")]
+    assert main(args) == 1
+    assert "error: row 0: projection certificate gap" in capsys.readouterr().err
+    assert len(rows) == 2 and not os.path.exists(tmp_path / "m.json")
 
 
 def test_out_of_memory_exits_1(tmp_path, monkeypatch, capsys):

@@ -25,7 +25,7 @@ from gdmtopics.gdm import (
     load_truth,
     save_model,
 )
-from gdmtopics.geometry import geometric_objective
+from gdmtopics.geometry import TopicPolytope, geometric_objective
 from gdmtopics.metrics import infer_theta
 from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import (
@@ -488,16 +488,17 @@ def _tgdm_large_m_corpus():
 
 def test_tuned_fit_projects_half_as_often_as_a_derivative_free_search(monkeypatch):
     # perfbench's tgdm_large_m corpus (data seed 0), fit seed 0: bounded
-    # Brent took 70 projections here, the slope search 39
+    # Brent took 70 projections here, the slope search 39; every projection,
+    # the fit's and each tuning evaluation's, runs geometry._solve once
     data = _tgdm_large_m_corpus()
     calls = []
-    real = geometry.project_rows
+    real = geometry._solve
 
     def spy(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(geometry, "project_rows", spy)
+    monkeypatch.setattr(geometry, "_solve", spy)
     fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
     assert len(calls) <= 42
 
@@ -514,8 +515,15 @@ def test_warm_started_tuning_picks_the_cold_search_extensions(monkeypatch):
         return [fit_gdm(data, GdmConfig(K=K, seed=seed, tune=True)) for data, K, seed in cases]
 
     warm = fits()
-    real = geometry.project_rows
-    monkeypatch.setattr(geometry, "project_rows", lambda rows, polytope, start=None: real(rows, polytope))
+    real = geometry._solve
+
+    def cold_start(BBt, BX, xx, thetas, scales):
+        nearest = np.argmin(np.diag(BBt) - 2.0 * BX + xx[:, None], axis=1)
+        thetas = np.zeros(BX.shape)
+        thetas[np.arange(BX.shape[0]), nearest] = 1.0
+        return real(BBt, BX, xx, thetas, scales)
+
+    monkeypatch.setattr(geometry, "_solve", cold_start)
     for w, cold in zip(warm, fits()):  # every projection started at the nearest vertices
         assert np.array_equal(w.extensions, cold.extensions)
         assert np.array_equal(w.polytope.vertices, cold.polytope.vertices)
@@ -537,6 +545,108 @@ def test_warm_started_tuning_takes_under_a_third_of_the_cold_major_steps(monkeyp
     monkeypatch.setattr(geometry, "_theta_gram", spy)
     fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
     assert len(steps) <= 65
+
+
+def _sparse_tuning_corpus():
+    """Documents of 1-4 tokens on sparse topics: a corpus storing 0.6 % of
+    its entries, so that each cluster's cross terms take the CSR branch of
+    ``geometry._cross_terms``, and a third of whose rows lie more than 1
+    from some vertex in squared distance, so that their scales are not 1."""
+    params = LdaParams(K=4, V=400, M=300, doc_lengths=(1, 4), alpha=0.1, eta=0.02, seed=1)
+    return normalize(generate_corpus(params)[0])
+
+
+@pytest.mark.parametrize(
+    "corpus, K, dense_blocks",
+    [(_tgdm_large_m_corpus, 5, True), (_sparse_tuning_corpus, 4, False)],
+    ids=["dense-blocks", "csr"],
+)
+def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus, K, dense_blocks):
+    # tuning keeps each cluster's cross terms, Gram matrix and distances and
+    # recomputes only the moved vertex's part; every evaluation's objective,
+    # weights and slope must be those of project_rows on the candidate
+    # polytope from the same start, with the Danskin slope taken from them,
+    # and its scales those of the candidate's distances (a stale Gram row or
+    # cross-term column fails here)
+    data = corpus()
+    real_tune, real_search, real_solve = gdm.tune_extensions, gdm._slope_search, geometry._solve
+    state, solves, checked = {}, [], []
+
+    def tune_spy(data, center, centroids, assignments, extensions, theta):
+        state.update(
+            center=center,
+            centroids=centroids,
+            assignments=assignments,
+            vertices=extend(center, centroids, extensions),
+            todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)),
+        )
+        return real_tune(data, center, centroids, assignments, extensions, theta)
+
+    def solve_spy(BBt, BX, xx, thetas, scales):
+        start = thetas.copy()  # the active set overwrites its start
+        theta, sq = real_solve(BBt, BX, xx, thetas, scales)
+        solves.append((start, scales.copy(), theta))
+        return theta, sq
+
+    def search_spy(f, lo, hi):
+        center, centroids, k = state["center"], state["centroids"], state["todo"].pop(0)
+        members = state["assignments"] == k
+        sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
+        X, w = sub.csr, sub.weights
+        ray = centroids[k] - center
+
+        def checked_f(m):
+            value, slope = f(m)
+            start, scales, theta = solves[-1]
+            cand = state["vertices"].copy()
+            cand[k] = extend(center, centroids[k, None], [m])
+            ref, sq = geometry.project_rows(sub, TopicPolytope(cand), start)
+            raw = center + m * ray
+            kept = raw > 0.0
+            velocity = np.where(kept, ray - cand[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
+            along = ref @ (cand @ velocity) - X @ velocity
+            assert value == pytest.approx(float(np.sum(w * sq)), rel=1e-12, abs=0.0)
+            assert np.abs(theta - ref).max() <= 1e-9
+            # relative to the sum of the terms' magnitudes: near the minimum they cancel
+            terms = 2.0 * w * ref[:, k] * along
+            assert abs(slope - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
+            d2 = ((X.toarray()[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
+            assert scales == pytest.approx(np.maximum(1.0, d2.max(axis=1)), rel=1e-12, abs=0.0)
+            checked.append((k, X.nnz >= geometry._SPARSE_SHARE * X.shape[0] * X.shape[1]))
+            return value, slope
+
+        best = real_search(checked_f, lo, hi)
+        state["vertices"][k] = extend(center, centroids[k, None], [best])
+        return best
+
+    monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
+    monkeypatch.setattr(gdm, "_slope_search", search_spy)
+    monkeypatch.setattr(geometry, "_solve", solve_spy)
+    fit_gdm(data, GdmConfig(K=K, tune=True, seed=0))
+    assert len({k for k, _ in checked}) >= 2 and len(checked) >= 10
+    assert all(blocks == dense_blocks for _, blocks in checked)
+
+
+def test_a_tuned_fit_that_keeps_every_extension_projects_once(monkeypatch):
+    # every cluster is one repeated row, so each covering radius is its
+    # centroid's distance and every m_k is 1: tuning has nothing to search,
+    # and the fit is the untuned one without scoring the same polytope again
+    rows = np.array([[0.7, 0.2, 0.1]] * 4 + [[0.1, 0.2, 0.7]] * 5 + [[0.2, 0.6, 0.2]] * 3)
+    data = _data(rows, weights=np.arange(1.0, 13.0))
+    calls = []
+    real = geometry._solve
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    base = fit_gdm(data, GdmConfig(K=3, seed=0))
+    monkeypatch.setattr(geometry, "_solve", spy)
+    tuned = fit_gdm(data, GdmConfig(K=3, seed=0, tune=True))
+    assert np.abs(base.extensions - 1.0).max() <= 1e-12
+    assert len(calls) == 1
+    assert tuned.config == dataclasses.replace(base.config, tune=True)
+    _assert_same_model(tuned, dataclasses.replace(base, config=tuned.config))
 
 
 def test_ngdm_finds_separated_clouds():
