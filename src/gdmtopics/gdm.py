@@ -125,8 +125,7 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     center, centroids and assignments are working state of this fit and are
     not kept on the model. The reported objective is G plus the nGDM
     penalty lam * K' (zero for GDM). The default polytope's projection
-    gives G and the weights that tuning starts from; the tuned polytope is
-    scored only when tuning changed an extension.
+    gives G and the weights that tuning starts from.
     """
     rng = np.random.default_rng(config.seed)
     if config.K is not None:
@@ -144,12 +143,11 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     if config.tune and k > 1:
         tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions, theta)
         del theta, sq  # freed before the tuned polytope is scored, from a cold start
-        if not np.array_equal(tuned_m, extensions):  # else it is the default polytope, scored above
-            tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
-            tuned_objective = geometric_objective(data, tuned)
-            # keep the default extensions if the line searches somehow made G worse
-            if tuned_objective <= objective + 1e-9:
-                polytope, extensions, objective = tuned, tuned_m, tuned_objective
+        tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
+        tuned_objective = geometric_objective(data, tuned)
+        # keep the default extensions if the line searches somehow made G worse
+        if tuned_objective <= objective + 1e-9:
+            polytope, extensions, objective = tuned, tuned_m, tuned_objective
     return GdmModel(
         polytope=polytope,
         extensions=extensions,
@@ -184,49 +182,36 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     From the vertices ``extend(center, centroids, extensions)``, clusters go in
     ascending index order; cluster k's geometric objective g_k over its own
     rows is minimized by ``_slope_search`` while the other topics stay at
-    their current vertices. The cluster's projection inputs over those
-    vertices are formed once: cross terms, squared row norms, Gram matrix,
-    and each row's largest squared distance to a vertex other than k. An
-    evaluation at m checks vertex k's new row as ``TopicPolytope`` does,
-    recomputes only its cross-term column (one CSR product), Gram row and
-    column, distances and the scales, and runs ``geometry._solve``, which
-    certifies every row, from weights near the answer: cluster k's first
-    evaluation from its rows of ``theta``, the rows' projection onto the
-    starting vertices, each later one from the weights of the evaluated m
-    nearest the new m. By Danskin's theorem those weights may be held fixed
-    for the slope, dg_k = sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'),
-    where the vertex moves with v' = (r' - v sum r') / sum r on the
-    coordinates where the ray r = C + m (mu_k - C) is positive, r' = mu_k - C
-    and the sums over those coordinates, and not at all where r is clipped.
+    their current vertices. Each cluster's rows are projected by a
+    ``geometry.moving_vertex_projector``, which forms their projection
+    inputs once and at each evaluation of m recomputes only vertex k's part,
+    from weights near the answer: cluster k's first evaluation from its rows
+    of ``theta``, the rows' projection onto the starting vertices, each
+    later one from the weights of the evaluated m nearest the new m. By
+    Danskin's theorem those weights may be held fixed for the slope,
+    dg_k = sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'), where the
+    vertex moves with v' = (r' - v sum r') / sum r on the coordinates where
+    the ray r = C + m (mu_k - C) is positive, r' = mu_k - C and the sums
+    over those coordinates, and not at all where r is clipped.
     """
     vertices = extend(center, centroids, extensions)
     extensions = extensions.copy()
     for k in np.flatnonzero(extensions > 1.0 + 1e-12):
         members = np.flatnonzero(assignments == k)
         X, weights = data.csr[members], data.weights[members]
-        B = vertices.copy()  # row k is the evaluated vertex
-        BBt = B @ B.T
-        BX, xx = geometry._cross_terms(X, B)
-        d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
-        d2[:, k] = 1.0  # the scales are at least 1; vertex k's distances are each evaluation's own
-        farthest = d2.max(axis=1)
+        project = geometry.moving_vertex_projector(X, vertices, k)
         ray = centroids[k] - center
         evaluated = {}  # m -> the weights of its projection
 
         def g_k(m):
-            B[k] = extend(center, centroids[k, None], [m])
-            TopicPolytope(B[k, None])  # raises ValueError unless the vertex is a topic
-            BX[:, k] = X @ B[k]
-            BBt[k] = BBt[:, k] = B @ B[k]
-            scales = np.maximum(farthest, BBt[k, k] - 2.0 * BX[:, k] + xx)
+            vertices[k] = extend(center, centroids[k, None], [m])[0]
             start = evaluated[min(evaluated, key=lambda e: abs(e - m))] if evaluated else theta[members]
-            start = start / start.sum(axis=1, keepdims=True)  # a copy: the solve overwrites it
-            solved, sq = geometry._solve(BBt, BX, xx, start, scales)
+            solved, sq = project(vertices[k], start)
             evaluated[m] = solved
             raw = center + m * ray
             kept = raw > 0.0
-            velocity = np.where(kept, ray - B[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
-            along = solved @ (B @ velocity) - X @ velocity
+            velocity = np.where(kept, ray - vertices[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
+            along = solved @ (vertices @ velocity) - X @ velocity
             return float(np.sum(weights * sq)), 2.0 * float(np.sum(weights * solved[:, k] * along))
 
         extensions[k] = _slope_search(g_k, 1.0, float(extensions[k]))

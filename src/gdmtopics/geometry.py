@@ -2,18 +2,22 @@
 
 ``project_rows`` is the one projection onto the convex hull of the topic
 rows; the geometric objective and held-out inference call it. It forms
-its inputs, then runs one solve-and-certify step, ``_solve``, which
-extension tuning also calls on inputs it keeps per cluster. Both work in
-the K x K Gram geometry, so per-row cost is independent of the vocabulary
-size once the cross terms are formed, over all rows at once:
+its inputs with ``_inputs``, then runs one solve-and-certify step,
+``_solve``. ``moving_vertex_projector`` forms the same inputs once for rows
+whose projection is wanted at many positions of one vertex, as in
+extension tuning, and recomputes only that vertex's part before each
+``_solve``. Both work in the K x K Gram geometry, so per-row cost is
+independent of the vocabulary size once the cross terms are formed, over
+all rows at once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
    its nearest vertex, or at given weights, from which the method resumes
-   (extension tuning starts each evaluation from an earlier one's weights),
-   and all rows stepped in lockstep. Each row's support is a list of vertex
-   indices, and each minor round is one batched solve over its rows in one
-   form, every support padded to the round's widest. It is exact at every K.
+   (each position of a moving vertex starts from an earlier one's
+   weights), and all rows stepped in lockstep. Each row's support is a
+   list of vertex indices, and each minor round is one batched solve over
+   its rows in one form, every support padded to the round's widest. It is
+   exact at every K.
 2. certificate: every row is checked by the variational inequality
    ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
    vertex, taken in the same Gram geometry from the cross terms and the
@@ -288,17 +292,22 @@ def _solve(BBt, BX, xx, thetas, scales):
     return thetas, sq
 
 
-def project_rows(rows, polytope: TopicPolytope, start=None):
+def _inputs(X, B):
+    """(Gram matrix ``B @ B.T``, cross terms, squared row norms, squared
+    distances ``||x_m - b_k||^2``) of the CSR rows ``X`` and the vertices ``B``."""
+    BBt = B @ B.T
+    BX, xx = _cross_terms(X, B)
+    return BBt, BX, xx, np.diag(BBt) - 2.0 * BX + xx[:, None]
+
+
+def project_rows(rows, polytope: TopicPolytope):
     """Project the rows onto the convex hull of the topic rows, certifying every row.
 
     ``rows`` is a ``NormalizedCorpus`` or a dense M x V matrix, which is
     taken as CSR. Returns (theta matrix, squared distances). All rows are
     solved together by the min-norm-point active set in the K x K Gram
-    geometry, and the certificate checks all of them in that geometry.
-    Each row starts at its nearest vertex, or, given ``start``, an M x K
-    matrix of weights such as an earlier projection's theta, at its row of
-    ``start`` divided by its sum: Wolfe's method resumes from any point of
-    the simplex, so a start near the answer saves major steps.
+    geometry, each from its nearest vertex, and the certificate checks all
+    of them in that geometry.
     A row's weights can depend in their last bits on the other rows
     projected with it: a minor round solves its rows' systems as one batch
     padded to the widest support, and the LU solve (OpenBLAS 0.3.31) of a
@@ -306,43 +315,55 @@ def project_rows(rows, polytope: TopicPolytope, start=None):
     support holds 4 vertices or more. Compare theta bit for bit only for
     the same rows in the same call.
     Raises ValueError unless the rows are an M x V matrix of finite
-    numbers and ``start``, if given, is an M x K matrix of finite,
-    nonnegative weights whose rows sum to 1 within 1e-9, and
-    ProjectionFailure naming the first row that fails its certificate, with
-    scale = max(1, max_k ||b_k - x||^2) in the bound.
+    numbers, and ProjectionFailure naming the first row that fails its
+    certificate, with scale = max(1, max_k ||b_k - x||^2) in the bound.
     """
     X = rows.csr if isinstance(rows, NormalizedCorpus) else np.asarray(rows, dtype=np.float64)
-    B = polytope.vertices
     if X.ndim != 2 or X.shape[1] != polytope.V:
         raise ValueError(f"rows must be an M x V matrix with V = {polytope.V}, got shape {X.shape}")
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (X.shape[0], polytope.K):
-            expected = (X.shape[0], polytope.K)
-            raise ValueError(f"start must be an M x K matrix of shape {expected}, got {start.shape}")
-        if not (
-            np.isfinite(start).all()
-            and start.min(initial=0.0) >= 0.0
-            and np.abs(start.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9
-        ):
-            raise ValueError("start must hold finite, nonnegative weights whose rows sum to 1")
     if isinstance(X, np.ndarray):  # a NormalizedCorpus holds finite rows
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
             raise ValueError(f"row {int(np.argmin(finite))} is not finite")
         X = sp.csr_matrix(X)
-    BBt = B @ B.T
-    BX, xx = _cross_terms(X, B)
-    d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
+    BBt, BX, xx, d2 = _inputs(X, polytope.vertices)
     scales = np.maximum(1.0, d2.max(axis=1))
     nearest = np.argmin(d2, axis=1)
     del d2  # freed before theta is allocated, to keep the peak down at large K
-    if start is None:
-        thetas = np.zeros(BX.shape)
-        thetas[np.arange(X.shape[0]), nearest] = 1.0
-    else:
-        thetas = start / start.sum(axis=1, keepdims=True)
+    thetas = np.zeros(BX.shape)
+    thetas[np.arange(X.shape[0]), nearest] = 1.0
     return _solve(BBt, BX, xx, thetas, scales)
+
+
+def moving_vertex_projector(X, vertices, k):
+    """``project(b, start)``: the certified projection of the CSR rows ``X``
+    onto the vertices with row k replaced by ``b``, as (theta, squared
+    distances), from the starting weights ``start``, an M x K array that
+    ``project`` divides by its row sums into a new array for the solve.
+
+    The inputs of the rows over ``vertices`` are formed once, with each
+    row's largest squared distance to a vertex other than k, floored at 1.
+    Each call checks ``b`` as ``TopicPolytope`` checks a row (ValueError
+    unless it sums to 1 within 1e-10 and lies in [0, 1]), recomputes only
+    vertex k's cross-term column (one CSR product), Gram row and column,
+    distances and the scales, max(1, max_k ||b_k - x||^2), and runs
+    ``_solve``, which certifies every row. The caller's ``vertices`` are
+    not written.
+    """
+    B = np.array(vertices, dtype=np.float64)  # row k is the evaluated vertex
+    BBt, BX, xx, d2 = _inputs(X, B)
+    d2[:, k] = 1.0  # the scales are at least 1; vertex k's distances are each call's own
+    farthest = d2.max(axis=1)
+
+    def project(b, start):
+        TopicPolytope(b[None, :])  # raises ValueError unless the vertex is a topic
+        B[k] = b
+        BX[:, k] = X @ b
+        BBt[k] = BBt[:, k] = B @ b
+        scales = np.maximum(farthest, BBt[k, k] - 2.0 * BX[:, k] + xx)
+        return _solve(BBt, BX, xx, start / start.sum(axis=1, keepdims=True), scales)
+
+    return project
 
 
 def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> float:

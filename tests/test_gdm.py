@@ -564,10 +564,10 @@ def _sparse_tuning_corpus():
 def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus, K, dense_blocks):
     # tuning keeps each cluster's cross terms, Gram matrix and distances and
     # recomputes only the moved vertex's part; every evaluation's objective,
-    # weights and slope must be those of project_rows on the candidate
-    # polytope from the same start, with the Danskin slope taken from them,
-    # and its scales those of the candidate's distances (a stale Gram row or
-    # cross-term column fails here)
+    # weights and slope must be those of a solve on the candidate polytope's
+    # inputs formed afresh, from the same start, with the Danskin slope taken
+    # from them, and its scales those of the candidate's distances (a stale
+    # Gram row or cross-term column fails here)
     data = corpus()
     real_tune, real_search, real_solve = gdm.tune_extensions, gdm._slope_search, geometry._solve
     state, solves, checked = {}, [], []
@@ -600,7 +600,9 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
             start, scales, theta = solves[-1]
             cand = state["vertices"].copy()
             cand[k] = extend(center, centroids[k, None], [m])
-            ref, sq = geometry.project_rows(sub, TopicPolytope(cand), start)
+            # project_rows' inputs, formed afresh for the candidate polytope
+            BBt, BX, xx, d2 = geometry._inputs(X, TopicPolytope(cand).vertices)
+            ref, sq = real_solve(BBt, BX, xx, start.copy(), np.maximum(1.0, d2.max(axis=1)))
             raw = center + m * ray
             kept = raw > 0.0
             velocity = np.where(kept, ray - cand[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
@@ -625,28 +627,6 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
     fit_gdm(data, GdmConfig(K=K, tune=True, seed=0))
     assert len({k for k, _ in checked}) >= 2 and len(checked) >= 10
     assert all(blocks == dense_blocks for _, blocks in checked)
-
-
-def test_a_tuned_fit_that_keeps_every_extension_projects_once(monkeypatch):
-    # every cluster is one repeated row, so each covering radius is its
-    # centroid's distance and every m_k is 1: tuning has nothing to search,
-    # and the fit is the untuned one without scoring the same polytope again
-    rows = np.array([[0.7, 0.2, 0.1]] * 4 + [[0.1, 0.2, 0.7]] * 5 + [[0.2, 0.6, 0.2]] * 3)
-    data = _data(rows, weights=np.arange(1.0, 13.0))
-    calls = []
-    real = geometry._solve
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-
-    base = fit_gdm(data, GdmConfig(K=3, seed=0))
-    monkeypatch.setattr(geometry, "_solve", spy)
-    tuned = fit_gdm(data, GdmConfig(K=3, seed=0, tune=True))
-    assert np.abs(base.extensions - 1.0).max() <= 1e-12
-    assert len(calls) == 1
-    assert tuned.config == dataclasses.replace(base.config, tune=True)
-    _assert_same_model(tuned, dataclasses.replace(base, config=tuned.config))
 
 
 def test_ngdm_finds_separated_clouds():

@@ -141,23 +141,6 @@ def test_project_rows_rejects_bad_input(monkeypatch):
         rows[11, 0] = bad
         with pytest.raises(ValueError, match="row 11 is not finite"):
             project_rows(rows, poly)
-    # a start must be M x K weights on the simplex
-    rows = np.array([[0.3, 0.7], [0.5, 0.5]])
-    for start in (np.full((1, 2), 0.5), np.full((2, 3), 1.0 / 3.0), np.full(4, 0.5)):
-        with pytest.raises(ValueError, match="start must be an M x K matrix of shape"):
-            project_rows(rows, poly, start)
-    for start in (
-        [[1.5, -0.5], [0.5, 0.5]],  # negative
-        [[np.nan, 1.0], [0.5, 0.5]],
-        [[np.inf, 1.0], [0.5, 0.5]],
-        [[0.5, 0.5], [0.5, 0.5 + 1e-8]],  # off the simplex
-        [[0.0, 0.0], [0.5, 0.5]],
-    ):
-        with pytest.raises(ValueError, match="start must hold finite, nonnegative weights"):
-            project_rows(rows, poly, np.array(start))
-    # within 1e-9 of the simplex a start is taken, divided by its row sums
-    theta, _ = project_rows(rows, poly, np.array([[0.5, 0.5 + 5e-10], [1.0, 0.0]]))
-    assert np.allclose(theta, rows, rtol=0.0, atol=1e-12)
 
 
 def test_geometric_objective_zero_at_vertices():

@@ -293,7 +293,8 @@ def test_warm_started_projection_matches_the_cold_one(case, kind, seed):
     # the active set resumes from any weights on the simplex: from full
     # supports (affinely dependent wherever K > V + 1 or the polytope is
     # degenerate), from single vertices other than the nearest, and from the
-    # cold answer itself, which it must return
+    # cold answer itself, which it must return; the solve and certificate
+    # run on project_rows' own inputs
     poly, X = case
     B = poly.vertices
     cold, cold_sq = project_rows(X, poly)
@@ -303,7 +304,9 @@ def test_warm_started_projection_matches_the_cold_one(case, kind, seed):
         "one-hot": lambda: np.eye(poly.K)[rng.integers(poly.K, size=X.shape[0])],
         "cold": lambda: cold,
     }[kind]()
-    thetas, sq = project_rows(X, poly, start)
+    BBt, BX, xx, d2 = geometry._inputs(sp.csr_matrix(X), B)
+    start = start / start.sum(axis=1, keepdims=True)  # a new array: the solve overwrites it
+    thetas, sq = geometry._solve(BBt, BX, xx, start, np.maximum(1.0, d2.max(axis=1)))
     if kind == "cold":
         # a row at one vertex is kept as it is; a wider support is solved
         # again, and LAPACK's LU of the padded system can differ in the last
