@@ -205,6 +205,8 @@ def _cmd_rerun(args, argv):
     rerun_argv = manifest["argv"]
     if not isinstance(rerun_argv, list) or not all(isinstance(a, str) for a in rerun_argv):
         raise ValueError(f"{where} field 'argv' is not a list of strings")
+    if rerun_argv[:1] == ["rerun"]:
+        raise ValueError(f"{where} field 'argv' is itself a rerun command")
     return main(rerun_argv)
 
 

@@ -169,9 +169,9 @@ def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
 def fit_kmeans(
     data: NormalizedCorpus,
     K: int,
-    restarts: int = 10,
-    max_iters: int = 1500,
-    rng: np.random.Generator | None = None,
+    restarts: int,
+    max_iters: int,
+    rng: np.random.Generator,
 ) -> ClusteringResult:
     """Best-of-restarts weighted k-means with k-means++ seeding.
 
@@ -182,8 +182,6 @@ def fit_kmeans(
     """
     K, restarts = check_integer("K", K, 1), check_integer("restarts", restarts, 1)
     check_integer("max_iters", max_iters, 1)
-    if rng is None:
-        rng = np.random.default_rng(0)
     order = _canonical_order(data)
     X, weights = data.csr[order], data.weights[order]
     xx = _sq_norms(X)
@@ -248,8 +246,8 @@ def _dpmeans_pass(rows, xx, weights, d2, visit, lam):
 def fit_dpmeans(
     data: NormalizedCorpus,
     lam: float,
-    max_iters: int = 1500,
-    rng: np.random.Generator | None = None,
+    max_iters: int,
+    rng: np.random.Generator,
 ) -> ClusteringResult:
     """Weighted DP-means (Kulis & Jordan, ICML 2012): a document opens a new
     cluster when its assignment cost exceeds the penalty.
@@ -268,8 +266,6 @@ def fit_dpmeans(
     rows.
     """
     lam, max_iters = check_positive("lam", lam), check_integer("max_iters", max_iters, 1)
-    if rng is None:
-        rng = np.random.default_rng(0)
     order = _canonical_order(data)
     rows, weights = data.csr[order].toarray(), data.weights[order]
     xx = np.einsum("ij,ij->i", rows, rows)

@@ -43,13 +43,16 @@ def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> P
     Corpus-level: exp(-total log-likelihood / total tokens).
     Zero word probabilities at observed words are floored at PROB_FLOOR (with
     the row renormalized); interventions are counted in ``floored_entries``.
-    Raises ValueError when the polytope and the held-out corpus differ in V.
+    Raises ValueError when the polytope and the held-out corpus differ in V,
+    or when theta is not a finite M x K array.
     """
     if heldout.V != polytope.V:
         raise ValueError(f"polytope has V={polytope.V} but held-out corpus has V={heldout.V}")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (heldout.M, polytope.K):
         raise ValueError(f"theta must be {heldout.M} x {polytope.K}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     counts = heldout.counts
     docs = np.repeat(np.arange(heldout.M), np.diff(counts.indptr))
     p_hat = theta @ polytope.vertices

@@ -68,18 +68,13 @@ class GroundTruth:
     theta: np.ndarray
 
 
-def sample_dirichlet(dim: int, concentration: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw from a symmetric Dirichlet via normalized Gamma variates.
+def _dirichlet(dim, concentration, rng):
+    """One draw from a symmetric Dirichlet via normalized Gamma variates, on
+    arguments that ``LdaParams`` has checked.
 
     Small concentrations are sampled in log space (Gamma(a+1) boost plus a
     log-uniform factor) so that draws do not underflow to an all-zero vector.
     """
-    concentration, dim = check_positive("concentration", concentration), check_integer("dim", dim, 1)
-    return _dirichlet(dim, concentration, rng)
-
-
-def _dirichlet(dim, concentration, rng):
-    # sample_dirichlet on checked arguments, without the checks' cost per row
     if dim == 1:
         return np.ones(1)
     if concentration >= 0.05:

@@ -623,8 +623,10 @@ def test_rerun_missing_manifest_exits_1(tmp_path, capsys):
         ({"command": "fit"}, "has no 'argv' field"),
         ({"argv": 5}, "field 'argv' is not a list of strings"),
         ({"argv": ["fit", 3]}, "field 'argv' is not a list of strings"),
+        # rerun writes no manifest; a hand-made one naming itself would recurse
+        ({"argv": ["rerun", "manifest.json"]}, "field 'argv' is itself a rerun command"),
     ],
-    ids=["list", "no-argv", "int-argv", "int-in-argv"],
+    ids=["list", "no-argv", "int-argv", "int-in-argv", "rerun-argv"],
 )
 def test_rerun_malformed_manifest_exits_1(tmp_path, capsys, content, message):
     path = str(tmp_path / "manifest.json")

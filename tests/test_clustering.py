@@ -113,9 +113,9 @@ def test_kmeans_raises_exactly_when_k_exceeds_the_distinct_rows(case):
     rng = np.random.default_rng(seed)
     if K > distinct:
         with pytest.raises(ValueError, match="distinct"):
-            fit_kmeans(data, K, restarts=2, rng=rng)
+            fit_kmeans(data, K, 2, 1500, rng)
         return
-    res = fit_kmeans(data, K, restarts=2, rng=rng)
+    res = fit_kmeans(data, K, 2, 1500, rng)
     assert res.n_clusters == K
     assert (np.bincount(res.assignments, minlength=K) > 0).all()
 
@@ -152,7 +152,7 @@ def test_kmeanspp_gives_rows_equal_to_a_seed_probability_zero(case):
 
 def test_kmeans_weighted_mean_single_cluster():
     data = _data([[0.0, 1.0], [1.0, 0.0]], weights=[1.0, 3.0])
-    res = fit_kmeans(data, 1, rng=np.random.default_rng(0))
+    res = fit_kmeans(data, 1, 10, 1500, np.random.default_rng(0))
     assert np.allclose(res.centroids[0], [0.75, 0.25])
     assert res.assignments.tolist() == [0, 0]
 
@@ -160,7 +160,7 @@ def test_kmeans_weighted_mean_single_cluster():
 def test_kmeans_exact_fit_when_k_equals_distinct_rows():
     rows = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 1.0]])
     data = _data(rows, weights=[1, 2, 3, 4])
-    res = fit_kmeans(data, 3, rng=np.random.default_rng(0))
+    res = fit_kmeans(data, 3, 10, 1500, np.random.default_rng(0))
     assert res.objective < 1e-12
     assert {tuple(c) for c in res.centroids} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
@@ -174,7 +174,7 @@ def test_kmeans_matches_brute_force():
         weights = rng.integers(1, 4, size=8).astype(float)
         data = _data(rows, weights)
         exact = brute_force_kmeans(data, 2)
-        fitted = fit_kmeans(data, 2, restarts=20, rng=np.random.default_rng(seed))
+        fitted = fit_kmeans(data, 2, 20, 1500, np.random.default_rng(seed))
         assert fitted.objective >= exact.objective - 1e-12
         hits += fitted.objective <= exact.objective + 1e-9
     assert hits >= 9
@@ -186,14 +186,14 @@ def test_kmeans_unweighted_case_matches_brute_force():
         rows = _random_simplex_rows(rng, 7, 3)
         data = _data(rows)
         exact = brute_force_kmeans(data, 3)
-        fitted = fit_kmeans(data, 3, restarts=30, rng=np.random.default_rng(seed))
+        fitted = fit_kmeans(data, 3, 30, 1500, np.random.default_rng(seed))
         assert fitted.objective <= exact.objective + 1e-9
 
 
 def test_kmeans_centroids_are_weighted_means():
     rng = np.random.default_rng(3)
     data = _data(_random_simplex_rows(rng, 30, 4), rng.integers(1, 10, size=30).astype(float))
-    res = fit_kmeans(data, 3, rng=np.random.default_rng(1))
+    res = fit_kmeans(data, 3, 10, 1500, np.random.default_rng(1))
     for k in range(3):
         members = res.assignments == k
         assert members.any()
@@ -205,8 +205,8 @@ def test_kmeans_weight_scaling_invariance():
     rng = np.random.default_rng(8)
     rows = _random_simplex_rows(rng, 15, 3)
     weights = rng.integers(1, 6, size=15).astype(float)
-    r1 = fit_kmeans(_data(rows, weights), 2, rng=np.random.default_rng(4))
-    r2 = fit_kmeans(_data(rows, 10.0 * weights), 2, rng=np.random.default_rng(4))
+    r1 = fit_kmeans(_data(rows, weights), 2, 10, 1500, np.random.default_rng(4))
+    r2 = fit_kmeans(_data(rows, 10.0 * weights), 2, 10, 1500, np.random.default_rng(4))
     assert np.array_equal(r1.assignments, r2.assignments)
     assert np.allclose(r1.centroids, r2.centroids)
     assert np.isclose(r2.objective, 10.0 * r1.objective)
@@ -215,7 +215,7 @@ def test_kmeans_weight_scaling_invariance():
 def test_kmeans_matches_dense_reference_bitwise():
     params = LdaParams(K=8, V=2000, M=150, doc_lengths=(50, 400), alpha=0.1, eta=0.05, seed=3)
     data = normalize(generate_corpus(params)[0])
-    fitted = fit_kmeans(data, 8, restarts=3, rng=np.random.default_rng(7))
+    fitted = fit_kmeans(data, 8, 3, 1500, np.random.default_rng(7))
     reference = in_canonical_order(dense_kmeans, data, 8, 3, 1500, np.random.default_rng(7))
     assert np.array_equal(fitted.assignments, reference.assignments)
     assert np.array_equal(fitted.centroids, reference.centroids)
@@ -232,7 +232,7 @@ def test_lloyd_reseeds_an_empty_cluster(monkeypatch):
     data = _data(rows, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     seeds = rows[[0, 3, 0]]
     monkeypatch.setattr(clustering, "kmeanspp_init", lambda *args: seeds.copy())
-    fitted = fit_kmeans(data, 3, restarts=1)
+    fitted = fit_kmeans(data, 3, 1, 1500, np.random.default_rng(0))
 
     def lloyd(ordered):
         return _dense_lloyd(ordered.rows, ordered.weights, seeds.copy(), 1500)
@@ -265,7 +265,7 @@ def sparse_corpora(draw):
 @given(case=sparse_corpora())
 def test_kmeans_arithmetic_on_sparse_rows(case):
     data, K, seed = case
-    res = fit_kmeans(data, K, restarts=2, rng=np.random.default_rng(seed))
+    res = fit_kmeans(data, K, 2, 1500, np.random.default_rng(seed))
     means = dense_weighted_means(data.rows, data.weights, res.assignments, K)
     assert np.array_equal(res.centroids, means)
     diff = data.rows[:, None, :] - res.centroids[None, :, :]
@@ -305,7 +305,7 @@ def test_kmeans_allocates_less_than_half_the_dense_rows():
     data = normalize(generate_corpus(params)[0])
     tracemalloc.start()
     try:
-        fit_kmeans(data, 10, restarts=2, rng=np.random.default_rng(0))
+        fit_kmeans(data, 10, 2, 1500, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,13 +333,13 @@ def test_brute_force_size_cap():
 def test_dpmeans_penalty_dominates():
     rng = np.random.default_rng(6)
     data = _data(_random_simplex_rows(rng, 10, 3))
-    res = fit_dpmeans(data, lam=1e6, rng=np.random.default_rng(0))
+    res = fit_dpmeans(data, 1e6, 1500, np.random.default_rng(0))
     assert res.n_clusters == 1
 
 
 def test_dpmeans_zero_penalty_limit():
     rows = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 1.0]])
-    res = fit_dpmeans(_data(rows), lam=1e-9, rng=np.random.default_rng(0))
+    res = fit_dpmeans(_data(rows), 1e-9, 1500, np.random.default_rng(0))
     assert res.n_clusters == 3
     assert res.objective < 1e-12
 
@@ -355,22 +355,22 @@ def test_dpmeans_three_separated_clouds():
     rows /= rows.sum(axis=1, keepdims=True)
     data = _data(rows)
     for seed in range(10):
-        res = fit_dpmeans(data, lam=0.05, rng=np.random.default_rng(seed))
+        res = fit_dpmeans(data, 0.05, 1500, np.random.default_rng(seed))
         assert res.n_clusters == 3
 
 
 @pytest.mark.parametrize(
     "fit, message",
     [
-        (lambda data: _seeds(data, 0, np.random.default_rng(0)), "K must be >= 1"),
-        (lambda data: fit_kmeans(data, 0), "K must be >= 1"),
-        (lambda data: fit_kmeans(data, 2, restarts=0), "restarts must be >= 1"),
-        (lambda data: fit_kmeans(data, 2, max_iters=0), "max_iters must be >= 1"),
-        (lambda data: fit_dpmeans(data, lam=1.0, max_iters=0), "max_iters must be >= 1"),
-        (lambda data: fit_kmeans(data, 2.5), "K must be an integer"),
-        (lambda data: fit_kmeans(data, True), "K must be an integer"),
-        (lambda data: fit_kmeans(data, 2, restarts=1.5), "restarts must be an integer"),
-        (lambda data: fit_dpmeans(data, "1"), "lam must be a real number"),
+        (lambda data, rng: _seeds(data, 0, rng), "K must be >= 1"),
+        (lambda data, rng: fit_kmeans(data, 0, 10, 1500, rng), "K must be >= 1"),
+        (lambda data, rng: fit_kmeans(data, 2, 0, 1500, rng), "restarts must be >= 1"),
+        (lambda data, rng: fit_kmeans(data, 2, 10, 0, rng), "max_iters must be >= 1"),
+        (lambda data, rng: fit_dpmeans(data, 1.0, 0, rng), "max_iters must be >= 1"),
+        (lambda data, rng: fit_kmeans(data, 2.5, 10, 1500, rng), "K must be an integer"),
+        (lambda data, rng: fit_kmeans(data, True, 10, 1500, rng), "K must be an integer"),
+        (lambda data, rng: fit_kmeans(data, 2, 1.5, 1500, rng), "restarts must be an integer"),
+        (lambda data, rng: fit_dpmeans(data, "1", 1500, rng), "lam must be a real number"),
     ],
     ids=[
         "seed-K",
@@ -386,26 +386,22 @@ def test_dpmeans_three_separated_clouds():
 )
 def test_clustering_rejects_counts_below_one(fit, message):
     with pytest.raises(ValueError, match=message):
-        fit(_data(np.eye(3)))
+        fit(_data(np.eye(3)), np.random.default_rng(0))
 
 
-def test_dpmeans_draws_its_visit_from_seed_0_by_default():
+def test_dpmeans_draws_its_visit_from_rng():
     params = LdaParams(K=3, V=20, M=60, doc_lengths=(20, 60), alpha=0.2, eta=0.3, seed=1)
     data = normalize(generate_corpus(params)[0])
-    default = fit_dpmeans(data, 2.0)
-    seeded = fit_dpmeans(data, 2.0, rng=np.random.default_rng(0))
     # the visit order matters at this lambda: another seed gives another objective
-    assert fit_dpmeans(data, 2.0, rng=np.random.default_rng(1)).objective != default.objective
-    assert np.array_equal(default.centroids, seeded.centroids)
-    assert np.array_equal(default.assignments, seeded.assignments)
-    assert default.objective == seeded.objective
+    one, other = (fit_dpmeans(data, 2.0, 1500, np.random.default_rng(seed)) for seed in (0, 1))
+    assert one.objective != other.objective
 
 
 def test_dpmeans_rejects_bad_lambda():
     data = _data(np.eye(3))
     for lam in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
-            fit_dpmeans(data, lam=lam)
+            fit_dpmeans(data, lam, 1500, np.random.default_rng(0))
 
 
 @st.composite
@@ -435,7 +431,7 @@ def test_dpmeans_matches_sequential_oracle(case):
     )
     # batched and per-row distances differ by a few ulps, which may flip a near-tie
     assume(margin > 1e-9)
-    res = fit_dpmeans(data, lam, rng=np.random.default_rng(seed))
+    res = fit_dpmeans(data, lam, 1500, np.random.default_rng(seed))
     assert res.n_clusters == expected.n_clusters
     assert np.array_equal(res.assignments, expected.assignments)
     assert np.allclose(res.centroids, expected.centroids, rtol=0.0, atol=1e-12)
@@ -462,12 +458,12 @@ def _counting_passes(monkeypatch):
 def test_dpmeans_iterates_until_the_penalty_settles(monkeypatch):
     data, lam = _stop_rule_corpus()
     calls = _counting_passes(monkeypatch)
-    one = fit_dpmeans(data, lam, max_iters=1, rng=np.random.default_rng(0))
+    one = fit_dpmeans(data, lam, 1, np.random.default_rng(0))
     assert len(calls) == 1
-    two = fit_dpmeans(data, lam, max_iters=2, rng=np.random.default_rng(0))
+    two = fit_dpmeans(data, lam, 2, np.random.default_rng(0))
     assert not np.array_equal(one.assignments, two.assignments)
     del calls[:]
-    res = fit_dpmeans(data, lam, rng=np.random.default_rng(0))
+    res = fit_dpmeans(data, lam, 1500, np.random.default_rng(0))
     rng = np.random.default_rng(0)
     expected, passes, _ = in_canonical_order(sequential_dpmeans, data, lam, 1500, rng)
     assert len(calls) == passes > 2
@@ -487,8 +483,8 @@ def test_means_are_taken_only_for_new_assignments(monkeypatch):
     order = bytes_key_order(data.rows, data.weights)  # the spy sees the rows in this order
     # (fit, calls before the first labelling): DP-means starts from the mean of all rows
     fits = (
-        (lambda: fit_kmeans(data, 3, restarts=1, rng=np.random.default_rng(0)), 0),
-        (lambda: fit_dpmeans(data, lam, rng=np.random.default_rng(0)), 1),
+        (lambda: fit_kmeans(data, 3, 1, 1500, np.random.default_rng(0)), 0),
+        (lambda: fit_dpmeans(data, lam, 1500, np.random.default_rng(0)), 1),
     )
     for fit, starts in fits:
         del seen[:]
@@ -514,7 +510,7 @@ def test_dpmeans_starts_at_the_weighted_mean_bitwise(monkeypatch, seed):
         return descend(X, sq_norms, weights, centroids, *args)
 
     monkeypatch.setattr(clustering, "_descend", spy)
-    fit_dpmeans(data, 1e9, max_iters=1, rng=np.random.default_rng(seed))
+    fit_dpmeans(data, 1e9, 1, np.random.default_rng(seed))
     order = bytes_key_order(data.rows, data.weights)
     expected = np.average(data.rows[order], axis=0, weights=data.weights[order])
     assert len(starts) == 1 and starts[0].shape == (1, data.V)
@@ -532,8 +528,8 @@ def test_clustering_is_invariant_to_document_order(case, lam, perm_seed):
     perm = np.random.default_rng(perm_seed).permutation(data.M)
     shuffled = NormalizedCorpus(rows=data.rows[perm], weights=data.weights[perm])
     fits = (
-        lambda d: fit_kmeans(d, K, restarts=2, rng=np.random.default_rng(seed)),
-        lambda d: fit_dpmeans(d, lam, rng=np.random.default_rng(seed)),
+        lambda d: fit_kmeans(d, K, 2, 1500, np.random.default_rng(seed)),
+        lambda d: fit_dpmeans(d, lam, 1500, np.random.default_rng(seed)),
     )
     for fit in fits:
         res, res_shuffled = fit(data), fit(shuffled)
@@ -546,7 +542,7 @@ def test_clustering_is_invariant_to_document_order(case, lam, perm_seed):
 
 def test_dpmeans_returns_a_fixpoint():
     data, lam = _stop_rule_corpus()
-    res = fit_dpmeans(data, lam, rng=np.random.default_rng(0))
+    res = fit_dpmeans(data, lam, 1500, np.random.default_rng(0))
     order = np.random.default_rng(0).permutation(data.M)
     labels, centroids, _ = sequential_dpmeans_pass(data.rows, data.weights, res.centroids, order, lam)
     assert centroids.shape == res.centroids.shape  # nothing opened

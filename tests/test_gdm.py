@@ -1016,7 +1016,7 @@ def test_rows_one_ulp_apart_raise_a_value_error():
     b = a.copy()
     b[0], b[1] = np.nextafter(a[0], 1.0), np.nextafter(a[1], 0.0)
     data = _data([a, b, a], weights=[5, 7, 3])
-    for fit in (lambda: fit_kmeans(data, 2), lambda: fit_gdm(data, GdmConfig(K=2))):
+    for fit in (lambda: fit_kmeans(data, 2, 10, 1500, np.random.default_rng(0)), lambda: fit_gdm(data, GdmConfig(K=2))):
         with pytest.raises(ValueError, match="K=2 exceeds"):
             fit()
 

@@ -56,6 +56,14 @@ def test_perplexity_rejects_bad_theta_shape():
         perplexity(poly, np.ones((3, 1)), Corpus(np.array([[1, 1]])))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_perplexity_rejects_a_non_finite_theta(bad):
+    poly = TopicPolytope(np.array([[0.5, 0.5], [0.9, 0.1]]))
+    theta = np.array([[0.5, 0.5], [bad, 0.0]])
+    with pytest.raises(ValueError, match="theta must be finite"):
+        perplexity(poly, theta, Corpus(np.array([[1, 1], [2, 0]])))
+
+
 @pytest.mark.parametrize("counts", [[[1, 1, 1]], [[1, 1, 1, 1, 1]]], ids=["smaller", "larger"])
 def test_perplexity_rejects_heldout_vocabulary_mismatch(counts):
     poly = TopicPolytope(np.full((1, 4), 0.25))

@@ -4,45 +4,26 @@ import pytest
 from gdmtopics import synth
 from gdmtopics.corpus import normalize
 from gdmtopics.geometry import TopicPolytope
-from gdmtopics.synth import LdaParams, generate_corpus, sample_dirichlet
+from gdmtopics.synth import LdaParams, generate_corpus
 from oracles import project_one, same_corpus
 
 
 def test_dirichlet_dim_one():
     rng = np.random.default_rng(0)
-    assert sample_dirichlet(1, 0.7, rng).tolist() == [1.0]
+    assert synth._dirichlet(1, 0.7, rng).tolist() == [1.0]
 
 
 def test_dirichlet_determinism():
-    a = sample_dirichlet(6, 0.3, np.random.default_rng(42))
-    b = sample_dirichlet(6, 0.3, np.random.default_rng(42))
+    a = synth._dirichlet(6, 0.3, np.random.default_rng(42))
+    b = synth._dirichlet(6, 0.3, np.random.default_rng(42))
     assert np.array_equal(a, b)
-
-
-def test_dirichlet_rejects_bad_concentration():
-    with pytest.raises(ValueError):
-        sample_dirichlet(3, 0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_dirichlet(3, -1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sample_dirichlet(3, np.inf, np.random.default_rng(0))
-
-
-def test_dirichlet_rejects_empty_dimension():
-    with pytest.raises(ValueError, match="dim must be >= 1"):
-        sample_dirichlet(0, 1.0, np.random.default_rng(0))
-
-
-def test_dirichlet_rejects_a_float_dimension():
-    with pytest.raises(ValueError, match="dim must be an integer"):
-        sample_dirichlet(2.0, 1.0, np.random.default_rng(0))
 
 
 def test_dirichlet_simplex_and_positive():
     rng = np.random.default_rng(1)
     for conc in (0.1, 1.0, 10.0):
         for _ in range(50):
-            x = sample_dirichlet(5, conc, rng)
+            x = synth._dirichlet(5, conc, rng)
             assert abs(x.sum() - 1.0) < 1e-12
             assert (x > 0).all()
 
@@ -50,14 +31,14 @@ def test_dirichlet_simplex_and_positive():
 def test_dirichlet_mean_symmetry():
     # Monte-Carlo oracle: symmetric Dirichlet has mean 1/dim per coordinate
     rng = np.random.default_rng(7)
-    draws = np.stack([sample_dirichlet(5, 0.1, rng) for _ in range(100_000)])
+    draws = np.stack([synth._dirichlet(5, 0.1, rng) for _ in range(100_000)])
     assert np.abs(draws.mean(axis=0) - 0.2).max() < 0.01
 
 
 def test_dirichlet_tiny_concentration_no_underflow():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        x = sample_dirichlet(4, 0.001, rng)
+        x = synth._dirichlet(4, 0.001, rng)
         assert abs(x.sum() - 1.0) < 1e-12
         assert np.isfinite(x).all()
 
