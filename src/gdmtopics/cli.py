@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, gdm
 from .corpus import (
     CorpusError,
     load_uci_bag_of_words,
@@ -23,7 +23,7 @@ from .corpus import (
     normalize,
     save_uci_bag_of_words,
 )
-from .gdm import GdmConfig, fit_gdm, fit_ngdm, load_model, load_truth, save_model
+from .gdm import GdmConfig, fit_gdm, fit_ngdm, load_model, save_model
 from .metrics import infer_theta, min_matching_distance, perplexity
 from .synth import LdaParams, generate_corpus
 
@@ -88,9 +88,7 @@ def _cmd_simulate(args, argv):
     truth_path = os.path.join(args.out, "truth.json")
     save_uci_bag_of_words(corpus, docword)
     # the generator's parameters are the argv of the manifest written beside it
-    with open(truth_path, "w", encoding="utf-8") as f:
-        json.dump({"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}, f, sort_keys=True)
-        f.write("\n")
+    gdm.save_truth(truth, truth_path)
     _write_manifest(os.path.join(args.out, "manifest.json"), args, argv, [], [docword, truth_path])
     print(f"wrote {corpus.M} documents (V={corpus.V}) to {args.out}")
     return 0
@@ -141,7 +139,7 @@ def _cmd_eval(args, argv):
     model = load_model(args.model)
     V = model.polytope.V
     heldout = _load_corpus_dir(args.heldout)
-    truth = load_truth(args.truth) if args.truth else None
+    truth = gdm.load_truth(args.truth) if args.truth else None
     if truth is not None and truth.V != V:
         raise ValueError(f"truth file {args.truth} field 'beta' has V={truth.V} but the model has V={V}")
     theta = infer_theta(model.polytope, heldout)
@@ -196,13 +194,7 @@ def _cmd_lambda_sweep(args, argv):
 
 def _cmd_rerun(args, argv):
     where = f"manifest file {args.manifest}"
-    with open(args.manifest, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{where} does not hold a JSON object")
-    if "argv" not in manifest:
-        raise ValueError(f"{where} has no 'argv' field")
-    rerun_argv = manifest["argv"]
+    rerun_argv = gdm.read_json_object(args.manifest, "manifest", ("argv",))["argv"]
     if not isinstance(rerun_argv, list) or not all(isinstance(a, str) for a in rerun_argv):
         raise ValueError(f"{where} field 'argv' is not a list of strings")
     if rerun_argv[:1] == ["rerun"]:

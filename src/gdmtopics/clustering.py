@@ -55,17 +55,17 @@ def weighted_means(X, weights, assignments, k):
     Each cluster sums N_m w_m over its rows in row order, so the sums are
     the ones a row-by-row accumulation gives, from either layout. CSR rows
     take one product ``X.T @ onehot`` with the dense M x k ``onehot[m,
-    label_m] = N_m``; dense rows take a sparse one-hot times the rows, as a
-    dense product would go to BLAS, whose sums run in another order.
+    label_m] = N_m``; dense rows take the same one-hot as a k x M CSC
+    matrix, one entry per column, times the rows, which adds each row into
+    its cluster's sum in row order, as a dense product going to BLAS would not.
     """
     if sp.issparse(X):
         onehot = np.zeros((X.shape[0], k))
         onehot[np.arange(X.shape[0]), assignments] = weights
         sums = np.ascontiguousarray((X.T @ onehot).T)
     else:
-        order = np.argsort(assignments, kind="stable")
-        indptr = np.searchsorted(assignments[order], np.arange(k + 1))
-        sums = sp.csr_matrix((weights[order], order, indptr), shape=(k, X.shape[0])) @ X
+        onehot = sp.csc_matrix((weights, assignments, np.arange(X.shape[0] + 1)), shape=(k, X.shape[0]))
+        sums = onehot @ X
     return sums / np.bincount(assignments, weights=weights, minlength=k)[:, None]
 
 

@@ -279,10 +279,11 @@ def save_model(model: GdmModel, path) -> None:
         f.write("\n")
 
 
-def _read_json_fields(path, kind, fields):
+def read_json_object(path, kind, fields):
     """The JSON object in the file at ``path``; raises ValueError naming the
     ``kind`` of file, its path and the first missing field unless the file
-    holds an object with all of ``fields``."""
+    holds an object with all of ``fields``. Model, truth and manifest files
+    are all read through here."""
     with open(path, "r", encoding="utf-8") as f:
         d = json.load(f)
     if not isinstance(d, dict):
@@ -293,23 +294,17 @@ def _read_json_fields(path, kind, fields):
     return d
 
 
-def _holds_str_or_bool(value):
-    """Whether a value parsed from JSON is, or nests in its lists, a string or
-    a boolean: values numpy would convert to float although they are not numbers."""
-    if isinstance(value, list):
-        kinds = set(map(type, value))
-        return bool(kinds & {str, bool}) or (list in kinds and any(map(_holds_str_or_bool, value)))
-    return isinstance(value, (str, bool))
-
-
 def _float_field(d, key, kind, path):
     """Field ``key`` of the JSON object ``d`` read from the ``kind`` file at
     ``path``, as a float64 array; raises ValueError naming the file and the
-    field unless it is a number or a rectangular array of numbers."""
+    field unless it is a number or a rectangular array of numbers. JSON
+    ``null`` reads as NaN; strings and booleans, which numpy would convert
+    to float, are rejected."""
     try:
-        if _holds_str_or_bool(d[key]):
-            raise TypeError("a string or boolean is not a number")
-        return np.asarray(d[key], dtype=np.float64)
+        values = np.asarray(d[key], dtype=object)
+        if not set(map(type, values.flat)) <= {int, float, type(None)}:
+            raise TypeError("not every entry is a number")
+        return values.astype(np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         expected = "a number or a rectangular array of numbers"
         raise ValueError(f"{kind} file {path} field {key!r} is not {expected}") from exc
@@ -355,11 +350,20 @@ def _beta_polytope(values, kind, path):
         raise ValueError(f"{exc} ({kind} file {path} field 'beta', shape {values.shape})") from exc
 
 
+def save_truth(truth, path) -> None:
+    """Write the ``GroundTruth`` as a truth file: one line of JSON with sorted
+    keys, the generating ``beta`` (K x V) and ``theta`` (M x K) as lists of lists."""
+    d = {"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(d, sort_keys=True))
+        f.write("\n")
+
+
 def load_truth(path) -> TopicPolytope:
     """The topics in the ``beta`` field of a truth file, a K x V list of lists as
-    ``simulate`` writes it; raises ValueError naming the file and the field
+    ``save_truth`` writes it; raises ValueError naming the file and the field
     unless the file is a JSON object whose ``beta`` is a matrix of topics."""
-    d = _read_json_fields(path, "truth", ("beta",))
+    d = read_json_object(path, "truth", ("beta",))
     return _beta_polytope(_float_field(d, "beta", "truth", path), "truth", path)
 
 
@@ -374,7 +378,7 @@ def load_model(path) -> GdmModel:
     per topic, an objective that is not one finite number, or a config K
     other than the number of topics.
     """
-    d = _read_json_fields(path, "model", ("beta", "extensions", "radii", "objective", "config"))
+    d = read_json_object(path, "model", ("beta", "extensions", "radii", "objective", "config"))
     try:
         config = GdmConfig(**d["config"])
     except (TypeError, ValueError) as exc:

@@ -72,10 +72,11 @@ def perplexity(polytope: TopicPolytope, theta: np.ndarray, heldout: Corpus) -> P
 def min_matching_distance(estimated: TopicPolytope, truth: TopicPolytope) -> float:
     """Symmetric max-min Euclidean distance between two topic vertex sets.
 
-    Topic counts may differ.
+    Topic counts may differ; raises ValueError naming both vocabulary sizes
+    when they differ.
     """
     if estimated.V != truth.V:
-        raise ValueError("vocabulary sizes disagree")
+        raise ValueError(f"estimated polytope has V={estimated.V} but the truth has V={truth.V}")
     from scipy.spatial.distance import cdist
 
     d = cdist(estimated.vertices, truth.vertices)

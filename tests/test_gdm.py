@@ -24,6 +24,7 @@ from gdmtopics.gdm import (
     load_model,
     load_truth,
     save_model,
+    save_truth,
 )
 from gdmtopics.geometry import TopicPolytope, geometric_objective
 from gdmtopics.metrics import infer_theta
@@ -758,6 +759,15 @@ def test_load_model_ignores_fit_time_keys_of_older_files(tmp_path):
     message = f"model file {path} field 'beta' is a list, the old model format; refit the model"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_model(path)
+
+
+def test_save_truth_writes_sorted_list_form_json_that_load_truth_reads_bitwise(tmp_path):
+    truth = generate_corpus(LdaParams(K=3, V=8, M=5, doc_lengths=20, alpha=0.5, eta=0.5, seed=2))[1]
+    path = tmp_path / "truth.json"
+    save_truth(truth, path)
+    expected = json.dumps({"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}, sort_keys=True)
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
+    assert load_truth(path).vertices.tobytes() == truth.beta.tobytes()
 
 
 def test_load_truth_reads_the_list_form_beta(tmp_path):

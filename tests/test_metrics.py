@@ -111,7 +111,7 @@ def test_mm_distance_symmetric():
 def test_mm_distance_validates():
     pa = TopicPolytope(np.array([[0.5, 0.5]]))
     pb = TopicPolytope(np.array([[0.5, 0.25, 0.25]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^estimated polytope has V=2 but the truth has V=3$"):
         min_matching_distance(pa, pb)
 
 

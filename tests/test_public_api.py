@@ -1,6 +1,6 @@
-"""Every public top-level function and class of the library is either exported
-from ``gdmtopics/__init__.py`` or used by the library itself: a public name
-that only tests reach is API kept alive for the tests alone."""
+"""Every top-level function and class of the library is used by the library
+itself, or, if public, exported from ``gdmtopics/__init__.py``: a name that
+only tests reach is code kept alive for the tests alone."""
 
 import ast
 import pathlib
@@ -25,7 +25,10 @@ def _referenced_name(node):
     return None
 
 
-def test_every_public_name_is_exported_or_used_by_the_library():
+def _library_names():
+    """(definitions, exported, referenced): every top-level function and class
+    of the library as (file, line, name), the names ``__init__.py`` exports,
+    and the names library code references outside their own definition."""
     src = pathlib.Path(gdmtopics.__file__).parent
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -37,17 +40,35 @@ def test_every_public_name_is_exported_or_used_by_the_library():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    public, used = [], set()
+    definitions, used = [], set()
     for name, tree in trees.items():
         for owner, node in _top_level_owner(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == owner:
-                if not owner.startswith("_"):
-                    public.append((name, node.lineno, owner))
+                definitions.append((name, node.lineno, owner))
             elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
                 used.update((alias.name, None) for alias in node.names)
             elif _referenced_name(node) is not None:
                 used.add((_referenced_name(node), owner))
     # a definition's references to itself do not count
     referenced = {name for name, owner in used if owner != name}
-    found = [f"{file}:{line} {name}" for file, line, name in public if name not in exported | referenced]
+    return definitions, exported, referenced
+
+
+def test_every_public_name_is_exported_or_used_by_the_library():
+    definitions, exported, referenced = _library_names()
+    found = [
+        f"{file}:{line} {name}"
+        for file, line, name in definitions
+        if not name.startswith("_") and name not in exported | referenced
+    ]
     assert not found, f"public names that neither __init__ exports nor the library uses: {found}"
+
+
+def test_every_private_name_is_used_by_the_library():
+    definitions, _, referenced = _library_names()
+    found = [
+        f"{file}:{line} {name}"
+        for file, line, name in definitions
+        if name.startswith("_") and name not in referenced
+    ]
+    assert not found, f"private names that no library code uses: {found}"
