@@ -33,9 +33,15 @@ class ClusteringResult:
 def _sq_dists(rows, row_sq_norms, centroids):
     """Squared Euclidean distances, rows x centroids, clamped at 0.
 
-    ``rows`` is dense or sparse and ``row_sq_norms`` holds its squared row norms.
+    ``rows`` is dense or sparse and ``row_sq_norms`` holds its squared row
+    norms. The result is formed in place from the product, as
+    ``-2 P + |x|^2 + |c|^2``: the same IEEE values as ``|x|^2 - 2 P + |c|^2``,
+    with no rows x centroids temporary beside it.
     """
-    d = row_sq_norms[:, None] - 2.0 * (rows @ centroids.T) + (centroids * centroids).sum(axis=1)
+    d = rows @ centroids.T
+    d *= -2.0
+    d += row_sq_norms[:, None]
+    d += (centroids * centroids).sum(axis=1)
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -52,6 +58,11 @@ def weighted_means(X, weights, assignments, k):
     fit takes goes through here: the centroids, and with all rows in one
     cluster DP-means' start and the data center, without an M x V temporary.
 
+    ``assignments`` holds one label per row or, for CSR rows, the
+    labellings of a block of restarts one after another, each restart's
+    labels offset by its first cluster, so that one call averages the
+    whole block.
+
     Each cluster sums N_m w_m over its rows in row order, so the sums are
     the ones a row-by-row accumulation gives, from either layout. CSR rows
     take one product ``X.T @ onehot`` with the dense M x k ``onehot[m,
@@ -59,14 +70,20 @@ def weighted_means(X, weights, assignments, k):
     matrix, one entry per column, times the rows, which adds each row into
     its cluster's sum in row order, as a dense product going to BLAS would not.
     """
+    M = X.shape[0]
+    labels = assignments.reshape(-1, M)
     if sp.issparse(X):
-        onehot = np.zeros((X.shape[0], k))
-        onehot[np.arange(X.shape[0]), assignments] = weights
-        sums = np.ascontiguousarray((X.T @ onehot).T)
+        onehot, every_row = np.zeros((M, k)), np.arange(M)
+        for row_labels in labels:  # one at a time: no (b, M) index temporaries
+            onehot[every_row, row_labels] = weights
+        sums = X.T @ onehot
+        del onehot
+        sums = np.ascontiguousarray(sums.T)
     else:
-        onehot = sp.csc_matrix((weights, assignments, np.arange(X.shape[0] + 1)), shape=(k, X.shape[0]))
+        onehot = sp.csc_matrix((weights, assignments, np.arange(M + 1)), shape=(k, M))
         sums = onehot @ X
-    return sums / np.bincount(assignments, weights=weights, minlength=k)[:, None]
+    sums /= np.bincount(assignments, weights=np.tile(weights, labels.shape[0]), minlength=k)[:, None]
+    return sums
 
 
 def _csr_row(X, m, out):
@@ -107,36 +124,96 @@ def kmeanspp_init(X, sq_norms, weights, K: int, rng: np.random.Generator) -> np.
     return seeds
 
 
-def _descend(X, sq_norms, weights, centroids, step, lam, max_iters):
+def _block_width(X, K, restarts):
+    """Restarts per lockstep block of k-means on the CSR rows ``X``: the
+    most, up to ``restarts`` and at least 1, whose arrays take no more bytes
+    than the stored entries of ``X``.
+
+    A restart's share is K (M + 3 V) + 2 M values: its distances or its
+    one-hot, three centroid-sized arrays (its new centroids, their
+    transposed copy or unnormalized sums, and a retired restart's copy) and
+    two label vectors. The descent then holds about two copies of the
+    entries, less than the two copies of their sort keys that the canonical
+    order takes, so blocking restarts adds nothing to the fit's memory peak;
+    a corpus too small for that takes its restarts one at a time.
+    """
+    M, V = X.shape
+    per_restart = X.data.itemsize * (K * (M + 3 * V) + 2 * M)
+    return min(max((X.data.nbytes + X.indices.nbytes) // per_restart, 1), restarts)
+
+
+def _kmeanspp_block(X, sq_norms, weights, K, b, rng):
+    """``b`` k-means++ seedings drawn one after another, stacked into one
+    bK x V array; one seeding is returned as drawn, without a copy."""
+    seeds = [kmeanspp_init(X, sq_norms, weights, K, rng) for _ in range(b)]
+    return seeds[0] if b == 1 else np.concatenate(seeds)
+
+
+def _descend(X, sq_norms, weights, centroids, step, lam, max_iters, restarts=1):
     """Alternate labelling and weighted means from ``centroids``, on the rows
-    ``X`` (dense or CSR) with squared norms ``sq_norms`` and weights N_m.
+    ``X`` (dense or CSR) with squared norms ``sq_norms`` and weights N_m, for
+    ``restarts`` descents in lockstep: restart r starts from the r-th of
+    ``restarts`` equal blocks of rows of ``centroids``.
 
     ``step(d2, centroids)`` labels every row from its squared distances
-    ``d2`` and returns ``(labels, k)``; it may update both arguments in
-    place. The iterations stop once the labels repeat, once the objective
-    sum_m N_m d^2 + lam * k falls by at most a relative ``_REL_TOL``, or
-    after ``max_iters`` labellings. One distance matrix per iteration serves
-    both the objective of the new centroids and the next labelling.
+    ``d2`` to one restart's centroids and returns ``(labels, k)``; it may
+    update both arguments, views into the block's arrays, in place. Within
+    an iteration the running restarts label in restart order. A restart
+    stops once its labels repeat, once its objective sum_m N_m d^2 + lam * k
+    falls by at most a relative ``_REL_TOL``, or after ``max_iters``
+    labellings, and leaves the block as the others go on. Each iteration
+    takes one ``weighted_means`` call, the restarts' labels offset by their
+    first column, and one distance matrix for the restarts still running;
+    it serves both the objectives of their new centroids and their next
+    labelling, and the previous one is dropped before it is formed. Returns
+    one ClusteringResult per restart, in order.
+
+    On CSR rows every restart gets the bits it would get alone: scipy's
+    products compute each column on their own. Dense rows go to BLAS,
+    whose bits may depend on the number of columns, so they descend as a
+    block of one.
     """
     every_row = np.arange(X.shape[0])
-    assignments = None
-    prev_obj = np.inf
+    results = [None] * restarts
+    k = centroids.shape[0] // restarts
+    # per running restart: index, first column, clusters, labels, objective, sse
+    running = [(r, r * k, k, None, np.inf, None) for r in range(restarts)]
     d2 = _sq_dists(X, sq_norms, centroids)
     for _ in range(max_iters):
-        labels, k = step(d2, centroids)
-        if assignments is not None and np.array_equal(labels, assignments):
+        moved = []
+        for r, lo, k, assignments, prev_obj, sse in running:
+            labels, k_new = step(d2[:, lo : lo + k], centroids[lo : lo + k])
+            if assignments is not None and np.array_equal(labels, assignments):
+                results[r] = ClusteringResult(_own_rows(centroids, lo, k), assignments, sse)
+            else:
+                moved.append((r, labels, k_new, prev_obj))
+        running, d2 = [], None
+        if not moved:
             break
-        assignments = labels
-        centroids = weighted_means(X, weights, assignments, k)
+        firsts = np.cumsum([0] + [k for _, _, k, _ in moved]).tolist()
+        centroids = None  # dropped before the new ones are formed
+        offset = np.concatenate([labels + lo for (_, labels, _, _), lo in zip(moved, firsts)])
+        centroids = weighted_means(X, weights, offset, firsts[-1])
+        del offset
         d2 = _sq_dists(X, sq_norms, centroids)
-        sse = float(np.sum(weights * d2[every_row, assignments]))
-        obj = sse + lam * k
-        if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
-            raise RuntimeError("clustering objective increased")
-        if _converged(prev_obj, obj):
-            break
-        prev_obj = obj
-    return ClusteringResult(centroids=centroids, assignments=assignments, objective=sse)
+        for (r, labels, k, prev_obj), lo in zip(moved, firsts):
+            sse = float(np.sum(weights * d2[every_row, lo + labels]))
+            obj = sse + lam * k
+            if not obj <= prev_obj + _MONOTONE_SLACK * max(1.0, abs(obj)):
+                raise RuntimeError("clustering objective increased")
+            if _converged(prev_obj, obj):
+                results[r] = ClusteringResult(_own_rows(centroids, lo, k), labels, sse)
+            else:
+                running.append((r, lo, k, labels, obj, sse))
+    for r, lo, k, assignments, _, sse in running:  # max_iters labellings
+        results[r] = ClusteringResult(_own_rows(centroids, lo, k), assignments, sse)
+    return results
+
+
+def _own_rows(centroids, lo, k):
+    """Rows ``lo:lo + k`` of ``centroids``: the array itself when they are all
+    of it, else a copy that does not keep the rest alive."""
+    return centroids if k == centroids.shape[0] else centroids[lo : lo + k].copy()
 
 
 def _canonical_order(data: NormalizedCorpus) -> np.ndarray:
@@ -179,6 +256,11 @@ def fit_kmeans(
     depend on the order of the rows; the assignments are indexed like the
     rows. The arithmetic runs on a CSR copy of the rows gathered in that
     order, which is dropped on return.
+
+    The restarts descend in lockstep blocks of ``_block_width`` restarts
+    (see ``_descend``). A block's seeds are drawn in restart order before it
+    descends, and the descents draw nothing, so every restart gets the bits
+    it would get alone and the best is still the first of least objective.
     """
     K, restarts = check_integer("K", K, 1), check_integer("restarts", restarts, 1)
     check_integer("max_iters", max_iters, 1)
@@ -186,6 +268,7 @@ def fit_kmeans(
     X, weights = data.csr[order], data.weights[order]
     xx = _sq_norms(X)
     every_row = np.arange(data.M)
+    width = _block_width(X, K, restarts)
 
     def lloyd_step(d2, centroids):
         labels = np.argmin(d2, axis=1)  # ties resolved to lowest index
@@ -198,11 +281,15 @@ def fit_kmeans(
         return labels, K
 
     best = None
-    for _ in range(restarts):
-        seeds = kmeanspp_init(X, xx, weights, K, rng)
-        result = _descend(X, xx, weights, seeds, lloyd_step, 0.0, max_iters)
-        if best is None or result.objective < best.objective:
-            best = result
+    for first in range(0, restarts, width):
+        b = min(width, restarts - first)
+        # the seeds go in unnamed, so that the descent can drop them
+        descents = _descend(
+            X, xx, weights, _kmeanspp_block(X, xx, weights, K, b, rng), lloyd_step, 0.0, max_iters, b
+        )
+        for result in descents:
+            if best is None or result.objective < best.objective:
+                best = result
     return replace(best, assignments=best.assignments[np.argsort(order)])
 
 
@@ -278,5 +365,5 @@ def fit_dpmeans(
         return labels, occupied.size
 
     start = weighted_means(rows, weights, np.zeros(data.M, dtype=np.intp), 1)
-    result = _descend(rows, xx, weights, start, dpmeans_step, lam, max_iters)
+    (result,) = _descend(rows, xx, weights, start, dpmeans_step, lam, max_iters)
     return replace(result, assignments=result.assignments[np.argsort(order)])

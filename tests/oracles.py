@@ -6,7 +6,9 @@ on convexity of the squared distance in theta, and the k-means oracle
 enumerates every assignment instead of running Lloyd iterations. The dense
 k-means (seeding and Lloyd passes over the dense rows, ||x||^2 recomputed in
 every distance call, means accumulated row by row with ``np.add.at``) is the
-reference the sparse library k-means must match bit for bit, and the
+reference the sparse library k-means must match bit for bit; the
+sequential k-means (one restart at a time, each on its own K centroids) is
+the reference for the library's lockstep restarts, and the
 sequential DP-means (one document at a time, a centroid appended at each
 opening) is the reference for the library's batched passes. The
 single-row projection helper recomputes the point, distance and certificate
@@ -36,8 +38,15 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from gdmtopics.clustering import _MONOTONE_SLACK, _REL_TOL, ClusteringResult
-from gdmtopics.corpus import Corpus, NormalizedCorpus
+from gdmtopics.clustering import (
+    _MONOTONE_SLACK,
+    _REL_TOL,
+    ClusteringResult,
+    _sq_dists,
+    kmeanspp_init,
+    weighted_means,
+)
+from gdmtopics.corpus import Corpus, NormalizedCorpus, _sq_norms
 from gdmtopics.geometry import _DROP_EPS, _TOL, TopicPolytope, project_rows
 
 
@@ -312,6 +321,46 @@ def dense_kmeans(data: NormalizedCorpus, K: int, restarts: int, max_iters: int, 
         result = _dense_lloyd(data.rows, data.weights, seeds, max_iters)
         if best is None or result.objective < best.objective:
             best = result
+    return best
+
+
+def sequential_kmeans(data: NormalizedCorpus, K: int, restarts: int, max_iters: int, rng):
+    """Best-of-restarts weighted k-means on ``data.csr``, one restart at a
+    time, as ``fit_kmeans`` clusters its canonical order.
+
+    Each restart is seeded by the library's ``kmeanspp_init`` and runs its
+    own Lloyd loop over its K centroids alone, with the library's
+    ``_sq_dists`` and ``weighted_means``, the same stops and the same
+    empty-cluster repair; the best is the first of least objective.
+    """
+    X, weights = data.csr, data.weights
+    xx = _sq_norms(X)
+    every_row = np.arange(data.M)
+    best = None
+    for _ in range(restarts):
+        centroids = kmeanspp_init(X, xx, weights, K, rng)
+        d2 = _sq_dists(X, xx, centroids)
+        assignments, prev_obj, sse = None, np.inf, None
+        for _ in range(max_iters):
+            labels = np.argmin(d2, axis=1)
+            for empty in np.flatnonzero(np.bincount(labels, minlength=K) == 0):
+                donor = int(np.argmax(weights * d2[every_row, labels]))
+                labels[donor] = empty
+                centroids[empty] = X[donor].toarray().ravel()
+                d2 = _sq_dists(X, xx, centroids)
+            if assignments is not None and np.array_equal(labels, assignments):
+                break
+            assignments = labels
+            centroids = weighted_means(X, weights, assignments, K)
+            d2 = _sq_dists(X, xx, centroids)
+            sse = float(np.sum(weights * d2[every_row, assignments]))
+            if not sse <= prev_obj + _MONOTONE_SLACK * max(1.0, sse):
+                raise RuntimeError("weighted Lloyd objective increased")
+            if np.isfinite(prev_obj) and prev_obj - sse <= _REL_TOL * max(prev_obj, 1e-300):
+                break
+            prev_obj = sse
+        if best is None or sse < best.objective:
+            best = ClusteringResult(centroids=centroids, assignments=assignments, objective=sse)
     return best
 
 

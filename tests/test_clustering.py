@@ -1,7 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from oracles import (
     in_canonical_order,
     sequential_dpmeans,
     sequential_dpmeans_pass,
+    sequential_kmeans,
     weighted_objective,
 )
 
@@ -244,6 +247,52 @@ def test_lloyd_reseeds_an_empty_cluster(monkeypatch):
     assert np.isclose(fitted.objective, reference.objective, rtol=1e-12, atol=0.0)
 
 
+def test_lockstep_block_repairs_only_the_restart_that_empties_a_cluster(monkeypatch):
+    # three restarts in one block; only the middle one's seeds (the first
+    # row twice) leave a cluster empty. It ends at the last restart's
+    # objective with other labels, so as the first of least objective it is
+    # the one returned.
+    rows = np.array(
+        [[0.8, 0.1, 0.1], [0.7, 0.2, 0.1], [0.5, 0.25, 0.25],
+         [0.1, 0.8, 0.1], [0.2, 0.7, 0.1], [0.1, 0.5, 0.4]]
+    )
+    data = _data(rows, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    starts = [rows[[2, 3, 0]], rows[[0, 3, 0]], rows[[3, 0, 5]]]
+    for seeds, empties in zip(starts, (False, True, False)):
+        nearest = np.argmin(((rows[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2), axis=1)
+        assert (np.bincount(nearest, minlength=3) == 0).any() == empties
+    blocks = []
+    descend = clustering._descend
+
+    def spy(*args):
+        blocks.append(descend(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(clustering, "_descend", spy)
+    monkeypatch.setattr(clustering, "_block_width", lambda X, K, restarts: restarts)
+
+    def fit(seeds):
+        draws = iter(seeds)
+        monkeypatch.setattr(clustering, "kmeanspp_init", lambda *args: next(draws).copy())
+        return fit_kmeans(data, 3, len(seeds), 1500, np.random.default_rng(0))
+
+    alone = [fit([seeds]) for seeds in starts]
+    alone_descents = [block for (block,) in blocks]
+    del blocks[:]
+    fitted = fit(starts)
+    (block,) = blocks
+    for got, expected in zip(block, alone_descents, strict=True):
+        assert got.centroids.tobytes() == expected.centroids.tobytes()
+        assert np.array_equal(got.assignments, expected.assignments)
+        assert np.float64(got.objective).tobytes() == np.float64(expected.objective).tobytes()
+    objectives = [result.objective for result in block]
+    assert objectives[1] == objectives[2] < objectives[0]
+    assert not np.array_equal(block[1].assignments, block[2].assignments)
+    assert fitted.centroids.tobytes() == alone[1].centroids.tobytes()
+    assert np.array_equal(fitted.assignments, alone[1].assignments)
+    assert fitted.objective == alone[1].objective
+
+
 @st.composite
 def sparse_corpora(draw):
     """Small count rows with exact zeros, repeated rows and rows equal after
@@ -310,6 +359,58 @@ def test_kmeans_allocates_less_than_half_the_dense_rows():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * data.rows.nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=sparse_corpora(),
+    restarts=st.integers(1, 6),
+    width=st.integers(1, 6),
+    max_iters=st.sampled_from([1, 2, 3, 1500]),
+)
+def test_lockstep_restarts_equal_one_restart_at_a_time(case, restarts, width, max_iters):
+    # these corpora are too small for the width rule to block restarts, so
+    # the width is set; the tgdm-shape test below runs the rule's own blocks
+    data, K, seed = case
+    with mock.patch.object(clustering, "_block_width", lambda X, K, restarts: min(width, restarts)):
+        fitted = fit_kmeans(data, K, restarts, max_iters, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    reference = in_canonical_order(sequential_kmeans, data, K, restarts, max_iters, rng)
+    assert fitted.centroids.tobytes() == reference.centroids.tobytes()
+    assert fitted.assignments.tobytes() == reference.assignments.tobytes()
+    assert np.float64(fitted.objective).tobytes() == np.float64(reference.objective).tobytes()
+
+
+def _tgdm_shape_corpus():
+    """The training rows of the tuned-GDM benchmark's shape: 1000 documents
+    of 200 tokens over V=100, from K=5 topics."""
+    params = LdaParams(K=5, V=100, M=1000, doc_lengths=200, alpha=0.1, eta=0.1, seed=0)
+    return normalize(generate_corpus(params)[0])
+
+
+def test_kmeans_blocks_at_the_tgdm_shape_equal_one_restart_at_a_time():
+    data = _tgdm_shape_corpus()
+    assert clustering._block_width(data.csr, 5, 10) > 1
+    fitted = fit_kmeans(data, 5, 10, 1500, np.random.default_rng(3))
+    reference = in_canonical_order(sequential_kmeans, data, 5, 10, 1500, np.random.default_rng(3))
+    assert fitted.centroids.tobytes() == reference.centroids.tobytes()
+    assert fitted.assignments.tobytes() == reference.assignments.tobytes()
+    assert np.float64(fitted.objective).tobytes() == np.float64(reference.objective).tobytes()
+
+
+def test_lockstep_blocks_add_nothing_to_the_kmeans_peak():
+    data = _tgdm_shape_corpus()
+    assert clustering._block_width(data.csr, 5, 10) > 1
+    fit_kmeans(data, 5, 10, 1500, np.random.default_rng(0))  # one-time allocations, untraced
+    peaks = []
+    for restarts in (1, 10):
+        tracemalloc.start()
+        try:
+            fit_kmeans(data, 5, restarts, 1500, np.random.default_rng(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_brute_force_base_cases():
@@ -581,3 +682,33 @@ def test_descent_raises_when_the_objective_increases():
 
     with pytest.raises(RuntimeError, match="clustering objective increased"):
         _descend_steps([[1.0, 0.0], [0.0, 1.0]], merge, max_iters=10)
+
+
+def test_each_restart_of_a_block_stops_on_its_own():
+    # restart 0 falls, then repeats its labels at the third labelling;
+    # restart 1 swaps its two clusters of equal rows, so its objective stays
+    # 0 and it stops at the second, while restart 0 still runs beside it
+    scripts = (
+        [[0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1]],
+        [[0, 0, 1, 1], [1, 1, 0, 0]],
+    )
+    X = sp.csr_matrix([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    xx, weights = np.array([1.0, 1.0, 1.0, 1.0]), np.ones(4)
+    starts = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+
+    def descend(centroids, calls):
+        calls = iter(calls)
+
+        def step(d2, c):
+            return np.array(next(calls)), 2
+
+        return clustering._descend(X, xx, weights, centroids, step, 0.0, 10, len(centroids) // 2)
+
+    alone = [descend(starts[2 * r : 2 * r + 2].copy(), script)[0] for r, script in enumerate(scripts)]
+    # within an iteration the running restarts label in restart order
+    block = descend(starts.copy(), [scripts[0][0], scripts[1][0], scripts[0][1], scripts[1][1], scripts[0][2]])
+    assert alone[1].centroids.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    for got, expected in zip(block, alone, strict=True):
+        assert got.centroids.tobytes() == expected.centroids.tobytes()
+        assert np.array_equal(got.assignments, expected.assignments)
+        assert got.objective == expected.objective == 0.0
