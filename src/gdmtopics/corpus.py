@@ -315,15 +315,40 @@ def _parse_triples(body: str, lineno: int, D: int, W: int, NNZ: int) -> np.ndarr
     return np.frombuffer(triples, dtype=np.int64).reshape(n, 3)
 
 
+def _bulk_read_path(source, f):
+    """``source`` as a ``str`` path for ``np.loadtxt`` to reopen, or None
+    where that would not read the text ``f`` reads.
+
+    Only from a ``str`` path does numpy read in C, in large chunks; a stream
+    is fed to it one Python line at a time. The path is taken only when the
+    open file can seek, so not from a FIFO, on which the second open would
+    wait for a writer forever, and not when its suffix is one that numpy's
+    ``_datasource`` opens through a decompressor (the file here is plain
+    text). A relative path is joined to the working directory, because
+    ``_datasource`` reads a ``scheme://`` path as a URL.
+    """
+    if not isinstance(source, (str, os.PathLike)) or not f.seekable():
+        return None
+    path = os.fspath(source)
+    if not isinstance(path, str) or os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma"):
+        return None
+    return path if os.path.isabs(path) else os.path.join(os.getcwd(), path)
+
+
 def load_uci_bag_of_words(docword_stream) -> Corpus:
     """Parse a UCI bag-of-words file into a Corpus.
 
-    The triple lines go to ``np.loadtxt`` straight from the stream, with no
-    copy of the text, and the counts are built as CSR from the triples in
-    one step, sorted by document only when out of document order. Where
-    that read fails, the stream is rewound to the first triple line for the
-    line parser, which names the first bad line; a stream that cannot seek
-    is read into memory first.
+    The triple lines are read by ``np.loadtxt`` with no copy of the text,
+    and the counts are built as CSR from the triples in one step, sorted by
+    document only when out of document order. A path to a seekable file is
+    handed to ``np.loadtxt`` as a ``str``, which it reopens and reads in
+    large chunks in C, past the header lines (ASCII only; any other byte
+    fails the read). A stream, or a path to a file that cannot seek, such
+    as a FIFO, feeds ``np.loadtxt`` its ASCII lines from the stream itself,
+    because numpy reads in chunks only from a path it opens, and a FIFO
+    cannot be opened twice. Where the read fails, the text is reread from
+    the first triple line by the line parser, which names the first bad
+    line; a stream that cannot seek is read into memory first.
 
     Duplicate (doc, word) triples are summed. Documents declared in the
     header but carrying no tokens are dropped with a warning and M reduced;
@@ -349,6 +374,7 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
         D, W, NNZ = header
         if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
+        path = _bulk_read_path(docword_stream, f)
         if not f.seekable():
             f = io.StringIO(f.read())
         body = f.tell()
@@ -357,10 +383,20 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
         triples = None
         # loadtxt warns on input without data, and numpy 2.4's parser crashed
         # on some code points past U+FFFF, so it reads only ASCII lines, from
-        # the first with data on: takewhile stops at the first other line,
-        # and the sentinel after the last line tells the end of the input
-        # from such a line
-        if NNZ and first and first.isascii():
+        # the first with data on
+        if NNZ and first and first.isascii() and path is not None:
+            # a byte outside ASCII raises UnicodeDecodeError, a ValueError; an
+            # OSError means numpy could not reopen the file
+            try:
+                triples = np.loadtxt(
+                    path, dtype=np.int64, ndmin=2, comments=None, skiprows=lineno, encoding="ascii"
+                )
+            except (ValueError, OSError):
+                pass
+        elif NNZ and first and first.isascii():
+            # takewhile stops at the first line that is not ASCII, and the
+            # sentinel after the last line tells the end of the input from
+            # such a line
             rest = chain([first], lines, ["\x80"])
             try:
                 triples = np.loadtxt(takewhile(str.isascii, rest), dtype=np.int64, ndmin=2, comments=None)
@@ -395,15 +431,27 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
     return Corpus(counts)
 
 
+# triples formatted by one string operation and written at a time: at most
+# a few MiB of Python ints and text at once
+_WRITE_BLOCK = 2**16
+
+
 def save_uci_bag_of_words(corpus: Corpus, stream_or_path) -> None:
     """Write a corpus in UCI bag-of-words format (1-based indices), in
-    (document, word) order: the counts are canonical CSR."""
+    (document, word) order: the counts are canonical CSR.
+
+    Paths and streams take the same route: the triples are formatted by one
+    ``"%d %d %d\\n" * n`` per block of at most ``_WRITE_BLOCK`` of them, and
+    written block by block."""
+    counts = corpus.counts
+    docs = np.repeat(np.arange(1, corpus.M + 1), np.diff(counts.indptr))
     with _text_stream(stream_or_path, "w") as f:
-        coo = corpus.counts.tocoo()
-        docs = (coo.row.astype(np.int64) + 1).tolist()
-        words = (coo.col.astype(np.int64) + 1).tolist()
-        lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data.tolist()))
-        f.write(f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n" + "".join(lines))
+        f.write(f"{corpus.M}\n{corpus.V}\n{counts.nnz}\n")
+        for start in range(0, counts.nnz, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            words = counts.indices[block].astype(np.int64) + 1
+            triples = np.column_stack((docs[block], words, counts.data[block]))
+            f.write("%d %d %d\n" * len(triples) % tuple(triples.ravel().tolist()))
 
 
 def split_holdout(corpus: Corpus, n_holdout: int, seed: int):

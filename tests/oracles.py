@@ -21,7 +21,9 @@ on a dense copy sorted by ``bytes_key_order``, the order in which the library
 clusters. The likelihood-sandwich check evaluates both bounds of the LDA
 log-likelihood for a fixed (theta, beta). ``count_matrices`` draws the count
 rows on which the corpus and fit tests compare the library with these
-references, and ``same_corpus`` compares two corpora by shape and counts.
+references, ``same_corpus`` compares two corpora by shape and counts, and
+``uci_text`` formats a corpus one triple at a time, the text the library's
+block writer must match byte for byte.
 ``blocked_gibbs`` is a likelihood-based reference estimator of the topics,
 against which GDM's vertex recovery can be judged on the same corpora.
 ``model_field`` writes an array in the form model files store it, without
@@ -180,6 +182,16 @@ def count_matrices(draw):
 def same_corpus(a: Corpus, b: Corpus) -> bool:
     """Whether two corpora have the same shape and counts."""
     return a.counts.shape == b.counts.shape and (a.counts != b.counts).nnz == 0
+
+
+def uci_text(corpus: Corpus) -> str:
+    """The UCI bag-of-words text of ``corpus``, one f-string per triple, in
+    the stored (document, word) order."""
+    coo = corpus.counts.tocoo()
+    docs = (coo.row.astype(np.int64) + 1).tolist()
+    words = (coo.col.astype(np.int64) + 1).tolist()
+    lines = (f"{d} {w} {c}\n" for d, w, c in zip(docs, words, coo.data.tolist()))
+    return f"{corpus.M}\n{corpus.V}\n{coo.nnz}\n" + "".join(lines)
 
 
 def dense_normalize(corpus: Corpus) -> NormalizedCorpus:

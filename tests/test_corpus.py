@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gdmtopics
 from gdmtopics import corpus as corpus_module
+from gdmtopics.cli import main
 from gdmtopics.corpus import (
     Corpus,
     CorpusParseError,
@@ -25,7 +26,7 @@ from gdmtopics.corpus import (
     split_holdout,
 )
 from gdmtopics.synth import LdaParams, generate_corpus
-from oracles import count_matrices, dense_normalize, same_corpus
+from oracles import count_matrices, dense_normalize, same_corpus, uci_text
 
 UCI_SMALL = "2\n3\n3\n1 1 2\n1 3 1\n2 2 4\n"
 
@@ -70,16 +71,46 @@ def _spy_line_parser(monkeypatch):
     return calls
 
 
+def _spy_loadtxt(monkeypatch):
+    sources = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+# blank lines, CRLF, tabs, a plus sign, leading spaces and a duplicate
+AWKWARD = "\n2\r\n5\r\n\r\n5\r\n\r\n1 1 2\r\n  1\t3\t+3\r\n\r\n2 2 4  \r\n1 4 1\r\n\t2 2 1\r\n"
+
+
 def test_bulk_parse_matches_line_parser(monkeypatch):
-    # blank lines, CRLF, tabs, a plus sign, leading spaces and a duplicate
-    text = "\n2\r\n5\r\n\r\n5\r\n\r\n1 1 2\r\n  1\t3\t+3\r\n\r\n2 2 4  \r\n1 4 1\r\n\t2 2 1\r\n"
     calls = _spy_line_parser(monkeypatch)
-    bulk = load_uci_bag_of_words(io.StringIO(text))
+    bulk = load_uci_bag_of_words(io.StringIO(AWKWARD))
     assert not calls
     assert bulk.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((0, 3), dtype=np.int64))
-    assert same_corpus(load_uci_bag_of_words(io.StringIO(text)), bulk)
+    assert same_corpus(load_uci_bag_of_words(io.StringIO(AWKWARD)), bulk)
     assert len(calls) == 1
+
+
+def test_path_is_read_in_chunks_as_the_stream_is_read(tmp_path, monkeypatch):
+    # the awkward text, with documents out of order, loads from its path
+    # through loadtxt's chunked reader of a str path, with no line parser
+    lines = AWKWARD.split("\r\n")
+    text = "\r\n".join(lines[:5] + lines[8:9] + lines[5:8] + lines[9:])
+    path = tmp_path / "docword.txt"
+    path.write_bytes(text.encode("ascii"))
+    stream = load_uci_bag_of_words(io.StringIO(text))
+    calls = _spy_line_parser(monkeypatch)
+    sources = _spy_loadtxt(monkeypatch)
+    assert same_corpus(load_uci_bag_of_words(path), stream)
+    assert not calls
+    assert sources == [str(path)]
+    assert stream.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
 
 
 def test_line_parser_takes_what_the_bulk_parse_rejects(monkeypatch):
@@ -89,24 +120,33 @@ def test_line_parser_takes_what_the_bulk_parse_rejects(monkeypatch):
     assert c.counts.toarray().tolist() == [[1000, 1]]
 
 
-@pytest.mark.parametrize(
-    "body, error, message",
-    [
-        ("1 1 2\n# note\n2 2 4\n", CorpusParseError, "line 5: expected 'docID wordID count'"),
-        ("1 1 2 # note\n2 2 4\n", CorpusParseError, "line 4: expected 'docID wordID count'"),
-        (
-            "1 1 2\n2 2 9223372036854775808\n",
-            CorpusValidationError,
-            "line 5: count 9223372036854775808 outside",
-        ),
-        ("1 1\n1 2 3 4\n", CorpusParseError, "line 4: expected 'docID wordID count', got '1 1'"),
-        ("1 1 2\n\U0010373c 1 1\n", CorpusParseError, "line 5: non-integer triple"),
-        ("1 1 2\n2 2 4\n\U0010373c 1 1\n", CorpusParseError, "line 6: non-integer triple"),
-    ],
-)
+BAD_BODIES = [
+    ("1 1 2\n# note\n2 2 4\n", CorpusParseError, "line 5: expected 'docID wordID count'"),
+    ("1 1 2 # note\n2 2 4\n", CorpusParseError, "line 4: expected 'docID wordID count'"),
+    (
+        "1 1 2\n2 2 9223372036854775808\n",
+        CorpusValidationError,
+        "line 5: count 9223372036854775808 outside",
+    ),
+    ("1 1\n1 2 3 4\n", CorpusParseError, "line 4: expected 'docID wordID count', got '1 1'"),
+    ("1 1 2\n\U0010373c 1 1\n", CorpusParseError, "line 5: non-integer triple"),
+    ("1 1 2\n2 2 4\n\U0010373c 1 1\n", CorpusParseError, "line 6: non-integer triple"),
+]
+
+
+@pytest.mark.parametrize("body, error, message", BAD_BODIES)
 def test_bulk_parse_errors_name_the_line(body, error, message):
     with pytest.raises(error, match=message):
         load_uci_bag_of_words(io.StringIO("2\n3\n2\n" + body))
+
+
+@pytest.mark.parametrize("body, error, message", BAD_BODIES)
+def test_bulk_parse_errors_name_the_line_of_a_path(tmp_path, body, error, message):
+    # the chunked read of a path falls back to the same line parser
+    path = tmp_path / "docword.txt"
+    path.write_text("2\n3\n2\n" + body, encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_uci_bag_of_words(path)
 
 
 def test_no_triples_emit_no_numpy_warning():
@@ -159,6 +199,74 @@ def test_non_ascii_line_is_a_parse_error_in_a_child(tmp_path, kind, before):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.startswith(f"line {before + 4}: non-integer triple '\\U0010373c 1 1'")
+
+
+# makes a FIFO, writes a docword text into it from a thread and loads the
+# corpus from the FIFO's path
+_LOAD_FIFO_IN_CHILD = """
+import os, sys, threading
+from gdmtopics.corpus import load_uci_bag_of_words
+path, text = sys.argv[1:]
+os.mkfifo(path)
+
+def write():
+    with open(path, "w", encoding="ascii") as f:
+        f.write(text)
+
+threading.Thread(target=write, daemon=True).start()
+print(load_uci_bag_of_words(path).counts.toarray().tolist())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_path_loads_in_a_child(tmp_path):
+    # a second open of the FIFO would wait for a writer that never comes, so
+    # it is read as a stream; the load runs in a child process, where a hang
+    # is a timeout
+    text = "2\n3\n4\n2 2 4\n1 1 2\n1 3 1\n2 2 1\n"
+    src = os.path.dirname(os.path.dirname(gdmtopics.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", _LOAD_FIFO_IN_CHILD, str(tmp_path / "docword.txt"), text],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    expected = load_uci_bag_of_words(io.StringIO(text)).counts.toarray().tolist()
+    assert child.stdout.strip() == str(expected) == "[[2, 0, 1], [0, 5, 0]]"
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_with_a_compression_suffix_loads_as_text(tmp_path, suffix):
+    # numpy would open these names through a decompressor
+    plain, named = tmp_path / "docword.txt", tmp_path / f"docword.txt{suffix}"
+    for path in (plain, named):
+        path.write_text(UCI_SMALL, encoding="ascii")
+    assert same_corpus(load_uci_bag_of_words(named), load_uci_bag_of_words(plain))
+
+
+def test_relative_path_like_a_url_loads_its_own_file(tmp_path, monkeypatch):
+    # numpy would read "gdm://x/docword.txt" as a URL, cached at x/docword.txt
+    # under the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gdm:" / "x").mkdir(parents=True)
+    (tmp_path / "x").mkdir()
+    (tmp_path / "gdm:" / "x" / "docword.txt").write_text(UCI_SMALL, encoding="ascii")
+    (tmp_path / "x" / "docword.txt").write_text("2\n3\n3\n1 2 1\n2 1 1\n2 3 1\n", encoding="ascii")
+    sources = _spy_loadtxt(monkeypatch)
+    c = load_uci_bag_of_words("gdm://x/docword.txt")
+    assert sources == [os.path.join(str(tmp_path), "gdm://x/docword.txt")]
+    assert same_corpus(c, load_uci_bag_of_words(io.StringIO(UCI_SMALL)))
+
+
+def test_cli_fit_reads_the_docword_through_a_str_path(tmp_path, monkeypatch, capsys):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    params = LdaParams(K=2, V=8, M=20, doc_lengths=(30, 60), alpha=0.5, eta=0.5, seed=1)
+    save_uci_bag_of_words(generate_corpus(params)[0], corpus_dir / "docword.txt")
+    sources = _spy_loadtxt(monkeypatch)
+    argv = ["fit", "--algo", "gdm", "--K", "2", "--in", str(corpus_dir), "--out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    assert sources == [str(corpus_dir / "docword.txt")]
 
 
 class _Pipe(io.StringIO):
@@ -274,6 +382,44 @@ def test_save_writes_triples_in_document_word_order():
         dense = c.counts.toarray()
         expected = [(d + 1, w + 1, dense[d, w]) for d, w in zip(*np.nonzero(dense))]
         assert triples == expected
+
+
+def _written(c, tmp_path):
+    """The text ``save_uci_bag_of_words`` writes to a stream, after checking
+    that it writes the same bytes to a path."""
+    buf = io.StringIO()
+    save_uci_bag_of_words(c, buf)
+    path = tmp_path / "docword.txt"
+    save_uci_bag_of_words(c, path)
+    assert path.read_bytes() == buf.getvalue().encode("ascii")
+    return buf.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=count_matrices())
+def test_writer_matches_the_per_triple_oracle(tmp_path_factory, counts):
+    c = Corpus(counts)
+    assert _written(c, tmp_path_factory.mktemp("w")) == uci_text(c)
+
+
+def test_writer_matches_the_oracle_on_the_largest_counts(tmp_path):
+    top = 2**63 - 1
+    c = Corpus(sp.csr_matrix(([top, 1, top - 1, 2**62], [1, 0, 2, 2], [0, 1, 3, 4]), shape=(3, 4)))
+    text = _written(c, tmp_path)
+    assert text == uci_text(c)
+    assert text.splitlines()[3] == f"1 2 {top}"
+
+
+@pytest.mark.parametrize("block", [1, 4, 7, 2**16])
+def test_writer_matches_the_oracle_across_blocks(tmp_path, monkeypatch, block):
+    # 21 triples: blocks of 4 leave a last block of one triple, blocks of 7
+    # end on the last triple, and one block of 2**16 holds them all
+    rng = np.random.default_rng(4)
+    counts = rng.integers(0, 3, size=(6, 5)) * (rng.random((6, 5)) < 0.7)
+    counts[:, 0] += 1
+    c = Corpus(counts)
+    monkeypatch.setattr(corpus_module, "_WRITE_BLOCK", block)
+    assert _written(c, tmp_path) == uci_text(c)
 
 
 def test_normalize_definition():
