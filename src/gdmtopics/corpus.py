@@ -8,12 +8,10 @@ lines of ``docID wordID count`` with 1-based indices. Indices are converted to
 
 from __future__ import annotations
 
-import io
 import os
 import warnings
 from array import array
 from contextlib import contextmanager
-from itertools import chain, takewhile
 from numbers import Integral, Real
 
 import numpy as np
@@ -114,11 +112,6 @@ class Corpus:
     @property
     def V(self):
         return self.counts.shape[1]
-
-    def subset(self, doc_indices):
-        """New corpus restricted to the given document rows."""
-        idx = np.asarray(doc_indices, dtype=np.int64)
-        return Corpus(self.counts[idx])
 
     def __repr__(self):
         return f"Corpus(M={self.M}, V={self.V}, nnz={self.counts.nnz})"
@@ -280,15 +273,16 @@ def _triples_in_range(triples, D, W, NNZ) -> bool:
     return bool(d.min() >= 1 and d.max() <= D and w.min() >= 1 and w.max() <= W and c.min() >= 1)
 
 
-def _parse_triples(body: str, lineno: int, D: int, W: int, NNZ: int) -> np.ndarray:
+def _parse_triples(lines, lineno: int, D: int, W: int, NNZ: int) -> np.ndarray:
     """Parse the triple lines one by one, raising at the first bad line.
 
-    ``lineno`` is the number of the line before ``body``. Returns an NNZ x 3
-    int64 array of 1-based (doc, word, count).
+    ``lines`` is an iterable of text lines, such as an open file past its
+    header, and ``lineno`` the number of the line before the first of them.
+    Returns an NNZ x 3 int64 array of 1-based (doc, word, count).
     """
     triples = array("q")
     n = 0
-    for line in body.split("\n"):
+    for line in lines:
         lineno += 1
         text = line.strip()
         if not text:
@@ -319,13 +313,12 @@ def _bulk_read_path(source, f):
     """``source`` as a ``str`` path for ``np.loadtxt`` to reopen, or None
     where that would not read the text ``f`` reads.
 
-    Only from a ``str`` path does numpy read in C, in large chunks; a stream
-    is fed to it one Python line at a time. The path is taken only when the
-    open file can seek, so not from a FIFO, on which the second open would
-    wait for a writer forever, and not when its suffix is one that numpy's
-    ``_datasource`` opens through a decompressor (the file here is plain
-    text). A relative path is joined to the working directory, because
-    ``_datasource`` reads a ``scheme://`` path as a URL.
+    Only from a ``str`` path does numpy read in C, in large chunks. The
+    path is taken only when the open file can seek, so not from a FIFO, on
+    which the second open would wait for a writer forever, and not when its
+    suffix is one that numpy's ``_datasource`` opens through a decompressor
+    (the file here is plain text). A relative path is joined to the working
+    directory, because ``_datasource`` reads a ``scheme://`` path as a URL.
     """
     if not isinstance(source, (str, os.PathLike)) or not f.seekable():
         return None
@@ -338,17 +331,16 @@ def _bulk_read_path(source, f):
 def load_uci_bag_of_words(docword_stream) -> Corpus:
     """Parse a UCI bag-of-words file into a Corpus.
 
-    The triple lines are read by ``np.loadtxt`` with no copy of the text,
-    and the counts are built as CSR from the triples in one step, sorted by
-    document only when out of document order. A path to a seekable file is
-    handed to ``np.loadtxt`` as a ``str``, which it reopens and reads in
-    large chunks in C, past the header lines (ASCII only; any other byte
-    fails the read). A stream, or a path to a file that cannot seek, such
-    as a FIFO, feeds ``np.loadtxt`` its ASCII lines from the stream itself,
-    because numpy reads in chunks only from a path it opens, and a FIFO
-    cannot be opened twice. Where the read fails, the text is reread from
-    the first triple line by the line parser, which names the first bad
-    line; a stream that cannot seek is read into memory first.
+    A path that ``_bulk_read_path`` accepts is handed to ``np.loadtxt`` as
+    a ``str``, which it reopens and reads in large chunks in C, past the
+    header lines (ASCII only; any other byte fails the read). Everything
+    else, a stream, a FIFO or a name with a compression suffix, and any
+    bulk read that fails or gives triples out of range, goes to the line
+    parser, which reads on from where the header read stopped, one line at
+    a time in Python, an order of magnitude slower, and names the first bad
+    line. Neither route copies the text. The counts are built as CSR from
+    the triples in one step, sorted by document only when out of document
+    order.
 
     Duplicate (doc, word) triples are summed. Documents declared in the
     header but carrying no tokens are dropped with a warning and M reduced;
@@ -375,40 +367,25 @@ def load_uci_bag_of_words(docword_stream) -> Corpus:
         if not (1 <= D <= _INT64_MAX and 1 <= W <= _INT64_MAX and NNZ >= 0):
             raise CorpusValidationError(f"invalid header D={D}, W={W}, NNZ={NNZ}")
         path = _bulk_read_path(docword_stream, f)
-        if not f.seekable():
-            f = io.StringIO(f.read())
-        body = f.tell()
-        lines = iter(f)
-        first = next((line for line in lines if line.strip()), "")
         triples = None
-        # loadtxt warns on input without data, and numpy 2.4's parser crashed
-        # on some code points past U+FFFF, so it reads only ASCII lines, from
-        # the first with data on
-        if NNZ and first and first.isascii() and path is not None:
-            # a byte outside ASCII raises UnicodeDecodeError, a ValueError; an
-            # OSError means numpy could not reopen the file
-            try:
-                triples = np.loadtxt(
-                    path, dtype=np.int64, ndmin=2, comments=None, skiprows=lineno, encoding="ascii"
-                )
-            except (ValueError, OSError):
-                pass
-        elif NNZ and first and first.isascii():
-            # takewhile stops at the first line that is not ASCII, and the
-            # sentinel after the last line tells the end of the input from
-            # such a line
-            rest = chain([first], lines, ["\x80"])
-            try:
-                triples = np.loadtxt(takewhile(str.isascii, rest), dtype=np.int64, ndmin=2, comments=None)
-            except ValueError:
-                pass
-            if next(rest, None) is not None:
-                triples = None
+        if NNZ and path is not None:
+            # numpy reopens the file, so ``f`` stays past the header; a byte
+            # outside ASCII raises UnicodeDecodeError, a ValueError, and an
+            # OSError means numpy could not reopen the file. A body without
+            # data makes loadtxt warn, and the line parser then names the
+            # NNZ mismatch
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:
+                    triples = np.loadtxt(
+                        path, dtype=np.int64, ndmin=2, comments=None, skiprows=lineno, encoding="ascii"
+                    )
+                except (ValueError, OSError):
+                    pass
         if triples is None or not _triples_in_range(triples, D, W, NNZ):
             # the line parser accepts all loadtxt does and more (``1_000``), and
             # names the line of the first error
-            f.seek(body)
-            triples = _parse_triples(f.read(), lineno, D, W, NNZ)
+            triples = _parse_triples(f, lineno, D, W, NNZ)
 
     docs = triples[:, 0]
     if (docs[1:] < docs[:-1]).any():
@@ -467,4 +444,4 @@ def split_holdout(corpus: Corpus, n_holdout: int, seed: int):
     perm = rng.permutation(corpus.M)
     held = np.sort(perm[:n_holdout])
     train = np.sort(perm[n_holdout:])
-    return corpus.subset(train), corpus.subset(held)
+    return Corpus(corpus.counts[train]), Corpus(corpus.counts[held])

@@ -87,13 +87,17 @@ def _spy_loadtxt(monkeypatch):
 AWKWARD = "\n2\r\n5\r\n\r\n5\r\n\r\n1 1 2\r\n  1\t3\t+3\r\n\r\n2 2 4  \r\n1 4 1\r\n\t2 2 1\r\n"
 
 
-def test_bulk_parse_matches_line_parser(monkeypatch):
+def test_bulk_parse_matches_line_parser(tmp_path, monkeypatch):
+    # the awkward text from its path: the bulk read, then the line parser
+    # when the bulk read yields nothing, give the same corpus
+    path = tmp_path / "docword.txt"
+    path.write_bytes(AWKWARD.encode("ascii"))
     calls = _spy_line_parser(monkeypatch)
-    bulk = load_uci_bag_of_words(io.StringIO(AWKWARD))
+    bulk = load_uci_bag_of_words(path)
     assert not calls
     assert bulk.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
     monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((0, 3), dtype=np.int64))
-    assert same_corpus(load_uci_bag_of_words(io.StringIO(AWKWARD)), bulk)
+    assert same_corpus(load_uci_bag_of_words(path), bulk)
     assert len(calls) == 1
 
 
@@ -113,9 +117,13 @@ def test_path_is_read_in_chunks_as_the_stream_is_read(tmp_path, monkeypatch):
     assert stream.counts.toarray().tolist() == [[2, 0, 3, 1, 0], [0, 5, 0, 0, 0]]
 
 
-def test_line_parser_takes_what_the_bulk_parse_rejects(monkeypatch):
+def test_line_parser_takes_what_the_bulk_parse_rejects(tmp_path, monkeypatch):
+    path = tmp_path / "docword.txt"
+    path.write_text("1\n2\n2\n1 1 1_000\n1 2 1\n", encoding="ascii")
     calls = _spy_line_parser(monkeypatch)
-    c = load_uci_bag_of_words(io.StringIO("1\n2\n2\n1 1 1_000\n1 2 1\n"))
+    sources = _spy_loadtxt(monkeypatch)
+    c = load_uci_bag_of_words(path)
+    assert sources == [str(path)]
     assert len(calls) == 1
     assert c.counts.toarray().tolist() == [[1000, 1]]
 
@@ -149,12 +157,22 @@ def test_bulk_parse_errors_name_the_line_of_a_path(tmp_path, body, error, messag
         load_uci_bag_of_words(path)
 
 
-def test_no_triples_emit_no_numpy_warning():
-    for text, message in (("1\n3\n0\n", "no documents"), ("1\n3\n2\n\n  \n", "found 0 triples")):
+@pytest.mark.parametrize("kind", ["path", "stream"])
+def test_no_triples_emit_no_numpy_warning(tmp_path, kind):
+    # loadtxt warns on a path whose body holds no data; the line parser's
+    # error is all that reaches the caller
+    cases = (
+        ("1\n3\n0\n", "no documents"),
+        ("1\n3\n2\n\n  \n", "header declares NNZ=2 but found 0 triples"),
+        ("1\n3\n0\n1 1 1\n", "line 4: more than NNZ=0 triples"),
+    )
+    for text, message in cases:
+        path = tmp_path / "docword.txt"
+        path.write_text(text, encoding="ascii")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(CorpusValidationError, match=message):
-                load_uci_bag_of_words(io.StringIO(text))
+                load_uci_bag_of_words(path if kind == "path" else io.StringIO(text))
         assert [str(w.message) for w in caught if "dropped" not in str(w.message)] == []
 
 
@@ -183,11 +201,12 @@ except CorpusParseError as exc:
 
 
 @pytest.mark.parametrize("kind", ["path", "stream"])
-@pytest.mark.parametrize("before", [10, 3000], ids=["first-8KiB", "past-8KiB"])
+@pytest.mark.parametrize("before", [0, 10, 3000], ids=["first-line", "first-8KiB", "past-8KiB"])
 def test_non_ascii_line_is_a_parse_error_in_a_child(tmp_path, kind, before):
     # numpy 2.4's loadtxt crashed the interpreter on this code point, so the
     # load runs in a child process, where a crash fails the test; with
-    # 6-byte lines the bad line lies inside or past the first 8 KiB of text
+    # 6-byte lines the bad line is the first triple line, or lies inside or
+    # past the first 8 KiB of text
     lines = ["1 1 1"] * before + ["\U0010373c 1 1", "1 2 1"]
     path = tmp_path / "docword.txt"
     path.write_text(f"1\n2\n{len(lines)}\n" + "\n".join(lines) + "\n", encoding="utf-8")
@@ -221,7 +240,7 @@ print(load_uci_bag_of_words(path).counts.toarray().tolist())
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_fifo_path_loads_in_a_child(tmp_path):
     # a second open of the FIFO would wait for a writer that never comes, so
-    # it is read as a stream; the load runs in a child process, where a hang
+    # it goes to the line parser; the load runs in a child process, where a hang
     # is a timeout
     text = "2\n3\n4\n2 2 4\n1 1 2\n1 3 1\n2 2 1\n"
     src = os.path.dirname(os.path.dirname(gdmtopics.__file__))
@@ -283,7 +302,7 @@ class _Pipe(io.StringIO):
 
 
 def test_load_from_a_stream_that_cannot_seek(monkeypatch):
-    # its body is read into memory first, so the line parser can reread it
+    # the line parser reads the body once, straight from the stream
     assert same_corpus(load_uci_bag_of_words(_Pipe(UCI_SMALL)), load_uci_bag_of_words(io.StringIO(UCI_SMALL)))
     calls = _spy_line_parser(monkeypatch)
     with pytest.raises(CorpusParseError, match="line 5: non-integer triple 'x 2 4'"):

@@ -999,7 +999,7 @@ def test_fit_and_inference_read_no_dense_rows(monkeypatch):
     # tuning and held-out inference all run
     params = LdaParams(K=4, V=40, M=100, doc_lengths=60, alpha=0.2, eta=0.3, seed=29)
     full = generate_corpus(params)[0]
-    train, heldout = full.subset(np.arange(80)), full.subset(np.arange(80, 100))
+    train, heldout = Corpus(full.counts[:80]), Corpus(full.counts[80:])
     data = normalize(train)
 
     def dense_rows(self):
