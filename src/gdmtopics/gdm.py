@@ -141,13 +141,16 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     theta, sq = geometry.project_rows(data, polytope)
     objective = float(np.sum(data.weights * sq))  # geometric_objective's sum
     if config.tune and k > 1:
+        del polytope, sq  # freed while tuning runs; the default polytope is formed again if kept
         tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions, theta)
-        del theta, sq  # freed before the tuned polytope is scored, from a cold start
+        del theta  # freed before the tuned polytope is scored, from a cold start
         tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
         tuned_objective = geometric_objective(data, tuned)
         # keep the default extensions if the line searches somehow made G worse
         if tuned_objective <= objective + 1e-9:
             polytope, extensions, objective = tuned, tuned_m, tuned_objective
+        else:
+            polytope = TopicPolytope(extend(center, clustering.centroids, extensions))
     return GdmModel(
         polytope=polytope,
         extensions=extensions,
@@ -179,49 +182,121 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
 def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions, theta):
     """Line-search each extension scalar m_k > 1 over [1, m_k]; returns the tuned m.
 
-    From the vertices ``extend(center, centroids, extensions)``, clusters go in
-    ascending index order; cluster k's geometric objective g_k over its own
-    rows is minimized by ``_slope_search`` while the other topics stay at
-    their current vertices. Each cluster's rows are projected by a
-    ``geometry.moving_vertex_projector``, which forms their projection
-    inputs once and at each evaluation of m recomputes only vertex k's part,
-    from weights near the answer: cluster k's first evaluation from its rows
-    of ``theta``, the rows' projection onto the starting vertices, each
-    later one from the weights of the evaluated m nearest the new m. By
-    Danskin's theorem those weights may be held fixed for the slope,
+    Cluster k's geometric objective g_k over its own rows is minimized by
+    a ``_slope_search`` with every other topic at its vertex of
+    ``extend(center, centroids, extensions)``: no search sees another's
+    result (the Jacobi order), so the tuned m do not depend on the clusters'
+    labels. The searches run in lockstep. Each round is one grouped
+    ``geometry._solve`` over the rows of the clusters still searching, the
+    group of cluster k holding its rows and vertex k at its search's next m,
+    and each search retires on its own. The starting vertices' Gram
+    matrix, the rows' cross terms (one CSR product) and each row's largest
+    squared distance to a vertex other than its own, floored at 1, are
+    formed once; a round forms only the moved vertices' Gram rows, and
+    their cross terms and velocity terms, each one CSR product over all
+    the rows.
+
+    Each evaluation starts from weights near the answer: a cluster's first
+    from its rows of ``theta``, the rows' projection onto the starting
+    vertices, each later one from the weights of the evaluated m nearest
+    the new m, the earlier evaluated on a tie. A search's next m lies
+    between its evaluated m nearest on either side, as do all its later
+    ones, so each search keeps only the nonzero weights of those two.
+    By Danskin's theorem the weights may be held fixed for the slope,
     dg_k = sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'), where the
     vertex moves with v' = (r' - v sum r') / sum r on the coordinates where
     the ray r = C + m (mu_k - C) is positive, r' = mu_k - C and the sums
     over those coordinates, and not at all where r is clipped.
     """
+    tuned = extensions.copy()
+    searches = {k: _slope_search(1.0, float(extensions[k])) for k in np.flatnonzero(extensions > 1.0 + 1e-12)}
+    if not searches:
+        return tuned
+    at = {k: next(search) for k, search in searches.items()}  # each search's next m
+    ends = {k: {} for k in searches}  # m -> (positions, values) of its nonzero weights
+    X, K = data.csr, centroids.shape[0]
     vertices = extend(center, centroids, extensions)
-    extensions = extensions.copy()
-    for k in np.flatnonzero(extensions > 1.0 + 1e-12):
-        members = np.flatnonzero(assignments == k)
-        X, weights = data.csr[members], data.weights[members]
-        project = geometry.moving_vertex_projector(X, vertices, k)
-        ray = centroids[k] - center
-        evaluated = {}  # m -> the weights of its projection
+    BBt = vertices @ vertices.T
+    # the rows of the searching clusters, cluster by cluster, and their inputs
+    rows = np.concatenate([np.flatnonzero(assignments == k) for k in searches])
+    own = assignments[rows]
+    BX = (X @ vertices.T)[rows]  # each round overwrites the entries of the rows' own vertices
+    xx = _sq_norms(X)[rows]
+    d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
+    d2[np.arange(rows.size), own] = 1.0  # the scales are at least 1; a row's own vertex moves
+    farthest = d2.max(axis=1)
+    del d2, vertices  # each round forms the vertices again, so they are not held through its solve
+    while at:
+        ks = np.fromiter(at, dtype=np.intp, count=len(at))  # ascending, as ``own`` runs
+        running = np.isin(own, ks)
+        if not running.all():  # drop the rows of the searches that retired
+            rows, own, BX, xx, farthest = rows[running], own[running], BX[running], xx[running], farthest[running]
+        group = np.searchsorted(ks, own)
+        bounds = np.searchsorted(group, np.arange(ks.size + 1))
+        k = ks[group]  # each row's moved vertex
+        m = np.fromiter(at.values(), dtype=np.float64, count=ks.size)
+        moved = extend(center, centroids[ks], m)
+        velocity = centroids[ks] - center
+        raw = center + m[:, None] * velocity
+        velocity[raw <= 0.0] = 0.0  # a clipped coordinate does not move
+        total = np.maximum(raw, 0.0, out=raw).sum(axis=1, keepdims=True)
+        del raw
+        velocity -= moved * velocity.sum(axis=1, keepdims=True)
+        velocity /= total
+        # each row's cross and velocity terms with its own group's vertex
+        cross = (X @ moved.T)[rows, group]
+        toward = (X @ velocity.T)[rows, group]
+        vertices = extend(center, centroids, extensions)
+        U = moved @ vertices.T
+        U[np.arange(ks.size), ks] = np.einsum("ij,ij->i", moved, moved)
+        Bv = velocity @ vertices.T  # each group's vertices times its velocity
+        Bv[np.arange(ks.size), ks] = np.einsum("ij,ij->i", moved, velocity)
+        del moved, velocity, vertices
+        if ends[ks[0]]:
+            start = np.zeros((rows.size, K))
+            for g, kg in enumerate(ks):
+                positions, values = _nearest_weights(ends[kg], at[kg])
+                start.reshape(-1)[bounds[g] * K + positions] = values
+        else:  # the first round: every search at its hi, the starting vertices
+            start = theta[rows]
+        start /= start.sum(axis=1, keepdims=True)
+        BX[np.arange(rows.size), k] = cross
+        scales = np.maximum(farthest, U[group, k] - 2.0 * cross + xx)
+        solved, sq = geometry._solve(BBt, BX, xx, start, scales, (group, ks, U))
+        along = np.einsum("ij,ij->i", solved, Bv[group]) - toward
+        weights = data.weights[rows]
+        values = np.bincount(group, weights * sq, ks.size)
+        slopes = 2.0 * np.bincount(group, weights * solved[np.arange(rows.size), k] * along, ks.size)
+        flat = solved.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        cut = np.searchsorted(nonzero, bounds * K)
+        for g, kg in enumerate(ks):
+            positions = nonzero[cut[g] : cut[g + 1]]
+            ends[kg][at[kg]] = positions - bounds[g] * K, flat[positions]
+            try:
+                at[kg] = searches[kg].send((float(values[g]), float(slopes[g])))
+            except StopIteration as done:
+                tuned[kg] = done.value
+                del at[kg], ends[kg]
+        del start, solved, flat  # freed before the next round's solve
+    return tuned
 
-        def g_k(m):
-            vertices[k] = extend(center, centroids[k, None], [m])[0]
-            start = evaluated[min(evaluated, key=lambda e: abs(e - m))] if evaluated else theta[members]
-            solved, sq = project(vertices[k], start)
-            evaluated[m] = solved
-            raw = center + m * ray
-            kept = raw > 0.0
-            velocity = np.where(kept, ray - vertices[k] * ray[kept].sum(), 0.0) / raw[kept].sum()
-            along = solved @ (vertices @ velocity) - X @ velocity
-            return float(np.sum(weights * sq)), 2.0 * float(np.sum(weights * solved[:, k] * along))
 
-        extensions[k] = _slope_search(g_k, 1.0, float(extensions[k]))
-        vertices[k] = extend(center, centroids[k, None], extensions[k, None])
-    return extensions
+def _nearest_weights(evaluated, x):
+    """The entry of ``evaluated`` (m -> its weights, in evaluation order) at
+    the m nearest ``x``, the earlier evaluated on a tie, after dropping
+    every m but the nearest below ``x`` and the nearest above it."""
+    below = max((e for e in evaluated if e < x), default=None)
+    above = min((e for e in evaluated if e > x), default=None)
+    for e in [e for e in evaluated if e not in (below, above)]:
+        del evaluated[e]
+    return evaluated[min(evaluated, key=lambda e: abs(e - x))]
 
 
-def _slope_search(f, lo, hi):
-    """The evaluated point of least f in a search for f's minimum over
-    [lo, hi]; ``f(x)`` returns (value, slope).
+def _slope_search(lo, hi):
+    """A search for the minimum over [lo, hi] of a function f, as a
+    generator: it yields each x at which f is wanted, is sent f(x) as
+    (value, slope), and returns the evaluated point of least f.
 
     Both ends are evaluated, hi first. Values that differ by at most
     ``tie``, 1e-12 of the larger end value, are equal, and slopes within
@@ -235,8 +310,8 @@ def _slope_search(f, lo, hi):
     values the least x: where f is flat to rounding, the search closes in
     on the flat stretch's lower end.
     """
-    b, (fb, db) = hi, f(hi)
-    a, (fa, da) = lo, f(lo)
+    b, (fb, db) = hi, (yield hi)
+    a, (fa, da) = lo, (yield lo)
     tie = 1e-12 * max(abs(fa), abs(fb))
     da, db = (0.0 if abs(d) <= tie else d for d in (da, db))
     best_f, best_x = (fa, a) if fa <= fb + tie else (fb, b)
@@ -245,7 +320,7 @@ def _slope_search(f, lo, hi):
         d2 = math.sqrt(d1 * d1 - da * db)  # da * db <= 0
         x = b - (b - a) * (db + d2 - d1) / (db - da + 2.0 * d2)
         x = min(max(x, a + 0.05 * (b - a)), b - 0.05 * (b - a))
-        fx, dx = f(x)
+        fx, dx = yield x
         dx = 0.0 if abs(dx) <= tie else dx
         if fx < best_f - tie or (fx <= best_f + tie and x < best_x):
             best_f, best_x = fx, x

@@ -3,21 +3,23 @@
 ``project_rows`` is the one projection onto the convex hull of the topic
 rows; the geometric objective and held-out inference call it. It forms
 its inputs with ``_inputs``, then runs one solve-and-certify step,
-``_solve``. ``moving_vertex_projector`` forms the same inputs once for rows
-whose projection is wanted at many positions of one vertex, as in
-extension tuning, and recomputes only that vertex's part before each
-``_solve``. Both work in the K x K Gram geometry, so per-row cost is
+``_solve``. Extension tuning calls ``_solve`` itself, with its rows in
+groups: the rows of group g are projected onto the base vertices with one
+vertex, k_g, replaced, which the solve reads from the base Gram matrix and
+group g's Gram row, so the groups cost O(G K) memory and no G x K x K
+stack. All of it works in the K x K Gram geometry, so per-row cost is
 independent of the vocabulary size once the cross terms are formed, over
 all rows at once:
 
 1. solve: Wolfe's min-norm-point active set (Wolfe, "Finding the nearest
    point in a polytope", Math. Programming 11, 1976), every row started at
    its nearest vertex, or at given weights, from which the method resumes
-   (each position of a moving vertex starts from an earlier one's
-   weights), and all rows stepped in lockstep. Each row's support is a
-   list of vertex indices, and each minor round is one batched solve over
-   its rows in one form, every support padded to the round's widest. It is
-   exact at every K.
+   (each tuning evaluation starts from an earlier one's weights), and all
+   rows stepped in lockstep. Each row's support is a list of vertex
+   indices, and each minor round solves its rows in one form, every
+   support padded to the round's widest, in batches of rows where the
+   padding would more than double the systems' memory. It is exact at
+   every K.
 2. certificate: every row is checked by the variational inequality
    ``(query - point) . (vertex_k - point) <= 10 * _TOL * scale`` for every
    vertex, taken in the same Gram geometry from the cross terms and the
@@ -94,7 +96,7 @@ class TopicPolytope:
         return self.vertices.shape[1]
 
 
-def _active_set(BBt, BX, xx, theta, scales):
+def _active_set(BBt, BX, xx, theta, scales, groups):
     """Min-norm-point weights of every row, Wolfe's active set run in lockstep.
 
     Row m solves ``min_theta ||theta . B - x_m||^2`` over the simplex from
@@ -108,7 +110,7 @@ def _active_set(BBt, BX, xx, theta, scales):
     weights all exceed ``_DROP_EPS``, or at one vertex. Every solution a of
     the system sums to 1 / (1 + d^2) > 0, with d the distance from x_m to
     the support's affine hull, so a row whose LU solution sums to 0 is
-    solved again by the pseudo-inverse, as are all the round's rows where
+    solved again by the pseudo-inverse, as are all the batch's rows where
     the LU solve raises. Both happen only on a singular system, as from a
     start whose support is not affinely independent. Major step: with
     r = theta . BBt - BX_m, the row retires when
@@ -118,12 +120,21 @@ def _active_set(BBt, BX, xx, theta, scales):
     so a start at each row's nearest vertex is the cold start. A row still
     running after 100 K major steps keeps its current weights for the
     certificate. The major step's ``theta . BBt`` is ``_theta_gram``'s.
+    With ``groups``, ``(group, moved, U)``, row m's Gram matrix is ``BBt``
+    with row and column k = ``moved[group[m]]`` replaced by
+    ``U[group[m]]``: its minor systems gather from ``BBt`` and then take
+    that row and column from U, and ``_theta_gram`` patches its product.
 
     Each row's support is its ``n`` sorted vertex indices at the front of its
     row of ``S``, padded with K; ``S`` widens when a support outgrows it. A
-    minor round solves all its rows as one batch of w x w systems, w its
-    widest support. A row's slots past its own support get identity rows
-    and columns, a zero right-hand side and zero weight, and are never read
+    minor round pads every row's system to w x w, w its widest support,
+    and ``_affine_minimizers`` solves them as one batch; where the padded
+    systems hold f >= 2 times the values of the unpadded ones, as after a
+    warm start of wide and narrow supports, it solves floor(f) batches of
+    rows, so that a batch holds less than twice the unpadded values. LU
+    factors each system alone, so a row's weights do not depend on its
+    batch. A row's slots past its own support get identity rows and
+    columns, a zero right-hand side and zero weight, and are never read
     from or written to theta; a round whose supports all have width w has
     no such slots and runs the same steps.
     """
@@ -146,28 +157,11 @@ def _active_set(BBt, BX, xx, theta, scales):
             real = ~pad
             Sm[pad] = 0  # gathers vertex 0 from BBt and BX; fixed up below
             cells = minor[:, None] * K + Sm  # flat indices into theta and BX
-            c = BX.take(cells)
-            A = BBt.take(Sm[:, :, None] * K + Sm[:, None, :])
-            A += 1.0
-            A -= c[:, :, None]
-            A -= c[:, None, :]
-            A += xx[minor, None, None]
-            # padded slots: identity rows and columns, zero right-hand side and weight
-            A[pad] = 0.0
-            A.transpose(0, 2, 1)[pad] = 0.0
-            A.reshape(minor.size, w * w)[:, :: w + 1][pad] = 1.0  # their diagonal; A is contiguous
-            rhs = 1.0 * real[:, :, None]
-            try:
-                alpha = np.linalg.solve(A, rhs)[:, :, 0]
-            except np.linalg.LinAlgError:
-                alpha = np.zeros((minor.size, w))  # every row to the pseudo-inverse
-            alpha[pad] = 0.0
-            total = alpha.sum(axis=1)
-            zero = np.flatnonzero(total == 0.0)
-            if zero.size:  # no solution sums to 0: LU gone wrong on a singular A
-                alpha[zero] = np.where(real[zero], (np.linalg.pinv(A[zero]) @ rhs[zero])[:, :, 0], 0.0)
-                total[zero] = alpha[zero].sum(axis=1)
-            lam = alpha / total[:, None]
+            batches = minor.size * w * w // int(size @ size)  # floor(f), as the docstring says
+            step = -(-minor.size // batches)
+            parts = [slice(i, i + step) for i in range(0, minor.size, step)]
+            lam = [_affine_minimizers(BBt, BX, xx, minor[p], Sm[p], cells[p], real[p], pad[p], groups) for p in parts]
+            lam = lam[0] if len(lam) == 1 else np.concatenate(lam)
             drop = real & (lam <= _DROP_EPS)
             moved = np.flatnonzero(drop.any(axis=1))
             if moved.size:
@@ -198,11 +192,12 @@ def _active_set(BBt, BX, xx, theta, scales):
             flat[cells[real]] = lam[real]
             minor = minor[moved]
         # major step: the vertex of steepest descent joins the support
-        r = _theta_gram(theta, active, S, n, BBt)
+        r = _theta_gram(theta, active, S, n, BBt, groups)
         r -= BX[active]
         j = np.argmin(r, axis=1)
         bound = np.einsum("ij,ij->i", theta[active], r) - _TOL * scales[active]
         going = (r[np.arange(active.size), j] < bound) & (S[active] != j[:, None]).all(axis=1)
+        del r  # freed before the next major step forms its own
         active, j = active[going], j[going]
         if active.size == 0:
             break
@@ -218,20 +213,86 @@ def _active_set(BBt, BX, xx, theta, scales):
     return theta
 
 
-def _theta_gram(theta, rows, S, n, BBt):
+def _affine_minimizers(BBt, BX, xx, minor, Sm, cells, real, pad, groups):
+    """The affine minimizers of a minor round's rows ``minor`` on their
+    supports ``Sm``, at the flat ``cells`` of BX, with ``real`` and ``pad``
+    marking each row's own and padded slots: one batch of w x w systems,
+    solved by LU, or by the pseudo-inverse for the rows whose LU solution
+    sums to 0 and for every row where the LU solve raises. Its arrays are
+    freed on return, before the round's line step forms its own."""
+    K, w = BBt.shape[0], Sm.shape[1]
+    c = BX.take(cells)
+    A = BBt.take(Sm[:, :, None] * K + Sm[:, None, :])
+    if groups is not None:  # the moved vertex's row and column from its group's U
+        group, vertex, U = groups
+        g = group[minor]
+        hit = real & (Sm == vertex[g][:, None])  # the slot of a row's moved vertex
+        holds = hit.any(axis=1)
+        u = U[g[holds, None], Sm[holds]]
+        A[hit] = u
+        A.transpose(0, 2, 1)[hit] = u
+    A += 1.0
+    A -= c[:, :, None]
+    A -= c[:, None, :]
+    A += xx[minor, None, None]
+    # padded slots: identity rows and columns, zero right-hand side and weight
+    A[pad] = 0.0
+    A.transpose(0, 2, 1)[pad] = 0.0
+    A.reshape(minor.size, w * w)[:, :: w + 1][pad] = 1.0  # their diagonal; A is contiguous
+    rhs = 1.0 * real[:, :, None]
+    try:
+        alpha = np.linalg.solve(A, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        alpha = np.zeros((minor.size, w))  # every row to the pseudo-inverse
+    alpha[pad] = 0.0
+    total = alpha.sum(axis=1)
+    zero = np.flatnonzero(total == 0.0)
+    if zero.size:  # no solution sums to 0: LU gone wrong on a singular A
+        alpha[zero] = np.where(real[zero], (np.linalg.pinv(A[zero]) @ rhs[zero])[:, :, 0], 0.0)
+        total[zero] = alpha[zero].sum(axis=1)
+    return alpha / total[:, None]
+
+
+def _theta_gram(theta, rows, S, n, BBt, groups):
     """``theta[rows] @ BBt``: dense, unless the rows' supports hold fewer than
     ``_SPARSE_THETA`` of their K entries; then one CSR product over each row's
-    first n entries of ``S`` with weights from theta, returned alone so its
-    arrays are freed before the major step gathers ``theta[rows]``."""
+    first n entries of ``S`` with weights from theta, its arrays freed before
+    the major step gathers ``theta[rows]``. With ``groups``, each row's
+    product is taken with its group's Gram matrix, by ``_regroup``. While
+    every row runs, theta itself stands for ``theta[rows]``."""
     K = BBt.shape[0]
+    every = rows.size == theta.shape[0]  # then theta itself, with no copy, is theta[rows]
     if K * _SPARSE_THETA <= 1 or n[rows].sum() >= _SPARSE_THETA * rows.size * K:
-        return theta[rows] @ BBt
-    size = n[rows]
-    indptr = np.zeros(rows.size + 1, dtype=np.intp)
-    np.cumsum(size, out=indptr[1:])
-    cols = S[rows][np.arange(S.shape[1]) < size[:, None]]
-    weights = theta[rows.repeat(size), cols]
-    return sp.csr_matrix((weights, cols, indptr), shape=(rows.size, K)) @ BBt
+        product = (theta if every else theta[rows]) @ BBt
+    else:
+        size = n[rows]
+        indptr = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(size, out=indptr[1:])
+        cols = S[rows][np.arange(S.shape[1]) < size[:, None]]
+        weights = theta[rows.repeat(size), cols]
+        product = sp.csr_matrix((weights, cols, indptr), shape=(rows.size, K)) @ BBt
+        del size, indptr, cols, weights
+    if groups is None:
+        return product
+    group, moved, U = groups
+    return _regroup(product, theta if every else theta[rows], group[rows], moved, U, BBt)
+
+
+def _regroup(product, theta, group, moved, U, BBt):
+    """``product``, which holds ``theta @ BBt``, turned in place into each
+    row's product with its group's Gram matrix: for row m of group g, with
+    k = ``moved[g]`` and the change d = ``U[g] - BBt[k]`` of Gram row k,
+    entry j != k gains ``theta_mk d_j`` and entry k becomes
+    ``theta_m . U[g]``, which is entry k of ``theta_m @ BBt`` plus
+    ``theta_m . d`` (``BBt`` is symmetric)."""
+    rows = np.arange(group.size)
+    k = moved[group]
+    change = (U - BBt[moved])[group]
+    at_k = product[rows, k] + np.einsum("ij,ij->i", theta, change)
+    change *= theta[rows, k][:, None]
+    product += change
+    product[rows, k] = at_k
+    return product
 
 
 def _cross_terms(X, B):
@@ -248,10 +309,11 @@ def _cross_terms(X, B):
     return BX, xx
 
 
-def _certify(BBt, BX, xx, thetas, scales):
+def _certify(BBt, BX, xx, thetas, scales, groups=None):
     """Certificate of every row in the Gram geometry: (squared distances,
     gaps, pass flags), from the Gram matrix ``BBt``, the cross terms ``BX``
-    and the squared norms ``xx``.
+    and the squared norms ``xx``; with ``groups``, as ``_active_set`` takes
+    them, each row's ``theta . BBt`` is with its group's Gram matrix.
 
     With p = theta . B, b_k . (x - p) is ``BX_k - (theta . BBt)_k``, and a
     row passes when ``max_k (b_k - p) . (x - p) <= 10 * _TOL * scale`` and
@@ -261,6 +323,9 @@ def _certify(BBt, BX, xx, thetas, scales):
     is one dense product, run once per projection.
     """
     toward = thetas @ BBt
+    if groups is not None:
+        group, moved, U = groups
+        _regroup(toward, thetas, group, moved, U, BBt)
     np.subtract(BX, toward, out=toward)  # b_k . (x - p) for every row and vertex
     along = np.einsum("ij,ij->i", thetas, toward)  # p . (x - p)
     gaps = toward.max(axis=1) - along
@@ -274,12 +339,21 @@ def _certify(BBt, BX, xx, thetas, scales):
     return sq, gaps, ok
 
 
-def _solve(BBt, BX, xx, thetas, scales):
+def _solve(BBt, BX, xx, thetas, scales, groups=None):
     """(theta, squared distances) of every projection: ``_active_set`` from
     ``thetas``, which it overwrites, then ``_certify``; raises
-    ProjectionFailure naming the first row that fails its certificate."""
-    thetas = _active_set(BBt, BX, xx, thetas, scales)
-    sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales)
+    ProjectionFailure naming the first row that fails its certificate.
+
+    ``groups`` is None, when every row is projected onto the vertices of
+    the Gram matrix ``BBt``, or ``(group, moved, U)``: row m belongs to group
+    ``group[m]``, whose vertices are those of ``BBt`` with vertex
+    ``k = moved[g]`` replaced by a vertex b_g, and ``U[g]`` is b_g's Gram
+    row, b_g against every vertex with ``b_g . b_g`` at k. Then ``BX``
+    holds each row's cross terms with its own group's vertices, and the
+    scales are the caller's.
+    """
+    thetas = _active_set(BBt, BX, xx, thetas, scales, groups)
+    sq, gaps, ok = _certify(BBt, BX, xx, thetas, scales, groups)
     if not ok.all():
         m = int(np.argmin(ok))
         bound = 10.0 * _TOL * scales[m]
@@ -333,37 +407,6 @@ def project_rows(rows, polytope: TopicPolytope):
     thetas = np.zeros(BX.shape)
     thetas[np.arange(X.shape[0]), nearest] = 1.0
     return _solve(BBt, BX, xx, thetas, scales)
-
-
-def moving_vertex_projector(X, vertices, k):
-    """``project(b, start)``: the certified projection of the CSR rows ``X``
-    onto the vertices with row k replaced by ``b``, as (theta, squared
-    distances), from the starting weights ``start``, an M x K array that
-    ``project`` divides by its row sums into a new array for the solve.
-
-    The inputs of the rows over ``vertices`` are formed once, with each
-    row's largest squared distance to a vertex other than k, floored at 1.
-    Each call checks ``b`` as ``TopicPolytope`` checks a row (ValueError
-    unless it sums to 1 within 1e-10 and lies in [0, 1]), recomputes only
-    vertex k's cross-term column (one CSR product), Gram row and column,
-    distances and the scales, max(1, max_k ||b_k - x||^2), and runs
-    ``_solve``, which certifies every row. The caller's ``vertices`` are
-    not written.
-    """
-    B = np.array(vertices, dtype=np.float64)  # row k is the evaluated vertex
-    BBt, BX, xx, d2 = _inputs(X, B)
-    d2[:, k] = 1.0  # the scales are at least 1; vertex k's distances are each call's own
-    farthest = d2.max(axis=1)
-
-    def project(b, start):
-        TopicPolytope(b[None, :])  # raises ValueError unless the vertex is a topic
-        B[k] = b
-        BX[:, k] = X @ b
-        BBt[k] = BBt[:, k] = B @ b
-        scales = np.maximum(farthest, BBt[k, k] - 2.0 * BX[:, k] + xx)
-        return _solve(BBt, BX, xx, start / start.sum(axis=1, keepdims=True), scales)
-
-    return project
 
 
 def geometric_objective(data: NormalizedCorpus, polytope: TopicPolytope) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gdmtopics
-from gdmtopics import geometry, metrics
+from gdmtopics import gdm, geometry, metrics
 from gdmtopics.cli import main
 from gdmtopics.corpus import NormalizedCorpus, load_uci_bag_of_words, normalize
 from gdmtopics.gdm import GdmConfig, GdmModel, fit_gdm, load_model, save_model
@@ -437,7 +437,7 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: projection certificate gap" in capsys.readouterr().err
 
     # the real path: weights at the farthest vertex fail the certificate
-    def farthest_vertex(BBt, BX, xx, nearest, scales):
+    def farthest_vertex(BBt, BX, xx, nearest, scales, groups):
         theta = np.zeros(BX.shape)
         theta[np.arange(BX.shape[0]), np.argmax(np.diag(BBt) - 2.0 * BX, axis=1)] = 1.0
         return theta
@@ -449,24 +449,32 @@ def test_projection_failure_exits_1(tmp_path, monkeypatch, capsys):
 
 
 def test_an_uncertified_tuning_row_fails_the_fit_and_exits_1(tmp_path, monkeypatch, capsys):
-    # extension tuning solves on projection inputs it keeps per cluster,
-    # through the same certified step as project_rows: a wrong weight row in
-    # a tuning evaluation raises ProjectionFailure, and `fit` exits 1
+    # extension tuning solves on projection inputs it keeps for the rows of
+    # the clusters it tunes, through the same certified step as
+    # project_rows: a wrong weight row in a tuning round raises
+    # ProjectionFailure, and `fit` exits 1
     out = _simulate(tmp_path)
     data = normalize(load_uci_bag_of_words(os.path.join(out, "docword.txt")))
-    solve, rows = geometry._active_set, []
+    solve, rows, tuned_rows = geometry._active_set, [], []
+    tune = gdm.tune_extensions
 
-    def wrong_in_tuning(BBt, BX, xx, theta, scales):
-        theta = solve(BBt, BX, xx, theta, scales)
+    def tune_spy(data, center, centroids, assignments, extensions, theta):
+        tuned_rows.append(int((extensions > 1.0 + 1e-12)[assignments].sum()))
+        return tune(data, center, centroids, assignments, extensions, theta)
+
+    def wrong_in_tuning(BBt, BX, xx, theta, scales, groups):
+        theta = solve(BBt, BX, xx, theta, scales, groups)
         rows.append(BX.shape[0])
         if len(rows) > 1:  # the fit's projection of all the rows stays correct
             theta[0] = np.roll(theta[0], 1)
         return theta
 
+    monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
     monkeypatch.setattr(geometry, "_active_set", wrong_in_tuning)
     with pytest.raises(ProjectionFailure, match="row 0: projection certificate gap"):
         fit_gdm(data, GdmConfig(K=3, tune=True))
-    assert len(rows) == 2 and rows[1] < rows[0]  # the first evaluation, on one cluster's rows
+    # the first round, on the rows of every cluster tuned
+    assert len(rows) == 2 and rows[1] == tuned_rows[0] and 0 < rows[1] <= rows[0]
     rows.clear()
     args = ["fit", "--algo", "tgdm", "--K", "3", "--in", out, "--out", str(tmp_path / "m.json")]
     assert main(args) == 1

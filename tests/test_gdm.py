@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from functools import partial
@@ -376,6 +377,19 @@ def test_tuned_never_worse():
         assert (tuned.extensions >= 1.0 - 1e-12).all()
 
 
+def test_fit_keeps_the_default_polytope_when_tuning_scores_worse(monkeypatch):
+    # extensions of 1 put every vertex at its centroid, inside the default
+    # hull, which scores worse; the fit then returns the untuned model, its
+    # default polytope formed again bit for bit
+    data = _lda_data(41)
+    monkeypatch.setattr(gdm, "tune_extensions", lambda data, center, centroids, a, m, theta: np.ones_like(m))
+    base = fit_gdm(data, GdmConfig(K=3, seed=1))
+    kept = fit_gdm(data, GdmConfig(K=3, seed=1, tune=True))
+    assert np.array_equal(kept.polytope.vertices, base.polytope.vertices)
+    assert np.array_equal(kept.extensions, base.extensions) and (base.extensions > 1.0).all()
+    assert kept.objective == base.objective
+
+
 def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     # an outlier far off the extension ray inflates the covering radius, so
     # the default extension pivots the hull away from the cluster mass and
@@ -407,9 +421,9 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     # and the rows' weights on those vertices, which the line search starts from
     assert np.array_equal(theta, geometry.project_rows(data, base.polytope)[0])
 
-    # dense-grid oracle over each extension scalar, replayed in the same
-    # sequential order the line search uses
-    vertices = base.polytope.vertices.copy()
+    # dense-grid oracle over each extension scalar, with the other vertices
+    # at their default extensions, as the lockstep searches hold them
+    vertices = base.polytope.vertices
     for k in range(2):
         members = assignments == k
         hi = float(base.extensions[k])
@@ -426,13 +440,14 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
             n=4000,
         )
         assert abs(tuned.extensions[k] - m) < 2e-3
-        vertices[k] = extended_vertex(center, centroids[k], tuned.extensions[k])
 
 
 def test_tuning_slope_matches_central_differences(monkeypatch):
-    # each cluster's line search gets g_k and its slope from one projection;
-    # the slope must be the derivative of g_k, also where the ray is clipped
-    # (there the vertex's renormalization moves the kept coordinates)
+    # each cluster's line search gets g_k and its slope from one grouped
+    # projection; the slope must be the derivative of g_k, also where the
+    # ray is clipped (there the vertex's renormalization moves the kept
+    # coordinates). A spy search asks the lockstep rounds for g_k at m and
+    # m +- h, with the other vertices at their defaults, before the search
     data = _lda_data(0, V=12, M=80)
     real_tune, real_search = gdm.tune_extensions, gdm._slope_search
     state, checked = {}, []
@@ -441,7 +456,7 @@ def test_tuning_slope_matches_central_differences(monkeypatch):
         state.update(center=center, centroids=centroids, todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)))
         return real_tune(data, center, centroids, assignments, extensions, theta)
 
-    def search_spy(f, lo, hi):
+    def search_spy(lo, hi):
         center, k = state["center"], state["todo"].pop(0)
         ray = state["centroids"][k] - center
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -450,10 +465,11 @@ def test_tuning_slope_matches_central_differences(monkeypatch):
             if np.nanmin(np.abs(kinks - m)) < 1e-3:
                 continue
             h = 1e-6
-            differences = (f(m + h)[0] - f(m - h)[0]) / (2.0 * h)
+            up, down, at = (yield m + h), (yield m - h), (yield m)
+            differences = (up[0] - down[0]) / (2.0 * h)
             checked.append((k, int((center + m * ray < 0.0).sum())))
-            assert f(m)[1] == pytest.approx(differences, rel=1e-5, abs=0.0)
-        return real_search(f, lo, hi)
+            assert at[1] == pytest.approx(differences, rel=1e-5, abs=0.0)
+        return (yield from real_search(lo, hi))
 
     monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
     monkeypatch.setattr(gdm, "_slope_search", search_spy)
@@ -504,6 +520,161 @@ def test_tuned_fit_projects_half_as_often_as_a_derivative_free_search(monkeypatc
     assert len(calls) <= 42
 
 
+def _drive(search, f):
+    """The points a ``_slope_search`` generator asks for when sent ``f(x)``, and its answer."""
+    xs, x = [], next(search)
+    while True:
+        xs.append(x)
+        try:
+            x = search.send(f(x))
+        except StopIteration as done:
+            return xs, done.value
+
+
+def _smooth(x):
+    return math.exp(x) - 3.0 * x, math.exp(x) - 3.0
+
+
+def _kink(x):  # a clipped coordinate: the slope jumps from -0.3 to 0.04 at 1.4571
+    c = 1.4571
+    if x < c:
+        return 8.3 + 0.5 * (x - c) ** 2 - 0.3 * (x - c), (x - c) - 0.3
+    return 8.3 + 0.5 * (x - c) ** 2 + 0.04 * (x - c), (x - c) + 0.04
+
+
+def _flat(x):  # flat to rounding past 1.02
+    if x < 1.02:
+        return 5.0 + (1.02 - x) ** 2, -2.0 * (1.02 - x)
+    return 5.0 + 1e-15 * math.sin(1e3 * x), 1e-13 * math.cos(1e3 * x)
+
+
+# the points the search asked for before it became a generator, when it
+# called f(x) itself
+_SEARCH_STEPS = {
+    "smooth": (
+        _smooth, 1.0, 2.5,
+        [2.5, 1.0, 1.1313161427491178, 1.098595119155371, 1.1002311703350582, 1.0986769217143553],
+        1.098595119155371,
+    ),
+    "kink": (
+        _kink, 1.0, 1.6,
+        [
+            1.6, 1.0, 1.5218702319217647, 1.487215801449075, 1.4628550113766212, 1.4397122608077901,
+            1.4616065910439575, 1.4605118745321493, 1.4594718938459312, 1.458483912194024,
+            1.4575453296247123, 1.4566536761838662, 1.4574398490548661, 1.4573719382261074,
+        ],
+        1.4573719382261074,
+    ),
+    "flat": (
+        _flat, 1.0, 2.99,
+        [
+            2.99, 1.0, 1.6700676818951075, 1.2302276674798915, 1.084043455536622, 1.0367630715704532,
+            1.0268750156281283, 1.0255312648467219, 1.0242547016043857, 1.0230419665241663,
+            1.021889868197958, 1.02079537478806, 1.019755606048657, 1.020208691834228,
+            1.0200835005678444, 1.020067105841885,
+        ],
+        1.020067105841885,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEARCH_STEPS))
+def test_slope_search_keeps_its_steps(name):
+    f, lo, hi, steps, best = _SEARCH_STEPS[name]
+    assert _drive(gdm._slope_search(lo, hi), f) == (steps, best)
+
+
+def test_criterion_4_kink_keeps_its_steps(monkeypatch):
+    # criterion 4's seed 6: clusters 0 and 1 keep their default extensions,
+    # so cluster 2's search sees the same g_k whatever the order of the
+    # searches, and creeps toward its clipping kink in the same 17 steps
+    steps = [
+        1.5320928222431875, 1.0, 1.4698069991051306, 1.446316649149874, 1.4655631135666896,
+        1.4636621414488993, 1.4623635052357922, 1.461368700715717, 1.460561307605923,
+        1.4598490746831205, 1.4591724534064583, 1.458529663193629, 1.4579190124914414,
+        1.457338894324363, 1.4567877820656385, 1.4571767250266523, 1.4571330611062294,
+    ]
+    real, asked = gdm._slope_search, []
+
+    def spy(lo, hi):
+        xs, search = [], real(lo, hi)
+        asked.append(xs)
+        x = next(search)
+        while True:
+            xs.append(x)
+            try:
+                x = search.send((yield x))
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(gdm, "_slope_search", spy)
+    params = LdaParams(K=3, V=8, M=60, doc_lengths=40, alpha=0.2, eta=0.3, seed=6)
+    model = fit_gdm(normalize(generate_corpus(params)[0]), GdmConfig(K=3, seed=6, tune=True))
+    assert [len(xs) for xs in asked] == [2, 2, 17]
+    assert np.abs(np.array(asked[2]) - steps).max() <= 1e-9
+    assert model.extensions[2] == pytest.approx(steps[-1], rel=0.0, abs=1e-9)
+
+
+def test_tuned_fit_solves_once_per_round(monkeypatch):
+    # the searches run in lockstep, one grouped geometry._solve per round,
+    # so a tuned fit takes as many solves as its longest search takes
+    # evaluations, plus the default polytope's projection and the tuned
+    # one's scoring: 12 at perfbench's tgdm_large_m corpus (data seed 0),
+    # fit seed 0, where the searches one cluster after another took 39
+    data = _tgdm_large_m_corpus()
+    real_solve, real_search = geometry._solve, gdm._slope_search
+    solves, evaluations = [], []
+
+    def solve_spy(*args):
+        solves.append(1)
+        return real_solve(*args)
+
+    def search_spy(lo, hi):
+        evaluations.append(0)
+        mine, search = len(evaluations) - 1, real_search(lo, hi)
+        x = next(search)
+        while True:
+            evaluations[mine] += 1
+            try:
+                x = search.send((yield x))
+            except StopIteration as done:
+                return done.value
+
+    monkeypatch.setattr(geometry, "_solve", solve_spy)
+    monkeypatch.setattr(gdm, "_slope_search", search_spy)
+    fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
+    assert len(evaluations) == 5
+    assert len(solves) == 2 + max(evaluations) == 12
+
+
+def test_tuned_extensions_do_not_depend_on_the_cluster_labels(monkeypatch):
+    # every search holds the other vertices at their default extensions, so
+    # relabelling the clusters handed to tune_extensions (centroids,
+    # assignments, extensions and theta's columns) relabels the tuned m;
+    # when each search saw the ones tuned before it, m moved by up to 0.05
+    cases = [(_lda_data(40 + seed), 3, seed) for seed in range(6)]
+    cases += [(_lda_data(seed, K=4, V=12, M=80), 4, seed) for seed in range(3)]
+    cases.append((_tgdm_large_m_corpus(), 5, 0))
+    real, calls = gdm.tune_extensions, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gdm, "tune_extensions", spy)
+    rng = np.random.default_rng(0)
+    for data, K, seed in cases:
+        calls.clear()
+        fit_gdm(data, GdmConfig(K=K, seed=seed, tune=True))
+        ((_, center, centroids, assignments, extensions, theta),) = calls
+        tuned = real(data, center, centroids, assignments, extensions, theta)
+        for perm in (np.roll(np.arange(K), 1), np.arange(K)[::-1], rng.permutation(K)):
+            # new label j is old cluster perm[j]
+            relabel = np.argsort(perm)
+            moved = real(data, center, centroids[perm], relabel[assignments], extensions[perm], theta[:, perm])
+            assert np.abs(moved - tuned[perm]).max() <= 1e-8
+
+
 def test_warm_started_tuning_picks_the_cold_search_extensions(monkeypatch):
     # each projection of the line search starts from earlier weights, which
     # changes how the active set gets to each projection but not where:
@@ -518,11 +689,16 @@ def test_warm_started_tuning_picks_the_cold_search_extensions(monkeypatch):
     warm = fits()
     real = geometry._solve
 
-    def cold_start(BBt, BX, xx, thetas, scales):
-        nearest = np.argmin(np.diag(BBt) - 2.0 * BX + xx[:, None], axis=1)
+    def cold_start(BBt, BX, xx, thetas, scales, groups=None):
+        d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
+        rows = np.arange(BX.shape[0])
+        if groups is not None:  # each row's distance to its group's moved vertex
+            group, moved, U = groups
+            k = moved[group]
+            d2[rows, k] = U[group, k] - 2.0 * BX[rows, k] + xx
         thetas = np.zeros(BX.shape)
-        thetas[np.arange(BX.shape[0]), nearest] = 1.0
-        return real(BBt, BX, xx, thetas, scales)
+        thetas[rows, np.argmin(d2, axis=1)] = 1.0
+        return real(BBt, BX, xx, thetas, scales, groups)
 
     monkeypatch.setattr(geometry, "_solve", cold_start)
     for w, cold in zip(warm, fits()):  # every projection started at the nearest vertices
@@ -563,12 +739,14 @@ def _sparse_tuning_corpus():
     ids=["dense-blocks", "csr"],
 )
 def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus, K, dense_blocks):
-    # tuning keeps each cluster's cross terms, Gram matrix and distances and
-    # recomputes only the moved vertex's part; every evaluation's objective,
-    # weights and slope must be those of a solve on the candidate polytope's
-    # inputs formed afresh, from the same start, with the Danskin slope taken
-    # from them, and its scales those of the candidate's distances (a stale
-    # Gram row or cross-term column fails here)
+    # tuning keeps its rows' cross terms, Gram matrix and distances and
+    # forms only the moved vertices' parts, and each round projects every
+    # searching cluster's rows in one grouped solve; every evaluation's
+    # objective, weights and slope must be those of a solve on the candidate
+    # polytope's inputs formed afresh (the other vertices at their
+    # defaults), from the same start, with the Danskin slope taken from
+    # them, and its scales those of the candidate's distances (a stale Gram
+    # row or cross-term column fails here)
     data = corpus()
     real_tune, real_search, real_solve = gdm.tune_extensions, gdm._slope_search, geometry._solve
     state, solves, checked = {}, [], []
@@ -583,22 +761,25 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
         )
         return real_tune(data, center, centroids, assignments, extensions, theta)
 
-    def solve_spy(BBt, BX, xx, thetas, scales):
+    def solve_spy(BBt, BX, xx, thetas, scales, groups=None):
         start = thetas.copy()  # the active set overwrites its start
-        theta, sq = real_solve(BBt, BX, xx, thetas, scales)
-        solves.append((start, scales.copy(), theta))
+        theta, sq = real_solve(BBt, BX, xx, thetas, scales, groups)
+        solves.append((start, scales.copy(), theta, groups))
         return theta, sq
 
-    def search_spy(f, lo, hi):
+    def search_spy(lo, hi):
         center, centroids, k = state["center"], state["centroids"], state["todo"].pop(0)
         members = state["assignments"] == k
         sub = NormalizedCorpus(rows=data.csr[members], weights=data.weights[members])
         X, w = sub.csr, sub.weights
         ray = centroids[k] - center
-
-        def checked_f(m):
-            value, slope = f(m)
-            start, scales, theta = solves[-1]
+        search = real_search(lo, hi)
+        m = next(search)
+        while True:
+            value, slope = yield m
+            start, scales, theta, (group, moved, _) = solves[-1]
+            mine = moved[group] == k  # the cluster's rows, in their order
+            start, scales, theta = start[mine], scales[mine], theta[mine]
             cand = state["vertices"].copy()
             cand[k] = extend(center, centroids[k, None], [m])
             # project_rows' inputs, formed afresh for the candidate polytope
@@ -616,17 +797,17 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
             d2 = ((X.toarray()[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
             assert scales == pytest.approx(np.maximum(1.0, d2.max(axis=1)), rel=1e-12, abs=0.0)
             checked.append((k, X.nnz >= geometry._SPARSE_SHARE * X.shape[0] * X.shape[1]))
-            return value, slope
-
-        best = real_search(checked_f, lo, hi)
-        state["vertices"][k] = extend(center, centroids[k, None], [best])
-        return best
+            try:
+                m = search.send((value, slope))
+            except StopIteration as done:
+                return done.value
 
     monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
     monkeypatch.setattr(gdm, "_slope_search", search_spy)
     monkeypatch.setattr(geometry, "_solve", solve_spy)
     fit_gdm(data, GdmConfig(K=K, tune=True, seed=0))
     assert len({k for k, _ in checked}) >= 2 and len(checked) >= 10
+    # the fresh inputs of every cluster take the dense row blocks, or the CSR product
     assert all(blocks == dense_blocks for _, blocks in checked)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -466,3 +468,119 @@ def test_small_k_never_builds_csr_weights(monkeypatch, K):
     thetas, _ = project_rows(X, poly)
     assert built and not any(built)  # only the rows were made CSR
     assert np.allclose(thetas[:K], np.eye(K), atol=1e-12)
+
+
+def _nearest_start(d2):
+    thetas = np.zeros(d2.shape)
+    thetas[np.arange(d2.shape[0]), np.argmin(d2, axis=1)] = 1.0
+    return thetas
+
+
+def _grouped_case(K, V, G, per_group, seed):
+    # rows in G groups; group g's polytope is the base one with vertex
+    # moved[g] replaced by candidates[g] (several groups may move one vertex)
+    rng = np.random.default_rng(seed)
+    B = _random_polytope(rng, K, V).vertices
+    moved = rng.integers(0, K, size=G)
+    candidates = _random_polytope(rng, G, V).vertices.copy()
+    near = rng.random(G) < 0.5  # half the candidates close to the vertex they replace
+    candidates[near] = 0.8 * B[moved[near]] + 0.2 * candidates[near]
+    X = rng.dirichlet(np.full(V, 0.3), size=G * per_group)
+    group = np.repeat(np.arange(G), per_group)
+    return B, moved, candidates, sp.csr_matrix(X), group
+
+
+def _grouped_inputs(B, moved, candidates, X, group):
+    # the grouped solve's inputs: the base Gram matrix, each row's cross
+    # terms with its own group's vertices, each group's Gram row U, and the
+    # scales and nearest-vertex start of each row's own polytope
+    rows, k = np.arange(X.shape[0]), moved[group]
+    BBt = B @ B.T
+    BX = X @ B.T
+    BX[rows, k] = (X @ candidates.T)[rows, group]
+    U = candidates @ B.T
+    U[np.arange(moved.size), moved] = np.einsum("ij,ij->i", candidates, candidates)
+    xx = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    d2 = np.diag(BBt) - 2.0 * BX + xx[:, None]
+    d2[rows, k] = U[group, k] - 2.0 * BX[rows, k] + xx
+    return BBt, BX, xx, _nearest_start(d2), np.maximum(1.0, d2.max(axis=1)), (group, moved, U)
+
+
+@pytest.mark.parametrize(
+    "K, V, G, per_group, seed",
+    [(3, 20, 1, 30, 0), (6, 40, 4, 20, 1), (6, 40, 12, 5, 2), (20, 60, 8, 10, 3), (30, 40, 40, 4, 4)],
+)
+def test_grouped_solve_matches_a_fresh_solve_of_each_group(K, V, G, per_group, seed):
+    # every group's weights and squared distances are those of a plain
+    # solve on project_rows' inputs formed afresh for its own polytope
+    B, moved, candidates, X, group = _grouped_case(K, V, G, per_group, seed)
+    thetas, sq = geometry._solve(*_grouped_inputs(B, moved, candidates, X, group))
+    for g in range(G):
+        mine = group == g
+        cand = B.copy()
+        cand[moved[g]] = candidates[g]
+        BBt, BX, xx, d2 = geometry._inputs(X[mine], cand)
+        ref, ref_sq = geometry._solve(BBt, BX, xx, _nearest_start(d2), np.maximum(1.0, d2.max(axis=1)))
+        assert np.abs(thetas[mine] - ref).max() <= 1e-9
+        assert sq[mine] == pytest.approx(ref_sq, rel=1e-12, abs=0.0)
+
+
+def test_grouped_solve_holds_no_gram_matrix_per_group():
+    # at K = 100 and G = 100 groups the solve peaks below one G x K x K
+    # stack of float64 Gram matrices, and still matches each fresh solve
+    K, G = 100, 100
+    B, moved, candidates, X, group = _grouped_case(K, 150, G, 3, 5)
+    inputs = _grouped_inputs(B, moved, candidates, X, group)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        thetas, sq = geometry._solve(*inputs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < G * K * K * 8
+    for g in range(0, G, 9):
+        mine = group == g
+        cand = B.copy()
+        cand[moved[g]] = candidates[g]
+        BBt, BX, xx, d2 = geometry._inputs(X[mine], cand)
+        ref, ref_sq = geometry._solve(BBt, BX, xx, _nearest_start(d2), np.maximum(1.0, d2.max(axis=1)))
+        assert np.abs(thetas[mine] - ref).max() <= 1e-9
+        assert sq[mine] == pytest.approx(ref_sq, rel=1e-12, abs=0.0)
+
+
+def test_padded_systems_are_solved_in_batches_of_the_same_weights(monkeypatch):
+    # rows started on faces of 1 to 24 vertices: padding takes the first
+    # minor round's systems to f >= 2 times their own values, so the round
+    # solves them in floor(f) batches, each holding less than twice the
+    # unpadded values; LU factors each system alone, so the weights are
+    # those of one batch of all the round's rows
+    rng = np.random.default_rng(7)
+    K, V, M = 40, 60, 205
+    B = _random_polytope(rng, K, V).vertices
+    X = sp.csr_matrix(rng.dirichlet(np.full(V, 0.3), size=M))
+    BBt, BX, xx, d2 = geometry._inputs(X, B)
+    start = np.zeros((M, K))
+    for row, width in zip(start, rng.integers(1, 25, size=M)):
+        row[rng.choice(K, width, replace=False)] = rng.dirichlet(np.ones(width))
+    n = np.count_nonzero(start, axis=1)
+    minor, size = np.flatnonzero(n > 1), n[n > 1]
+    w, own = size.max(), int(size @ size)
+    count = minor.size * w * w // own
+    real, calls = geometry._affine_minimizers, []
+
+    def spy(BBt, BX, xx, minor, Sm, cells, slots, pad, groups):
+        lam = real(BBt, BX, xx, minor, Sm, cells, slots, pad, groups)
+        calls.append((minor.copy(), Sm.copy(), cells.copy(), slots.copy(), pad.copy(), lam))
+        return lam
+
+    monkeypatch.setattr(geometry, "_affine_minimizers", spy)
+    geometry._solve(BBt, BX, xx, start, np.maximum(1.0, d2.max(axis=1)))
+    first = calls[:count]  # the first minor round's batches
+    assert count >= 2
+    assert np.array_equal(np.concatenate([b[0] for b in first]), minor)
+    assert [b[0].size for b in first] == [100, 99]
+    assert all(b[0].size * w * w < 2 * own for b in first)
+    Sm, cells, slots, pad = (np.vstack([b[i] for b in first]) for i in (1, 2, 3, 4))
+    assert np.array_equal(np.vstack([b[5] for b in first]), real(BBt, BX, xx, minor, Sm, cells, slots, pad, None))
