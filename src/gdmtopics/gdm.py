@@ -125,7 +125,8 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     center, centroids and assignments are working state of this fit and are
     not kept on the model. The reported objective is G plus the nGDM
     penalty lam * K' (zero for GDM). The default polytope's projection
-    gives G and the weights that tuning starts from.
+    gives G, and its weights and squared distances are tuning's first
+    round of evaluations.
     """
     rng = np.random.default_rng(config.seed)
     if config.K is not None:
@@ -141,9 +142,9 @@ def _fit(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     theta, sq = geometry.project_rows(data, polytope)
     objective = float(np.sum(data.weights * sq))  # geometric_objective's sum
     if config.tune and k > 1:
-        del polytope, sq  # freed while tuning runs; the default polytope is formed again if kept
-        tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions, theta)
-        del theta  # freed before the tuned polytope is scored, from a cold start
+        del polytope  # freed while tuning runs; the default polytope is formed again if kept
+        tuned_m = tune_extensions(data, center, clustering.centroids, assignments, extensions, theta, sq)
+        del theta, sq  # freed before the tuned polytope is scored, from a cold start
         tuned = TopicPolytope(extend(center, clustering.centroids, tuned_m))
         tuned_objective = geometric_objective(data, tuned)
         # keep the default extensions if the line searches somehow made G worse
@@ -179,29 +180,27 @@ def fit_ngdm(data: NormalizedCorpus, config: GdmConfig) -> GdmModel:
     return _fit(data, config)
 
 
-def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions, theta):
+def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, extensions, theta, sq):
     """Line-search each extension scalar m_k > 1 over [1, m_k]; returns the tuned m.
 
     Cluster k's geometric objective g_k over its own rows is minimized by
     a ``_slope_search`` with every other topic at its vertex of
     ``extend(center, centroids, extensions)``: no search sees another's
     result (the Jacobi order), so the tuned m do not depend on the clusters'
-    labels. The searches run in lockstep. Each round is one grouped
-    ``geometry._solve`` over the rows of the clusters still searching, the
-    group of cluster k holding its rows and vertex k at its search's next m,
-    and each search retires on its own. The starting vertices' Gram
-    matrix, the rows' cross terms (one CSR product) and each row's largest
-    squared distance to a vertex other than its own, floored at 1, are
-    formed once; a round forms only the moved vertices' Gram rows, and
-    their cross terms and velocity terms, each one CSR product over all
-    the rows.
+    labels. The searches run in lockstep, and each retires on its own.
+    Every search starts at its hi, the starting vertices themselves, so the
+    first round takes its values and weights from ``theta`` and ``sq``, the
+    rows' projection onto those vertices, and solves nothing. Each later
+    round is one grouped ``geometry._solve`` over the rows of the clusters
+    still searching, the group of cluster k holding its rows and vertex k
+    at its search's next m, every row started from its weights of the
+    round before, its own search's last evaluation. The starting
+    vertices' Gram matrix, the rows' cross terms (one CSR product) and
+    each row's largest squared distance to a vertex other than its own,
+    floored at 1, are formed once; a round forms only the moved vertices'
+    Gram rows, and their cross terms and velocity terms, each one CSR
+    product over all the rows.
 
-    Each evaluation starts from weights near the answer: a cluster's first
-    from its rows of ``theta``, the rows' projection onto the starting
-    vertices, each later one from the weights of the evaluated m nearest
-    the new m, the earlier evaluated on a tie. A search's next m lies
-    between its evaluated m nearest on either side, as do all its later
-    ones, so each search keeps only the nonzero weights of those two.
     By Danskin's theorem the weights may be held fixed for the slope,
     dg_k = sum_m 2 N_m theta_mk (theta_m . (B v') - x_m . v'), where the
     vertex moves with v' = (r' - v sum r') / sum r on the coordinates where
@@ -213,8 +212,7 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     if not searches:
         return tuned
     at = {k: next(search) for k, search in searches.items()}  # each search's next m
-    ends = {k: {} for k in searches}  # m -> (positions, values) of its nonzero weights
-    X, K = data.csr, centroids.shape[0]
+    X = data.csr
     vertices = extend(center, centroids, extensions)
     BBt = vertices @ vertices.T
     # the rows of the searching clusters, cluster by cluster, and their inputs
@@ -226,13 +224,13 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
     d2[np.arange(rows.size), own] = 1.0  # the scales are at least 1; a row's own vertex moves
     farthest = d2.max(axis=1)
     del d2, vertices  # each round forms the vertices again, so they are not held through its solve
+    solved, sq = theta[rows], sq[rows]  # the first round's evaluations, every search at its hi
     while at:
         ks = np.fromiter(at, dtype=np.intp, count=len(at))  # ascending, as ``own`` runs
         running = np.isin(own, ks)
         if not running.all():  # drop the rows of the searches that retired
-            rows, own, BX, xx, farthest = rows[running], own[running], BX[running], xx[running], farthest[running]
+            rows, own, BX, xx, farthest, solved = (a[running] for a in (rows, own, BX, xx, farthest, solved))
         group = np.searchsorted(ks, own)
-        bounds = np.searchsorted(group, np.arange(ks.size + 1))
         k = ks[group]  # each row's moved vertex
         m = np.fromiter(at.values(), dtype=np.float64, count=ks.size)
         moved = extend(center, centroids[ks], m)
@@ -243,54 +241,31 @@ def tune_extensions(data: NormalizedCorpus, center, centroids, assignments, exte
         del raw
         velocity -= moved * velocity.sum(axis=1, keepdims=True)
         velocity /= total
-        # each row's cross and velocity terms with its own group's vertex
-        cross = (X @ moved.T)[rows, group]
-        toward = (X @ velocity.T)[rows, group]
+        toward = (X @ velocity.T)[rows, group]  # each row's velocity term with its own group's vertex
         vertices = extend(center, centroids, extensions)
-        U = moved @ vertices.T
-        U[np.arange(ks.size), ks] = np.einsum("ij,ij->i", moved, moved)
         Bv = velocity @ vertices.T  # each group's vertices times its velocity
         Bv[np.arange(ks.size), ks] = np.einsum("ij,ij->i", moved, velocity)
-        del moved, velocity, vertices
-        if ends[ks[0]]:
-            start = np.zeros((rows.size, K))
-            for g, kg in enumerate(ks):
-                positions, values = _nearest_weights(ends[kg], at[kg])
-                start.reshape(-1)[bounds[g] * K + positions] = values
-        else:  # the first round: every search at its hi, the starting vertices
-            start = theta[rows]
-        start /= start.sum(axis=1, keepdims=True)
-        BX[np.arange(rows.size), k] = cross
-        scales = np.maximum(farthest, U[group, k] - 2.0 * cross + xx)
-        solved, sq = geometry._solve(BBt, BX, xx, start, scales, (group, ks, U))
+        if sq is None:  # a later round solves, each row from its weights of the round before
+            cross = (X @ moved.T)[rows, group]
+            BX[np.arange(rows.size), k] = cross
+            U = moved @ vertices.T
+            U[np.arange(ks.size), ks] = np.einsum("ij,ij->i", moved, moved)
+            scales = np.maximum(farthest, U[group, k] - 2.0 * cross + xx)
+        del moved, velocity, vertices  # freed before the solve, and before the next round forms its own
+        if sq is None:
+            solved, sq = geometry._solve(BBt, BX, xx, solved, scales, (group, ks, U))
         along = np.einsum("ij,ij->i", solved, Bv[group]) - toward
         weights = data.weights[rows]
         values = np.bincount(group, weights * sq, ks.size)
         slopes = 2.0 * np.bincount(group, weights * solved[np.arange(rows.size), k] * along, ks.size)
-        flat = solved.reshape(-1)
-        nonzero = np.flatnonzero(flat)
-        cut = np.searchsorted(nonzero, bounds * K)
+        sq = None  # every later round solves for its own
         for g, kg in enumerate(ks):
-            positions = nonzero[cut[g] : cut[g + 1]]
-            ends[kg][at[kg]] = positions - bounds[g] * K, flat[positions]
             try:
                 at[kg] = searches[kg].send((float(values[g]), float(slopes[g])))
             except StopIteration as done:
                 tuned[kg] = done.value
-                del at[kg], ends[kg]
-        del start, solved, flat  # freed before the next round's solve
+                del at[kg]
     return tuned
-
-
-def _nearest_weights(evaluated, x):
-    """The entry of ``evaluated`` (m -> its weights, in evaluation order) at
-    the m nearest ``x``, the earlier evaluated on a tie, after dropping
-    every m but the nearest below ``x`` and the nearest above it."""
-    below = max((e for e in evaluated if e < x), default=None)
-    above = min((e for e in evaluated if e > x), default=None)
-    for e in [e for e in evaluated if e not in (below, above)]:
-        del evaluated[e]
-    return evaluated[min(evaluated, key=lambda e: abs(e - x))]
 
 
 def _slope_search(lo, hi):
@@ -349,6 +324,12 @@ def save_model(model: GdmModel, path) -> None:
         "objective": model.objective,
         "config": asdict(model.config),
     }
+    _write_json_line(d, path)
+
+
+def _write_json_line(d, path):
+    """Write ``d`` to ``path`` as one line of JSON with sorted keys: the form
+    of model and truth files."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(json.dumps(d, sort_keys=True))
         f.write("\n")
@@ -428,10 +409,7 @@ def _beta_polytope(values, kind, path):
 def save_truth(truth, path) -> None:
     """Write the ``GroundTruth`` as a truth file: one line of JSON with sorted
     keys, the generating ``beta`` (K x V) and ``theta`` (M x K) as lists of lists."""
-    d = {"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(d, sort_keys=True))
-        f.write("\n")
+    _write_json_line({"beta": truth.beta.tolist(), "theta": truth.theta.tolist()}, path)
 
 
 def load_truth(path) -> TopicPolytope:

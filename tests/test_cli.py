@@ -458,9 +458,9 @@ def test_an_uncertified_tuning_row_fails_the_fit_and_exits_1(tmp_path, monkeypat
     solve, rows, tuned_rows = geometry._active_set, [], []
     tune = gdm.tune_extensions
 
-    def tune_spy(data, center, centroids, assignments, extensions, theta):
+    def tune_spy(data, center, centroids, assignments, extensions, theta, sq):
         tuned_rows.append(int((extensions > 1.0 + 1e-12)[assignments].sum()))
-        return tune(data, center, centroids, assignments, extensions, theta)
+        return tune(data, center, centroids, assignments, extensions, theta, sq)
 
     def wrong_in_tuning(BBt, BX, xx, theta, scales, groups):
         theta = solve(BBt, BX, xx, theta, scales, groups)
@@ -473,7 +473,8 @@ def test_an_uncertified_tuning_row_fails_the_fit_and_exits_1(tmp_path, monkeypat
     monkeypatch.setattr(geometry, "_active_set", wrong_in_tuning)
     with pytest.raises(ProjectionFailure, match="row 0: projection certificate gap"):
         fit_gdm(data, GdmConfig(K=3, tune=True))
-    # the first round, on the rows of every cluster tuned
+    # the first tuning solve, the second round (the first takes the fit's
+    # projection), on the rows of every cluster tuned
     assert len(rows) == 2 and rows[1] == tuned_rows[0] and 0 < rows[1] <= rows[0]
     rows.clear()
     args = ["fit", "--algo", "tgdm", "--K", "3", "--in", out, "--out", str(tmp_path / "m.json")]

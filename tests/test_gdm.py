@@ -382,7 +382,7 @@ def test_fit_keeps_the_default_polytope_when_tuning_scores_worse(monkeypatch):
     # hull, which scores worse; the fit then returns the untuned model, its
     # default polytope formed again bit for bit
     data = _lda_data(41)
-    monkeypatch.setattr(gdm, "tune_extensions", lambda data, center, centroids, a, m, theta: np.ones_like(m))
+    monkeypatch.setattr(gdm, "tune_extensions", lambda data, center, centroids, a, m, theta, sq: np.ones_like(m))
     base = fit_gdm(data, GdmConfig(K=3, seed=1))
     kept = fit_gdm(data, GdmConfig(K=3, seed=1, tune=True))
     assert np.array_equal(kept.polytope.vertices, base.polytope.vertices)
@@ -415,11 +415,12 @@ def test_tuning_shrinks_extension_for_outlier_cluster(monkeypatch):
     assert tuned.objective < base.objective - 1e-4
     shrunk = base.extensions - tuned.extensions
     assert shrunk.max() > 0.5
-    (_, center, centroids, assignments, extensions, theta), = calls
+    (_, center, centroids, assignments, extensions, theta, sq), = calls
     assert np.array_equal(extend(center, centroids, extensions), base.polytope.vertices)
     assert np.array_equal(extensions, base.extensions)
-    # and the rows' weights on those vertices, which the line search starts from
-    assert np.array_equal(theta, geometry.project_rows(data, base.polytope)[0])
+    # and the rows' projection onto those vertices, the line searches' first evaluations
+    projected = geometry.project_rows(data, base.polytope)
+    assert np.array_equal(theta, projected[0]) and np.array_equal(sq, projected[1])
 
     # dense-grid oracle over each extension scalar, with the other vertices
     # at their default extensions, as the lockstep searches hold them
@@ -447,20 +448,22 @@ def test_tuning_slope_matches_central_differences(monkeypatch):
     # projection; the slope must be the derivative of g_k, also where the
     # ray is clipped (there the vertex's renormalization moves the kept
     # coordinates). A spy search asks the lockstep rounds for g_k at m and
-    # m +- h, with the other vertices at their defaults, before the search
+    # m +- h, with the other vertices at their defaults, before the search;
+    # like every search it asks for hi first, which the fit's projection gives
     data = _lda_data(0, V=12, M=80)
     real_tune, real_search = gdm.tune_extensions, gdm._slope_search
     state, checked = {}, []
 
-    def tune_spy(data, center, centroids, assignments, extensions, theta):
+    def tune_spy(data, center, centroids, assignments, extensions, theta, sq):
         state.update(center=center, centroids=centroids, todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)))
-        return real_tune(data, center, centroids, assignments, extensions, theta)
+        return real_tune(data, center, centroids, assignments, extensions, theta, sq)
 
     def search_spy(lo, hi):
         center, k = state["center"], state["todo"].pop(0)
         ray = state["centroids"][k] - center
         with np.errstate(divide="ignore", invalid="ignore"):
             kinks = -center / ray  # where a coordinate of the ray crosses 0
+        yield hi
         for m in lo + np.array([0.1, 0.3, 0.5, 0.7, 0.9]) * (hi - lo):
             if np.nanmin(np.abs(kinks - m)) < 1e-3:
                 continue
@@ -617,10 +620,11 @@ def test_criterion_4_kink_keeps_its_steps(monkeypatch):
 
 def test_tuned_fit_solves_once_per_round(monkeypatch):
     # the searches run in lockstep, one grouped geometry._solve per round,
-    # so a tuned fit takes as many solves as its longest search takes
-    # evaluations, plus the default polytope's projection and the tuned
-    # one's scoring: 12 at perfbench's tgdm_large_m corpus (data seed 0),
-    # fit seed 0, where the searches one cluster after another took 39
+    # and the first round's evaluations are the default polytope's
+    # projection, so a tuned fit takes as many solves as its longest search
+    # takes evaluations, plus the tuned polytope's scoring: 11 at
+    # perfbench's tgdm_large_m corpus (data seed 0), fit seed 0, where the
+    # searches one cluster after another took 39
     data = _tgdm_large_m_corpus()
     real_solve, real_search = geometry._solve, gdm._slope_search
     solves, evaluations = [], []
@@ -644,7 +648,7 @@ def test_tuned_fit_solves_once_per_round(monkeypatch):
     monkeypatch.setattr(gdm, "_slope_search", search_spy)
     fit_gdm(data, GdmConfig(K=5, tune=True, seed=0))
     assert len(evaluations) == 5
-    assert len(solves) == 2 + max(evaluations) == 12
+    assert len(solves) == 1 + max(evaluations) == 11
 
 
 def test_tuned_extensions_do_not_depend_on_the_cluster_labels(monkeypatch):
@@ -666,12 +670,12 @@ def test_tuned_extensions_do_not_depend_on_the_cluster_labels(monkeypatch):
     for data, K, seed in cases:
         calls.clear()
         fit_gdm(data, GdmConfig(K=K, seed=seed, tune=True))
-        ((_, center, centroids, assignments, extensions, theta),) = calls
-        tuned = real(data, center, centroids, assignments, extensions, theta)
+        ((_, center, centroids, assignments, extensions, theta, sq),) = calls
+        tuned = real(data, center, centroids, assignments, extensions, theta, sq)
         for perm in (np.roll(np.arange(K), 1), np.arange(K)[::-1], rng.permutation(K)):
             # new label j is old cluster perm[j]
             relabel = np.argsort(perm)
-            moved = real(data, center, centroids[perm], relabel[assignments], extensions[perm], theta[:, perm])
+            moved = real(data, center, centroids[perm], relabel[assignments], extensions[perm], theta[:, perm], sq)
             assert np.abs(moved - tuned[perm]).max() <= 1e-8
 
 
@@ -740,26 +744,30 @@ def _sparse_tuning_corpus():
 )
 def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus, K, dense_blocks):
     # tuning keeps its rows' cross terms, Gram matrix and distances and
-    # forms only the moved vertices' parts, and each round projects every
-    # searching cluster's rows in one grouped solve; every evaluation's
-    # objective, weights and slope must be those of a solve on the candidate
-    # polytope's inputs formed afresh (the other vertices at their
-    # defaults), from the same start, with the Danskin slope taken from
-    # them, and its scales those of the candidate's distances (a stale Gram
-    # row or cross-term column fails here)
+    # forms only the moved vertices' parts, and each round after the first
+    # projects every searching cluster's rows in one grouped solve; every
+    # evaluation's objective, weights and slope must be those of a solve on
+    # the candidate polytope's inputs formed afresh (the other vertices at
+    # their defaults), from the same start, with the Danskin slope taken
+    # from them, and its scales those of the candidate's distances (a stale
+    # Gram row or cross-term column fails here). The first evaluation of
+    # each search, at the default polytope, solves nothing: its weights are
+    # the fit's projection, which a fresh solve from them must keep
     data = corpus()
     real_tune, real_search, real_solve = gdm.tune_extensions, gdm._slope_search, geometry._solve
     state, solves, checked = {}, [], []
 
-    def tune_spy(data, center, centroids, assignments, extensions, theta):
+    def tune_spy(data, center, centroids, assignments, extensions, theta, sq):
         state.update(
             center=center,
             centroids=centroids,
             assignments=assignments,
             vertices=extend(center, centroids, extensions),
+            theta=theta,
             todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)),
         )
-        return real_tune(data, center, centroids, assignments, extensions, theta)
+        solves.clear()  # the fit's own projection is no evaluation
+        return real_tune(data, center, centroids, assignments, extensions, theta, sq)
 
     def solve_spy(BBt, BX, xx, thetas, scales, groups=None):
         start = thetas.copy()  # the active set overwrites its start
@@ -777,9 +785,14 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
         m = next(search)
         while True:
             value, slope = yield m
-            start, scales, theta, (group, moved, _) = solves[-1]
-            mine = moved[group] == k  # the cluster's rows, in their order
-            start, scales, theta = start[mine], scales[mine], theta[mine]
+            if solves:
+                start, scales, theta, (group, moved, _) = solves[-1]
+                mine = moved[group] == k  # the cluster's rows, in their order
+                start, scales, theta = start[mine], scales[mine], theta[mine]
+            else:  # the first round: the fit's projection, at m = hi
+                assert m == hi
+                start = theta = state["theta"][members]
+                scales = None
             cand = state["vertices"].copy()
             cand[k] = extend(center, centroids[k, None], [m])
             # project_rows' inputs, formed afresh for the candidate polytope
@@ -794,9 +807,10 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
             # relative to the sum of the terms' magnitudes: near the minimum they cancel
             terms = 2.0 * w * ref[:, k] * along
             assert abs(slope - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
-            d2 = ((X.toarray()[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
-            assert scales == pytest.approx(np.maximum(1.0, d2.max(axis=1)), rel=1e-12, abs=0.0)
-            checked.append((k, X.nnz >= geometry._SPARSE_SHARE * X.shape[0] * X.shape[1]))
+            if scales is not None:
+                d2 = ((X.toarray()[:, None, :] - cand[None, :, :]) ** 2).sum(axis=2)
+                assert scales == pytest.approx(np.maximum(1.0, d2.max(axis=1)), rel=1e-12, abs=0.0)
+            checked.append((k, m == hi, X.nnz >= geometry._SPARSE_SHARE * X.shape[0] * X.shape[1]))
             try:
                 m = search.send((value, slope))
             except StopIteration as done:
@@ -806,9 +820,64 @@ def test_every_tuning_evaluation_matches_a_fresh_projection(monkeypatch, corpus,
     monkeypatch.setattr(gdm, "_slope_search", search_spy)
     monkeypatch.setattr(geometry, "_solve", solve_spy)
     fit_gdm(data, GdmConfig(K=K, tune=True, seed=0))
-    assert len({k for k, _ in checked}) >= 2 and len(checked) >= 10
+    assert len({k for k, _, _ in checked}) >= 2 and len(checked) >= 10
+    # every search's first evaluation was checked, at the default polytope
+    assert sum(first for _, first, _ in checked) == len({k for k, _, _ in checked})
     # the fresh inputs of every cluster take the dense row blocks, or the CSR product
-    assert all(blocks == dense_blocks for _, blocks in checked)
+    assert all(blocks == dense_blocks for _, _, blocks in checked)
+
+
+def test_tuning_scales_take_each_rows_distance_to_its_own_moved_vertex(monkeypatch):
+    # a short far document (weight 1, near the third corner) joins the
+    # cluster spread along the first edge and stretches its covering
+    # radius; as that cluster's vertex moves out along the edge, it passes
+    # every other vertex's distance from the document, so the document's
+    # scale, max(1, max_k ||b_k - x||^2) over its group's vertices, comes
+    # from its own moved vertex in the later rounds
+    rows = [[0.2, 0.8, 0.0]] * 5 + [[s, 1.0 - s, 0.0] for s in (0.7, 0.75, 0.8, 0.85, 0.9)] + [[0.03, 0.0, 0.97]]
+    data = _data(rows, [100.0] * 5 + [20.0] * 5 + [1.0])
+    real_tune, real_search, real_solve = gdm.tune_extensions, gdm._slope_search, geometry._solve
+    state, at, own_farthest = {}, {}, []
+
+    def tune_spy(data, center, centroids, assignments, extensions, theta, sq):
+        state.update(
+            center=center,
+            centroids=centroids,
+            assignments=assignments,
+            vertices=extend(center, centroids, extensions),
+            todo=list(np.flatnonzero(extensions > 1.0 + 1e-12)),
+        )
+        return real_tune(data, center, centroids, assignments, extensions, theta, sq)
+
+    def search_spy(lo, hi):
+        k, search = state["todo"].pop(0), real_search(lo, hi)
+        m = next(search)
+        while True:
+            at[k] = m  # the m of the search's evaluation in this round
+            try:
+                m = search.send((yield m))
+            except StopIteration as done:
+                return done.value
+
+    def solve_spy(BBt, BX, xx, thetas, scales, groups=None):
+        if groups is not None:
+            group, moved, _ = groups
+            # the rows of the searching clusters, cluster by cluster, in their order
+            members = np.concatenate([np.flatnonzero(state["assignments"] == k) for k in moved])
+            for g, k in enumerate(moved):
+                vertices = state["vertices"].copy()
+                vertices[k] = extend(state["center"], state["centroids"][k, None], [at[k]])[0]
+                d2 = ((data.rows[members[group == g], None, :] - vertices[None, :, :]) ** 2).sum(axis=2)
+                expected = np.maximum(1.0, d2.max(axis=1))
+                assert scales[group == g] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                own_farthest.append(int((d2[:, k] > np.maximum(1.0, np.delete(d2, k, axis=1).max(axis=1))).sum()))
+        return real_solve(BBt, BX, xx, thetas, scales, groups)
+
+    monkeypatch.setattr(gdm, "tune_extensions", tune_spy)
+    monkeypatch.setattr(gdm, "_slope_search", search_spy)
+    monkeypatch.setattr(geometry, "_solve", solve_spy)
+    fit_gdm(data, GdmConfig(K=2, seed=0, tune=True))
+    assert sum(own_farthest) >= 5  # rounds in which the document's own vertex sets its scale
 
 
 def test_ngdm_finds_separated_clouds():
